@@ -28,7 +28,7 @@ from . import __version__
 from .constants import QuadratureOptions, compute_constants
 from .extremals import capacity_profile, probe_to_csv, sharpness_probe
 from .grids import ball_grid, box_grid, gauge_power_field, save_field
-from .io import fmt, read_csv, write_csv, write_json
+from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
 from .operators import dirichlet_energy
 from .rearrange import (
     decreasing_rearrangement,
@@ -236,7 +236,7 @@ def _make_nl(cfg: "RunConfig"):
 
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     opts = QuadratureOptions(tail_radius=cfg.tail_radius, mc_samples=cfg.mc_samples,
-                             mc_seed=cfg.seed or QuadratureOptions.mc_seed)
+                             mc_seed=cfg.seed)
     consts = compute_constants(opts)
     write_json(out / "constants.json", {
         "q": consts.q,
@@ -336,7 +336,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
         print("hypothesis validation failed; see hypotheses.json", file=sys.stderr)
         return EXIT_HYPOTHESES
 
-    opts = SolveOptions(tol=cfg.tol, seed=cfg.seed)
+    opts = SolveOptions(tol=cfg.tol)
     u, state = mountain_pass_solve(nl, a, dom, opts)
     save_field(u, out / "solution.bin")
     write_csv(out / "trace.csv", ["iteration", "level", "gradResidual", "norm"],
@@ -367,7 +367,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 def cmd_continuation(cfg: RunConfig, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
-    opts = SolveOptions(tol=cfg.tol, seed=cfg.seed)
+    opts = SolveOptions(tol=cfg.tol)
     steps = critical_continuation(nl, cfg.nmax, dom, opts)
     rows = [(s.n, s.a, s.norm, s.diff_from_previous, s.weighted_uf, s.weighted_F,
              s.state.levelEstimate, s.state.gradResidual) for s in steps]
@@ -422,13 +422,11 @@ def emit_plot_data(artifact: str | Path, out: Path) -> list[Path]:
             series.sort()
             path = out / f"series_beta_{b}.dat"
             text = "\n".join(f"{k} {fmt(v)}" for k, v in series) + "\n"
-            from .io import atomic_write_text
             atomic_write_text(path, text)
             written.append(path)
     elif header[:2] == ["iteration", "level"]:
         path = out / "series_level.dat"
         text = "\n".join(f"{r[0]} {fmt(float(r[1]))}" for r in rows) + "\n"
-        from .io import atomic_write_text
         atomic_write_text(path, text)
         written.append(path)
     elif header[:2] == ["n", "a"]:
@@ -436,7 +434,6 @@ def emit_plot_data(artifact: str | Path, out: Path) -> list[Path]:
         text = "\n".join(
             f"{fmt(float(r[1]))} {fmt(float(r[2]))} {fmt(float(r[3]))}" for r in rows
         ) + "\n"
-        from .io import atomic_write_text
         atomic_write_text(path, text)
         written.append(path)
     else:

@@ -33,7 +33,13 @@ import numpy as np
 
 from .grids import GridDomain, GridField, ball_grid
 from .group import Q
-from .operators import dirichlet_energy, integrate_weighted, sublaplacian
+from .operators import (
+    bilaplacian,
+    cg,
+    dirichlet_energy,
+    integrate_weighted,
+    restricted_bilaplacian,
+)
 
 
 @dataclass
@@ -56,27 +62,6 @@ class AdamsFunction:
     field: GridField
     normEstimate: float
     plateau: float              # sqrt(Q log(R/r) / A), exact arithmetic
-
-
-def _cg(apply_op, b, tol, max_iter):
-    x = np.zeros_like(b)
-    r = b - apply_op(x)
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
-    it = 0
-    for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * bnorm:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it, np.sqrt(rs) / bnorm
 
 
 def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
@@ -115,16 +100,10 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
         u[free_dofs] = x
         return GridField(grid, u)
 
-    def reduced_normal(x):
-        u = np.zeros(grid.shape)
-        u[free_dofs] = x
-        LLu = sublaplacian(sublaplacian(GridField(grid, u))).values
-        return LLu[free_dofs]
-
     u_fixed = GridField(grid, np.where(plateau, 1.0, 0.0))
-    rhs = -sublaplacian(sublaplacian(u_fixed)).values[free_dofs]
+    rhs = -bilaplacian(u_fixed).values[free_dofs]
 
-    x, iters, res = _cg(reduced_normal, rhs, tol, max_iter)
+    x, iters, res = cg(restricted_bilaplacian(grid, free_dofs), rhs, tol, max_iter)
     u = embed(x)
     energy = dirichlet_energy(u)
     bound = bigA / (Q * np.log(1.0 / ell))

@@ -257,12 +257,19 @@ def gauge_power_field(domain: GridDomain, a: float) -> GridField:
 
 def save_field(f: GridField, path: str | Path) -> None:
     """Flat binary layout: magic, dims (int64), extents+spacing (float64),
-    then values in x-fastest order.  Little-endian throughout."""
-    nx, ny, nt = f.domain.shape
+    then values in x-fastest order.  Little-endian throughout.  A domain
+    whose mask is not the full box appends the mask as bits (np.packbits,
+    x-fastest), zero-padded to a multiple of 8 bytes."""
+    dom = f.domain
+    nx, ny, nt = dom.shape
     header = np.array([nx, ny, nt], dtype="<i8").tobytes()
-    geom = np.array(list(f.domain.extents) + list(f.domain.spacing), dtype="<f8").tobytes()
+    geom = np.array(list(dom.extents) + list(dom.spacing), dtype="<f8").tobytes()
     payload = np.asarray(f.values, dtype="<f8").ravel(order="F").tobytes()
-    Path(path).write_bytes(_MAGIC + header + geom + payload)
+    trailer = b""
+    if not dom.mask.all():
+        bits = np.packbits(dom.mask.ravel(order="F")).tobytes()
+        trailer = bits + bytes(-len(bits) % 8)
+    Path(path).write_bytes(_MAGIC + header + geom + payload + trailer)
 
 
 def load_field(path: str | Path) -> GridField:
@@ -274,10 +281,20 @@ def load_field(path: str | Path) -> GridField:
     off += 3 * 8
     geom = np.frombuffer(raw, dtype="<f8", count=6, offset=off)
     off += 6 * 8
-    nx, ny, nt = (int(d) for d in dims)
-    vals = np.frombuffer(raw, dtype="<f8", count=nx * ny * nt, offset=off)
-    dom = GridDomain(shape=(nx, ny, nt), extents=(geom[0], geom[1], geom[2]))
-    return GridField(dom, vals.reshape((nx, ny, nt), order="F").copy())
+    shape = tuple(int(d) for d in dims)
+    ncell = shape[0] * shape[1] * shape[2]
+    vals = np.frombuffer(raw, dtype="<f8", count=ncell, offset=off)
+    off += ncell * 8
+    mask = None
+    if len(raw) > off:
+        nbits = -(-ncell // 8)
+        if len(raw) - off != nbits + (-nbits % 8):
+            raise ValueError(f"{path}: mask section has the wrong length")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, count=nbits, offset=off),
+                             count=ncell)
+        mask = bits.astype(bool).reshape(shape, order="F")
+    dom = GridDomain(shape=shape, extents=(geom[0], geom[1], geom[2]), mask=mask)
+    return GridField(dom, vals.reshape(shape, order="F").copy())
 
 
 def field_to_csv(f: GridField, path: str | Path) -> None:

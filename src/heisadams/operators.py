@@ -84,6 +84,49 @@ def bilaplacian(u: GridField, policy: str = "zero") -> GridField:
     return sublaplacian(sublaplacian(u, policy=policy), policy=policy)
 
 
+def restricted_bilaplacian(domain: GridDomain, cells: np.ndarray):
+    """x -> L(L u)[cells] for the field u equal to x on cells, zero elsewhere.
+
+    This is the quadratic form's operator on the degrees of freedom in cells
+    (a boolean mask); it is symmetric, and positive definite whenever cells
+    lie among the free cells.
+    """
+    def apply(x: np.ndarray) -> np.ndarray:
+        u = np.zeros(domain.shape)
+        u[cells] = x
+        return bilaplacian(GridField(domain, u)).values[cells]
+    return apply
+
+
+def cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
+       x0: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+    """Conjugate gradients for a symmetric positive-definite apply_op.
+
+    Starts from x0 (zero by default) and stops once ||r|| <= tol ||b||.
+    Returns the iterate, the iteration count and ||r|| / ||b||.
+    """
+    if x0 is None:
+        x = np.zeros_like(b)
+        r = b.copy()
+    else:
+        x = x0.copy()
+        r = b - apply_op(x)
+    p = r.copy()
+    rs = float(r @ r)
+    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
+    it = 0
+    while np.sqrt(rs) > tol * bnorm and it < max_iter:
+        it += 1
+        Ap = apply_op(p)
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, it, np.sqrt(rs) / bnorm
+
+
 def dirichlet_energy(u: GridField) -> float:
     """||L u||_2^2 summed over the whole box with cell volume."""
     Lu = sublaplacian(u).values

@@ -13,11 +13,14 @@ symmetric sublaplacian matrix (see operators), the gradient representer
 pairs exactly with directional derivatives: <grad, v> * cellVolume matches
 central differences of J to quadrature rounding.
 
-The saddle search follows the classical path-deformation recipe: push a
-segment from 0 to a negative-energy endpoint downhill at its maximizer,
-redistribute, repeat; an optional damped-Newton polish then drives the
-stationarity residual to tight tolerances once the deformation phase has
-located the basin of the saddle.
+The saddle search works on the Nehari manifold {u != 0 : J'(u) u = 0}, where
+the mountain-pass level is the minimum of J when f(u)/u increases in |u|
+(Choi & McKenna 1993; Li & Zhou 2001).  A seed ray is scaled to its energy
+maximum, Sobolev-gradient steps u - (L^2)^-1 grad J(u) are scaled back to
+their ray maxima until the step is small, and damped Newton-MINRES then
+drives the stationarity residual to tight tolerances.  Each ray maximum
+bounds the mountain-pass level from above, and their running minimum is
+the reported level.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .grids import GridDomain, GridField, zeros
-from .operators import dirichlet_energy, integrate_weighted, sublaplacian
+from .operators import (
+    bilaplacian,
+    cg,
+    dirichlet_energy,
+    integrate_weighted,
+    restricted_bilaplacian,
+)
 
 Array = np.ndarray
 
@@ -125,8 +134,7 @@ def grad_energy(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
     dom = u.domain
     X, Y, T = dom.coords()
     w = dom.singular_weight(a)
-    LLu = sublaplacian(sublaplacian(u)).values
-    g = LLu - w * nl.f(X, Y, T, u.values)
+    g = bilaplacian(u).values - w * nl.f(X, Y, T, u.values)
     g = np.where(dom.free_mask(), g, 0.0)
     return GridField(dom, g)
 
@@ -157,11 +165,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     _check_a(a)
     free = domain.free_mask()
     w = domain.singular_weight(a)[free]
-
-    def apply_A(x):
-        u = np.zeros(domain.shape)
-        u[free] = x
-        return sublaplacian(sublaplacian(GridField(domain, u))).values[free]
+    apply_A = restricted_bilaplacian(domain, free)
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal(int(free.sum()))
@@ -172,7 +176,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     it = 0
     for it in range(1, max_outer + 1):
         b = w * x
-        y, _, _ = _cg_solve(apply_A, b, cg_tol, cg_max_iter, x0=x / max(lam, 1e-30) if np.isfinite(lam) else None)
+        y, _, _ = cg(apply_A, b, cg_tol, cg_max_iter, x0=x / max(lam, 1e-30) if np.isfinite(lam) else None)
         x = y / np.sqrt(y @ y)
         Ax = apply_A(x)
         lam = float(x @ Ax) / float(x @ (w * x))
@@ -182,27 +186,6 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
             return LambdaResult(value=lam, residual=res, iterations=it, converged=True)
         lam_prev = lam
     return LambdaResult(value=lam, residual=res, iterations=it, converged=False)
-
-
-def _cg_solve(apply_op, b, tol, max_iter, x0=None):
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - apply_op(x)
-    p = r.copy()
-    rs = float(r @ r)
-    b2 = max(float(b @ b), 1e-300)
-    it = 0
-    for it in range(1, max_iter + 1):
-        Ap = apply_op(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        if rs_new <= tol * tol * b2:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it, np.sqrt(rs / b2)
 
 
 def rayleigh_quotient(u: GridField, a: float) -> float:
@@ -358,25 +341,25 @@ def level_bound(a: float, alpha0: float, bigA: float = 32.0 / 9.0) -> float:
 
 # -- mountain pass ---------------------------------------------------------------
 
+# The descent direction only has to point downhill and to measure its own
+# size against newton_switch, so its CG solve stops at a loose tolerance.
+_DESCENT_CG_TOL = 1e-3
+_DESCENT_CG_MAX_ITER = 20000
+
+
 @dataclass
 class SolveOptions:
     tol: float = 1e-6
-    max_deform_iters: int = 2000
-    path_points: int = 32
+    max_deform_iters: int = 200      # cap on Nehari descent steps
     t_max: float = 1e12
-    armijo: float = 1e-4
     triviality_floor: float = 1e-6
-    newton_polish: bool = True
-    newton_switch: float = 1e-1      # relative residual at which polish may start
+    newton_switch: float = 1e-1      # relative descent-step size at which Newton takes over
     newton_max_iters: int = 60
-    redistribute_every: int = 10
-    seed: int = 0
 
 
 @dataclass
 class MountainPassState:
-    levelEstimate: float
-    maximizerIndex: int
+    levelEstimate: float     # running minimum of max_t J(t u) over the iterates
     gradResidual: float
     history: list[tuple[int, float, float, float]]   # iteration, level, residual, norm
     converged: bool
@@ -384,7 +367,6 @@ class MountainPassState:
     newton_iterations: int = 0
     e_scale: float = 0.0
     message: str = ""
-    pathPoints: list = dc_field(default_factory=list)   # final deformed path (arrays)
 
 
 class GeometryFailure(RuntimeError):
@@ -405,9 +387,8 @@ def find_descent_endpoint(nl: NonlinearitySpec, a: float, domain: GridDomain,
                           t_max: float, u0: GridField | None = None) -> tuple[GridField, float]:
     """Find e = t u0 with J(e) < 0 along a normalized positive ray.
 
-    t doubles until the energy goes negative; it is then bisected down so the
-    positive ridge J > 0 sits well inside the segment [0, e] rather than in
-    its first sliver, which keeps a uniform path discretization meaningful.
+    t doubles from 1 until the energy goes negative; the ray maximum of J
+    then lies in (0, t).
     """
     seed = u0 if u0 is not None else default_bump(domain)
     nrm = np.sqrt(dirichlet_energy(seed))
@@ -422,246 +403,151 @@ def find_descent_endpoint(nl: NonlinearitySpec, a: float, domain: GridDomain,
         raise GeometryFailure(
             f"energy stayed nonnegative along the seed ray up to t = {t_max:g}"
         )
-    # shrink toward the sign change: keep the smallest dyadic negative scale
-    while t > 1e-8:
-        if energy(seed * (t / 2.0), nl, a) < 0.0:
-            t /= 2.0
-        else:
-            break
-    t *= 1.5   # margin past the zero crossing so J(e) is strictly negative
-    if energy(seed * t, nl, a) >= 0.0:
-        t = 2.0 * t / 1.5
     return seed * t, t
 
 
-def _interp_path(points: list[np.ndarray], n_out: int) -> list[np.ndarray]:
-    """Arclength re-interpolation of a polyline of fields (flat arrays)."""
-    seg = np.array([np.sqrt(np.sum((points[i + 1] - points[i]) ** 2))
-                    for i in range(len(points) - 1)])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    if cum[-1] == 0.0:
-        return [points[0].copy() for _ in range(n_out)]
-    targets = np.linspace(0.0, cum[-1], n_out)
-    out = []
-    j = 0
-    for s in targets:
-        while j < len(seg) - 1 and cum[j + 1] < s:
-            j += 1
-        denom = seg[j] if seg[j] > 0 else 1.0
-        w = (s - cum[j]) / denom
-        out.append((1 - w) * points[j] + w * points[j + 1])
-    return out
+def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
+    """t u at the maximizer t > 0 of J(t u), which lies on the Nehari manifold.
+
+    phi(t) = J(t u) has phi'(t) = t ||u||^2 - int f(t u) u / rho^a, positive
+    for small t and with a single sign change when f(s)/s increases in |s|;
+    the root is found by Newton steps kept inside a bisection bracket.
+    """
+    dom = u.domain
+    X, Y, T = dom.coords()
+    wu = dom.singular_weight(a) * u.values * dom.cell_volume
+    unorm2 = dirichlet_energy(u)
+    lo, hi, t = 0.0, np.inf, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            tu = t * u.values
+            d1 = t * unorm2 - float(np.sum(wu * nl.f(X, Y, T, tu)))
+            if d1 > 0.0:
+                lo = t
+            else:
+                hi = t
+            d2 = unorm2 - float(np.sum(wu * u.values * nl.fprime(X, Y, T, tu)))
+            t_new = t - d1 / d2 if d2 < 0.0 else np.nan
+            if not lo < t_new < hi:
+                t_new = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-15 * t:
+                break
+            t = t_new
+    return u * t_new
 
 
 def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
                         opts: SolveOptions | None = None,
                         warm_start: GridField | None = None) -> tuple[GridField, MountainPassState]:
-    """Saddle search by path deformation with optional Newton polish.
+    """Saddle search by Nehari-projected descent, finished by damped Newton.
 
-    Builds a segment from 0 to a negative-energy endpoint (doubling along a
-    positive bump, or along the warm start), then repeatedly takes an Armijo
-    backtracking descent step at the path maximizer and re-inserts it,
-    redistributing the path by arclength when spacing degenerates.  The
-    recorded level estimate (max of J over the path) is non-increasing by
-    construction.  Once the maximizer's residual is small the solver may
-    switch to damped Newton on the stationarity system to reach tight
-    tolerances; the deformation level history is left untouched by polish.
+    The seed ray (a positive bump, or the warm start) is scaled to the
+    maximum of J along it, which lies on the Nehari manifold J'(u) u = 0.
+    Each descent step subtracts the Sobolev gradient d = (L^2)^-1 grad J(u),
+    one conjugate-gradient solve on the free cells, and scales the result
+    back to its ray maximum.  Once ||d|| <= newton_switch ||u||, damped
+    Newton-MINRES drives the residual below tol.  Every ray maximum
+    max_t J(t u) bounds the mountain-pass level from above; the recorded
+    level is their running minimum over the iterates, so it is
+    non-increasing, and it equals J(u) when the search ends at the
+    least-energy solution.
     """
     opts = opts or SolveOptions()
-    P = opts.path_points
     dom = domain
-
     try:
-        e_field, t_scale = find_descent_endpoint(nl, a, dom, opts.t_max, warm_start)
+        e, t_scale = find_descent_endpoint(nl, a, dom, opts.t_max, warm_start)
     except GeometryFailure as exc:
         state = MountainPassState(
-            levelEstimate=np.nan, maximizerIndex=-1, gradResidual=np.inf,
-            history=[], converged=False, geometry_failure=True, message=str(exc),
+            levelEstimate=np.nan, gradResidual=np.inf, history=[],
+            converged=False, geometry_failure=True, message=str(exc),
         )
         return zeros(dom), state
 
-    e = e_field.values
-    path = [s * e for s in np.linspace(0.0, 1.0, P)]
+    free = dom.free_mask()
+    apply_A = restricted_bilaplacian(dom, free)
     history: list[tuple[int, float, float, float]] = []
-
-    def J_of(vals):
-        return energy(GridField(dom, vals), nl, a)
-
-    def grad_of(vals):
-        return grad_energy(GridField(dom, vals), nl, a).values
-
-    vol = dom.cell_volume
-
-    def l2(vals):
-        return np.sqrt(float(np.sum(vals * vals)) * vol)
-
-    Js = [J_of(p) for p in path]
-    level = max(Js)          # running best certified path maximum
-    step = 1.0
-    res = np.inf
-    istar = int(np.argmax(Js[1:-1])) + 1
-    converged = False
-    stall = 0
-    switch = opts.newton_switch
-
-    for it in range(1, opts.max_deform_iters + 1):
-        istar = int(np.argmax(Js[1:-1])) + 1
-        u = path[istar]
-        g = grad_of(u)
-        gnorm2 = float(np.sum(g * g)) * vol
-        gnorm = np.sqrt(gnorm2)
-        res = gnorm
-        unorm = np.sqrt(dirichlet_energy(GridField(dom, u)))
-        level = min(level, max(Js))
-        history.append((it, level, res, unorm))
-        if res <= opts.tol * max(1.0, unorm):
-            converged = True
+    level = np.inf
+    u = _ray_max(e, nl, a)
+    while True:
+        level = min(level, energy(u, nl, a))
+        g = grad_energy(u, nl, a)
+        res = grad_norm(g)
+        unorm = np.sqrt(dirichlet_energy(u))
+        history.append((len(history) + 1, level, res, unorm))
+        if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
-        if opts.newton_polish and res <= switch * max(1.0, unorm):
-            polished, pres, its, ok = _newton_polish(u, nl, a, dom, opts, history)
-            pnorm = np.sqrt(dirichlet_energy(GridField(dom, polished)))
-            if ok and pnorm > opts.triviality_floor and J_of(polished) > 0.0:
-                u, res, converged = polished, pres, True
-                path[istar] = polished
-                Js[istar] = J_of(polished)
-                return _finish(GridField(dom, u), nl, a, istar, level, res,
-                               history, converged, its, t_scale, opts, path)
-            # polish fell into the wrong basin: keep deforming, arm it later
-            switch *= 0.25
-            stall = 0
+        gf = g.values[free]
+        d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER)
+        # ||d||^2 = <L^2 d, d> = <grad J(u), d>
+        if np.sqrt(float(d @ gf) * dom.cell_volume) <= opts.newton_switch * unorm:
+            break
+        step = u.values.copy()
+        step[free] -= d
+        u = _ray_max(GridField(dom, step), nl, a)
 
-        # Armijo backtracking along -grad, displacement capped by the local
-        # path spacing so the maximizer cannot be thrown off the ridge
-        seg = max(l2(path[istar + 1] - u), l2(path[istar - 1] - u), 1e-300)
-        s_cap = 0.5 * seg / max(l2(g), 1e-300)
-        Ju = Js[istar]
-        s = min(step, s_cap)
-        accepted = False
-        for _ in range(60):
-            trial = u - s * g
-            Jt = J_of(trial)
-            if Jt <= Ju - opts.armijo * s * gnorm2:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            stall += 1
-            step *= 0.25   # retry the maximizer from a shorter trust step
-            if stall >= 5:
-                break
-            continue
-        stall = 0
-        step = min(s * 2.0, 1e6)
-        path[istar] = trial
-        Js[istar] = Jt
-        # arclength re-spacing keeps the ridge sampled; the certified level is
-        # a running minimum, so an interpolation bump cannot corrupt it
-        if it % opts.redistribute_every == 0:
-            candidate = _interp_path(path, P)
-            candidate[0] = path[0]
-            candidate[-1] = path[-1]
-            path = candidate
-            Js = [J_of(p) for p in candidate]
-
-    istar = int(np.argmax(Js[1:-1])) + 1
-    u = path[istar]
-    newton_its = 0
-    if not converged and opts.newton_polish:
-        polished, pres, newton_its, ok = _newton_polish(u, nl, a, dom, opts, history)
-        pnorm = np.sqrt(dirichlet_energy(GridField(dom, polished)))
-        if ok and pnorm > opts.triviality_floor and J_of(polished) > 0.0:
-            u, res, converged = polished, pres, True
-
-    return _finish(GridField(dom, u), nl, a, istar, level, res, history,
-                   converged, newton_its, t_scale, opts, path)
-
-
-def _finish(uf: GridField, nl, a, istar, level, res, history, converged,
-            newton_its, t_scale, opts, path=None) -> tuple[GridField, MountainPassState]:
-    unorm = np.sqrt(dirichlet_energy(uf))
-    nontrivial = unorm > opts.triviality_floor
+    u, res, newton_its, ok = _newton_polish(u, nl, a, opts, history)
+    nontrivial = history[-1][3] > opts.triviality_floor
     state = MountainPassState(
-        levelEstimate=level,
-        maximizerIndex=istar,
+        levelEstimate=history[-1][1],
         gradResidual=res,
         history=history,
-        converged=bool(converged and nontrivial),
-        geometry_failure=False,
+        converged=bool(ok and nontrivial),
         newton_iterations=newton_its,
         e_scale=t_scale,
-        message="" if converged else "descent stagnated; returning best iterate",
-        pathPoints=list(path) if path is not None else [],
     )
-    if converged and not nontrivial:
+    if not ok:
+        state.message = "Newton stagnated; returning its last iterate"
+    elif not nontrivial:
         state.message = "converged to the trivial state below the triviality floor"
-    return uf, state
+    return u, state
 
 
-def _newton_polish(u0: Array, nl: NonlinearitySpec, a: float, dom: GridDomain,
-                   opts: SolveOptions, history: list) -> tuple[Array, float, int, bool]:
-    """Damped Newton on  L^2 u = w f(u)  from the deformation iterate.
+def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOptions,
+                   history: list) -> tuple[GridField, float, int, bool]:
+    """Damped Newton on  L^2 u = w f(u)  from the last descent iterate.
 
     The linearization L^2 - w f'(u) is symmetric but indefinite at a saddle;
-    steps are computed with MINRES on free cells.
+    steps are computed with MINRES on free cells and halved until the
+    residual decreases.  Each iterate appends a history row whose level
+    also takes in the iterate's ray maximum.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
+    dom = u.domain
     free = dom.free_mask()
     nfree = int(free.sum())
     X, Y, T = dom.coords()
-    w = dom.singular_weight(a)
-    vol = dom.cell_volume
+    w = dom.singular_weight(a)[free]
+    apply_A = restricted_bilaplacian(dom, free)
 
-    def residual(uvals):
-        LLu = sublaplacian(sublaplacian(GridField(dom, uvals))).values
-        r = LLu - w * nl.f(X, Y, T, uvals)
-        return np.where(free, r, 0.0)
-
-    def res_norm(r):
-        return float(np.sqrt(np.sum(r * r) * vol))
-
-    u = u0.copy()
-    r = residual(u)
-    rn = res_norm(r)
-    level = history[-1][1] if history else np.nan
-    it = 0
-    for it in range(1, opts.newton_max_iters + 1):
-        unorm = np.sqrt(dirichlet_energy(GridField(dom, u)))
-        if rn <= opts.tol * max(1.0, unorm):
-            return u, rn, it - 1, True
-
-        fp = nl.fprime(X, Y, T, u)
-
-        def jac_mv(x):
-            v = np.zeros(dom.shape)
-            v[free] = x
-            LLv = sublaplacian(sublaplacian(GridField(dom, v))).values
-            out = LLv - w * fp * v
-            return out[free]
-
-        op = LinearOperator((nfree, nfree), matvec=jac_mv)
-        rhs = -r[free]
-        delta, info = minres(op, rhs, rtol=1e-10, maxiter=4000)
+    r = grad_energy(u, nl, a)
+    rn = grad_norm(r)
+    it, level, unorm = 0, history[-1][1], history[-1][3]
+    while rn > opts.tol * max(1.0, unorm) and it < opts.newton_max_iters:
+        it += 1
+        wfp = w * nl.fprime(X, Y, T, u.values)[free]
+        op = LinearOperator((nfree, nfree), matvec=lambda x: apply_A(x) - wfp * x)
+        delta, info = minres(op, -r.values[free], rtol=1e-10, maxiter=4000)
         if info != 0 and not np.isfinite(delta).all():
             break
-        # damped update with residual-decrease backtracking
         s = 1.0
         improved = False
         for _ in range(30):
-            trial = u.copy()
+            trial = u.values.copy()
             trial[free] += s * delta
-            rt = residual(trial)
-            rtn = res_norm(rt)
+            trial = GridField(dom, trial)
+            rt = grad_energy(trial, nl, a)
+            rtn = grad_norm(rt)
             if rtn < rn:
                 u, r, rn = trial, rt, rtn
                 improved = True
                 break
             s *= 0.5
-        unorm = np.sqrt(dirichlet_energy(GridField(dom, u)))
-        history.append((history[-1][0] + 1 if history else 1, level, rn, unorm))
+        unorm = np.sqrt(dirichlet_energy(u))
+        level = min(level, energy(_ray_max(u, nl, a), nl, a))
+        history.append((history[-1][0] + 1, level, rn, unorm))
         if not improved:
             break
-    unorm = np.sqrt(dirichlet_energy(GridField(dom, u)))
     return u, rn, it, rn <= opts.tol * max(1.0, unorm)
 
 
@@ -683,8 +569,8 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
                           opts: SolveOptions | None = None) -> list[ContinuationStep]:
     """Approach the borderline potential through a_n = 4 - 1/n.
 
-    Each stage solves the subcritical problem at a_n, warm-starting the path
-    from the previous solution; diagnostics record the solution drift and the
+    Each stage solves the subcritical problem at a_n, taking the previous
+    solution as the seed ray; diagnostics record the solution drift and the
     weighted superlinearity integrals, which stay bounded along the family.
     Any stage failure aborts with the steps obtained so far.
     """

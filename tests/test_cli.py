@@ -48,6 +48,20 @@ def test_determinism_byte_identical(tmp_path):
     assert m1 == m2
 
 
+def test_constants_seed_zero_is_its_own_seed(tmp_path):
+    gammas = []
+    for seed in ("0", "20240801"):
+        out = tmp_path / f"s{seed}"
+        rc = run_cli(["constants", "--out", str(out), "--mc-samples", "5000",
+                      "--seed", seed])
+        assert rc == 0
+        doc = json.loads((out / "constants.json").read_text())
+        gammas.append(doc["errorEstimates"]["mc_gamma1"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved"]["seed"] == int(seed)
+    assert gammas[0] != gammas[1]
+
+
 def test_sharpness_determinism(tmp_path):
     files = []
     for name in ("s1", "s2"):

@@ -125,6 +125,21 @@ def test_field_serialization_roundtrip(tmp_path):
     assert g.domain.spacing == pytest.approx(dom.spacing)
 
 
+def test_field_serialization_keeps_ball_mask(tmp_path):
+    dom = ha.ball_grid(9)
+    rng = np.random.default_rng(2)
+    f = ha.GridField(dom, np.where(dom.mask, rng.standard_normal(dom.shape), 0.0))
+    p = tmp_path / "ball.bin"
+    ha.save_field(f, p)
+    assert p.stat().st_size % 8 == 0
+    g = ha.load_field(p)
+    assert int(g.domain.mask.sum()) == int(dom.mask.sum()) == 461
+    assert np.array_equal(g.domain.mask, dom.mask)
+    assert np.array_equal(g.domain.free_mask(), dom.free_mask())
+    assert np.array_equal(f.values, g.values)
+    assert g.domain.extents == pytest.approx(dom.extents)
+
+
 def test_field_binary_layout_is_x_fastest(tmp_path):
     dom = ha.box_grid(3)
     vals = np.arange(27, dtype=float).reshape(dom.shape)

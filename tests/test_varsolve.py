@@ -220,10 +220,27 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
                for i in range(len(levels) - 1))
     # weighted Poincare-type inequality at the solution
     assert ha.rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
-    # path endpoints: starts at 0, ends below the zero level
-    assert np.all(st.pathPoints[0] == 0.0)
-    last = ha.GridField(box9m, st.pathPoints[-1])
-    assert ha.energy(last, nl, 1.0) < 0.0
+    # the seed ray reaches negative energy at the recorded scale
+    e, t = find_descent_endpoint(nl, 1.0, box9m, ha.SolveOptions().t_max)
+    assert t == st.e_scale
+    assert ha.energy(e, nl, 1.0) < 0.0
+    # Newton alone stagnates from the seed ray's Nehari point, so descent must
+    # take a step: one history row per descent iterate, two rows per step
+    assert len(st.history) - st.newton_iterations >= 2
+
+
+@pytest.mark.parametrize("model,a", [("cubic", 1.0), ("critical", 3.0)])
+def test_mountain_pass_level_is_the_critical_value(box9m, model, a):
+    """The reported level is J(u) at the least-energy solution, not a bound above it."""
+    if model == "cubic":
+        nl = ha.cubic_model()
+    else:
+        nl = ha.critical_model(lam=0.9 * ha.lambda_estimate(box9m, a, tol=1e-10).value)
+    u, st = ha.mountain_pass_solve(nl, a, box9m, ha.SolveOptions(tol=1e-6))
+    assert st.converged
+    J = ha.energy(u, nl, a)
+    assert st.levelEstimate == pytest.approx(J, rel=1e-8)
+    assert st.levelEstimate == st.history[-1][1]
 
 
 def test_primitive_matches_quadrature_of_f(box9m):
