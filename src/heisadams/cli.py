@@ -327,10 +327,15 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     report = validate_hypotheses(nl, a, lam.value, dom)
     write_json(out / "hypotheses.json", {
         "lambda": lam.value,
+        "lambda_converged": lam.converged,
         "sampled_range": list(report.sampled_range),
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],
     })
+    if not lam.converged:
+        write_json(out / "manifest.json", _manifest(cfg))
+        print("Rayleigh iteration did not converge; see hypotheses.json", file=sys.stderr)
+        return EXIT_CONVERGENCE
     if not report.passed_geometry():
         write_json(out / "manifest.json", _manifest(cfg))
         print("hypothesis validation failed; see hypotheses.json", file=sys.stderr)

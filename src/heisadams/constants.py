@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .group import Q
 
@@ -80,6 +79,8 @@ class SharpConstants:
 
 def _ball_volume_quad(tol: float) -> tuple[float, float]:
     # V = int_0^1 2 pi r * (t-extent 2 sqrt(1-r^4)) dr
+    from scipy import integrate  # slow to import, and only quadrature needs it
+
     val, err = integrate.quad(
         lambda r: 4.0 * np.pi * r * np.sqrt(max(1.0 - r ** 4, 0.0)),
         0.0, 1.0, epsabs=tol, epsrel=tol,
@@ -95,6 +96,8 @@ def _gamma1_integral_quad(tail_radius: float, tol: float) -> tuple[float, float]
         int_{gauge > R} rho^-8 = c0 / (4 R^4),
     which is added to the reported error estimate.
     """
+    from scipy import integrate
+
     R4 = tail_radius ** 4
 
     def t_slice(r):
@@ -207,6 +210,8 @@ def fundamental_constant_general(n: int, tol: float = 1e-9) -> float:
     if n < 1:
         raise ValueError("n must be a positive integer")
     from math import gamma as gamma_fn
+
+    from scipy import integrate
 
     surf = 2.0 * np.pi ** n / gamma_fn(n)  # area of S^{2n-1}
     expo = (n + 4) / 2.0

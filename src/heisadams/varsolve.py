@@ -29,12 +29,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .grids import GridDomain, GridField, zeros
 from .operators import (
     bilaplacian,
     cg,
     dirichlet_energy,
+    free_preconditioner,
     integrate_weighted,
     restricted_bilaplacian,
 )
@@ -159,13 +161,16 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     """Smallest Rayleigh quotient ||u||^2 / int u^2/rho^a by inverse iteration.
 
     The pencil is (L^2, diag(w_a)) on free cells; L^2 is SPD there, so each
-    inverse-power step is one conjugate-gradient solve.  Residual reported is
-    ||L^2 x - lambda w x|| / ||w x||.
+    inverse-power step is one conjugate-gradient solve, preconditioned by
+    the domain's factored L_ff^-2.  Residual reported is
+    ||L^2 x - lambda w x|| / ||w x||.  An inner solve that ends above cg_tol
+    stops the iteration with converged=False.
     """
     _check_a(a)
     free = domain.free_mask()
     w = domain.singular_weight(a)[free]
     apply_A = restricted_bilaplacian(domain, free)
+    M = free_preconditioner(domain)
 
     rng = np.random.default_rng(7)
     x = rng.standard_normal(int(free.sum()))
@@ -176,12 +181,15 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     it = 0
     for it in range(1, max_outer + 1):
         b = w * x
-        y, _, _ = cg(apply_A, b, cg_tol, cg_max_iter, x0=x / max(lam, 1e-30) if np.isfinite(lam) else None)
+        y, _, cg_res = cg(apply_A, b, cg_tol, cg_max_iter,
+                          x0=x / max(lam, 1e-30) if np.isfinite(lam) else None, M=M)
         x = y / np.sqrt(y @ y)
         Ax = apply_A(x)
         lam = float(x @ Ax) / float(x @ (w * x))
         r = Ax - lam * w * x
         res = float(np.sqrt(r @ r)) / float(np.sqrt((w * x) @ (w * x)))
+        if not cg_res <= cg_tol:
+            break
         if abs(lam - lam_prev) <= tol * abs(lam) and res <= np.sqrt(tol):
             return LambdaResult(value=lam, residual=res, iterations=it, converged=True)
         lam_prev = lam
@@ -444,10 +452,10 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     The seed ray (a positive bump, or the warm start) is scaled to the
     maximum of J along it, which lies on the Nehari manifold J'(u) u = 0.
     Each descent step subtracts the Sobolev gradient d = (L^2)^-1 grad J(u),
-    one conjugate-gradient solve on the free cells, and scales the result
-    back to its ray maximum.  Once ||d|| <= newton_switch ||u||, damped
-    Newton-MINRES drives the residual below tol.  Every ray maximum
-    max_t J(t u) bounds the mountain-pass level from above; the recorded
+    one preconditioned conjugate-gradient solve on the free cells, and
+    scales the result back to its ray maximum.  Once ||d|| <= newton_switch
+    ||u||, damped Newton-MINRES drives the residual below tol.  Every ray
+    maximum max_t J(t u) bounds the mountain-pass level from above; the recorded
     level is their running minimum over the iterates, so it is
     non-increasing, and it equals J(u) when the search ends at the
     least-energy solution.
@@ -465,6 +473,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
 
     free = dom.free_mask()
     apply_A = restricted_bilaplacian(dom, free)
+    M = free_preconditioner(dom)
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
     u = _ray_max(e, nl, a)
@@ -477,7 +486,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
         gf = g.values[free]
-        d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER)
+        d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER, M=M)
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
         if np.sqrt(float(d @ gf) * dom.cell_volume) <= opts.newton_switch * unorm:
             break
@@ -507,18 +516,18 @@ def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOpti
     """Damped Newton on  L^2 u = w f(u)  from the last descent iterate.
 
     The linearization L^2 - w f'(u) is symmetric but indefinite at a saddle;
-    steps are computed with MINRES on free cells and halved until the
-    residual decreases.  Each iterate appends a history row whose level
-    also takes in the iterate's ray maximum.
+    steps are computed with MINRES on free cells, preconditioned by the
+    SPD L_ff^-2, and halved until the residual decreases.  Each iterate
+    appends a history row whose level also takes in the iterate's ray
+    maximum.
     """
-    from scipy.sparse.linalg import LinearOperator, minres
-
     dom = u.domain
     free = dom.free_mask()
     nfree = int(free.sum())
     X, Y, T = dom.coords()
     w = dom.singular_weight(a)[free]
     apply_A = restricted_bilaplacian(dom, free)
+    M = LinearOperator((nfree, nfree), matvec=free_preconditioner(dom))
 
     r = grad_energy(u, nl, a)
     rn = grad_norm(r)
@@ -527,7 +536,7 @@ def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOpti
         it += 1
         wfp = w * nl.fprime(X, Y, T, u.values)[free]
         op = LinearOperator((nfree, nfree), matvec=lambda x: apply_A(x) - wfp * x)
-        delta, info = minres(op, -r.values[free], rtol=1e-10, maxiter=4000)
+        delta, info = minres(op, -r.values[free], rtol=1e-10, maxiter=4000, M=M)
         if info != 0 and not np.isfinite(delta).all():
             break
         s = 1.0

@@ -124,6 +124,7 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert (out / "solution.bin").exists()
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert all(c["passed"] for c in hyp["checks"])
+    assert hyp["lambda_converged"] is True
 
 
 def test_solve_hypothesis_failure_exit_4(tmp_path):
@@ -134,6 +135,36 @@ def test_solve_hypothesis_failure_exit_4(tmp_path):
     assert rc == 4
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert any(not c["passed"] for c in hyp["checks"])
+
+
+def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch):
+    """A Rayleigh iteration whose inner solves stop short ends the solve
+    before the saddle search, with exit 3."""
+    import functools
+
+    def no_saddle(*args, **kwargs):
+        raise AssertionError("saddle search started")
+
+    monkeypatch.setattr(cli, "lambda_estimate",
+                        functools.partial(cli.lambda_estimate, cg_max_iter=1))
+    monkeypatch.setattr(cli, "mountain_pass_solve", no_saddle)
+    out = tmp_path / "lam"
+    rc = run_cli(["solve", "--nl", "cubic", "--a", "1", "--grid", "9", "--out", str(out)])
+    assert rc == 3
+    hyp = json.loads((out / "hypotheses.json").read_text())
+    assert hyp["lambda_converged"] is False
+    assert not (out / "solve.json").exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import heisadams, heisadams.cli; "
+            "print('scipy.integrate' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_capacity_command(tmp_path):

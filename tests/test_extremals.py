@@ -232,3 +232,19 @@ def test_probe_threshold_arithmetic():
     # the singular threshold at a = 2 is half the sharp constant
     assert A * (1 - 2.0 / 4.0) == pytest.approx(16.0 / 9.0, rel=1e-15)
     assert A * (1 - 2.0 / 4.0) == pytest.approx(1.7778, abs=5e-5)
+
+
+# capacity profiles on ball 17, k = 2..16, as solved by unpreconditioned CG
+_CAPACITY_BALL17 = {
+    2: (208, 275.4674562080536), 3: (261, 75.70118383386544), 4: (260, 49.69618618488979),
+    5: (266, 32.94887092642909), 6: (266, 32.94887092642909), 7: (253, 26.971341713397713),
+    8: (253, 26.971341713397713), **{k: (263, 17.061299961570732) for k in range(9, 17)},
+}
+
+
+def test_capacity_iterations_and_energies_unchanged():
+    ball = ha.ball_grid(17)
+    for k, (iters, energy) in _CAPACITY_BALL17.items():
+        prof = ha.capacity_profile(1.0 / k, ball)
+        assert prof.cg_iterations == iters
+        assert prof.energy == pytest.approx(energy, rel=1e-13)

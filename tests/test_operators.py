@@ -192,3 +192,105 @@ def test_zero_policy_one_sided_difference():
     # free values are untouched by the projection
     free = dom.free_mask()
     assert np.array_equal(u.project_free().values[free], u.values[free])
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.box_grid(13), ha.ball_grid(13)],
+                         ids=["box9", "box13", "ball13"])
+def test_probed_free_sublaplacian_matches_stencil(dom):
+    """L_ff read off by 27-colour probing is the matrix-free stencil on free
+    cells, and exactly symmetric."""
+    from heisadams.operators import free_sublaplacian
+    Lff = free_sublaplacian(dom)
+    free = dom.free_mask()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u = random_free_field(dom, rng)
+        ref = sublaplacian(u).values[free]
+        err = np.linalg.norm(Lff @ u.values[free] - ref) / np.linalg.norm(ref)
+        assert err <= 1e-14
+    assert (Lff != Lff.T).nnz == 0
+
+
+def test_free_preconditioner_inverts_lff_squared():
+    from heisadams.operators import free_preconditioner, free_sublaplacian
+    dom = ha.ball_grid(13)
+    M = free_preconditioner(dom)
+    assert free_preconditioner(dom) is M     # factored once per domain
+    Lff = free_sublaplacian(dom)
+    x = np.random.default_rng(2).standard_normal(Lff.shape[0])
+    assert np.linalg.norm(M(Lff @ (Lff @ x)) - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def _plain_cg(apply_op, b, tol, max_iter):
+    """Unpreconditioned CG as written before the preconditioner option."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(r @ r)
+    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
+    it = 0
+    while np.sqrt(rs) > tol * bnorm and it < max_iter:
+        it += 1
+        Ap = apply_op(p)
+        alpha = rs / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rs_new = float(r @ r)
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, it, np.sqrt(rs) / bnorm
+
+
+def test_cg_without_preconditioner_repeats_plain_cg_bit_for_bit():
+    from heisadams.operators import cg, restricted_bilaplacian
+    dom = ha.ball_grid(13)
+    free = dom.free_mask()
+    apply_A = restricted_bilaplacian(dom, free)
+    b = np.random.default_rng(4).standard_normal(int(free.sum()))
+    x, it, res = cg(apply_A, b, 1e-10, 5000)
+    x0, it0, res0 = _plain_cg(apply_A, b, 1e-10, 5000)
+    assert it == it0 and res == res0
+    assert np.array_equal(x, x0)
+
+
+def test_preconditioned_cg_solves_in_few_iterations():
+    from heisadams.operators import cg, free_preconditioner, restricted_bilaplacian
+    dom = ha.box_grid(13)
+    free = dom.free_mask()
+    apply_A = restricted_bilaplacian(dom, free)
+    b = np.random.default_rng(8).standard_normal(int(free.sum()))
+    _, it0, _ = cg(apply_A, b, 1e-10, 5000)
+    x, it, res = cg(apply_A, b, 1e-10, 5000, M=free_preconditioner(dom))
+    assert res <= 1e-10
+    assert np.linalg.norm(apply_A(x) - b) <= 1e-9 * np.linalg.norm(b)
+    assert it <= it0 / 5
+
+
+@pytest.mark.parametrize("precondition", [False, True])
+def test_cg_breakdown_on_indefinite_operator(precondition):
+    """p.Ap <= 0 ends CG at the current iterate with its true residual,
+    without dividing by the vanishing curvature."""
+    import warnings
+    from heisadams.operators import cg
+    d = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
+    b = np.ones_like(d)
+    M = (lambda r: 0.5 * r) if precondition else None
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, it, res = cg(lambda v: d * v, b, 1e-10, 100, M=M)
+    assert np.isfinite(x).all()
+    assert res > 1e-10
+    assert res == pytest.approx(np.linalg.norm(b - d * x) / np.linalg.norm(b), rel=1e-15)
+
+
+def test_cg_breakdown_on_indefinite_preconditioner():
+    import warnings
+    from heisadams.operators import cg
+    d = np.array([1.0, 2.0, 3.0, 4.0])
+    b = np.array([1.0, 1.0, 1.0, 1.0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        x, it, res = cg(lambda v: d * v, b, 1e-10, 100,
+                        M=lambda r: np.array([1.0, -1.0, 1.0, -1.0]) * r)
+    assert np.isfinite(x).all()
+    assert res > 1e-10

@@ -279,3 +279,38 @@ def test_continuation_a_sequence_to_eight():
 def test_continuation_rejects_bad_nmax(box9m):
     with pytest.raises(ValueError):
         ha.critical_continuation(ha.cubic_model(), 0, box9m)
+
+
+# lambda_estimate on box 13 with unpreconditioned inner CG: value, outer
+# iterations and operators.sublaplacian calls of the whole estimate
+_LAMBDA_BOX13_UNPRECONDITIONED = {
+    0.0: (120.51051478127278, 23, 12698),
+    1.0: (56.23572329595739, 16, 13386),
+    3.0: (5.436961463070182, 9, 8218),
+}
+
+
+@pytest.mark.parametrize("a", sorted(_LAMBDA_BOX13_UNPRECONDITIONED))
+def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
+    import heisadams.operators as ops
+    calls = []
+    plain = ops.sublaplacian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "sublaplacian", counted)
+    value, iterations, applies = _LAMBDA_BOX13_UNPRECONDITIONED[a]
+    res = ha.lambda_estimate(ha.box_grid(13), a, tol=1e-10)
+    assert res.converged
+    assert res.iterations == iterations
+    assert abs(res.value - value) <= 1e-12 * value
+    assert len(calls) <= applies / 10
+
+
+def test_lambda_inner_solve_failure_is_not_converged(box9m):
+    res = ha.lambda_estimate(box9m, 1.0, cg_max_iter=1)
+    assert not res.converged
+    assert np.isfinite(res.value)
+    assert ha.lambda_estimate(box9m, 1.0).converged
