@@ -297,6 +297,9 @@ def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
     write_json(out / "manifest.json", _manifest(cfg, {
         "threshold": BIG_A * (1.0 - a / 4.0), "betas": betas, "ks": ks,
     }))
+    if not all(r.converged for r in rows):
+        print("a capacity solve ended above its tolerance", file=sys.stderr)
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 
@@ -313,8 +316,12 @@ def cmd_capacity(cfg: RunConfig, out: Path) -> int:
         "cg_residual": prof.cg_residual,
         "plateau_cells": prof.plateau_cells,
         "resolved_rings": prof.resolved_rings,
+        "converged": prof.converged,
     })
     write_json(out / "manifest.json", _manifest(cfg))
+    if not prof.converged:
+        print("capacity solve ended above its tolerance", file=sys.stderr)
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

@@ -14,19 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridDomain, GridField
+from .grids import GridDomain, GridField, gauge_power_cell_averages
 from .group import gauge_arr, kernel_offsets
-
-
-def _self_cell_kernel(dom: GridDomain, alpha: float) -> float:
-    hx, hy, ht = dom.spacing
-    q = 2
-    ox = (-0.5 + (np.arange(q) + 0.5) / q) * hx
-    oy = (-0.5 + (np.arange(q) + 0.5) / q) * hy
-    ot = (-0.5 + (np.arange(q) + 0.5) / q) * ht
-    OX, OY, OT = np.meshgrid(ox, oy, ot, indexing="ij")
-    rho = gauge_arr(OX, OY, OT)
-    return float(np.mean(rho ** (alpha - 4.0)))
 
 
 def riesz_convolve(f: GridField, alpha: float, target: GridDomain | None = None) -> GridField:
@@ -43,7 +32,7 @@ def riesz_convolve(f: GridField, alpha: float, target: GridDomain | None = None)
     sx, sy, st = (c[src.mask] for c in src.coords())
     fv = f.values[src.mask]
     vol = src.cell_volume
-    diag_kernel = _self_cell_kernel(src, alpha)
+    diag_kernel = gauge_power_cell_averages(src.spacing, [(0.0, 0.0, 0.0)], alpha - 4.0, 2)[0]
 
     tx, ty, tt = (c[tgt.mask] for c in tgt.coords())
     out = np.zeros(tx.shape)

@@ -4,8 +4,9 @@ The conductor-capacity profile U_ell on the unit gauge ball B minimizes
 ||L u||_2^2 subject to u = 1 on B_ell and u = 0 on and outside the boundary
 of B.  Discretely this is an equality-constrained least-squares problem; we
 eliminate the constrained cells and run conjugate gradients on the reduced
-normal operator (L applied twice), which is symmetric positive definite on
-the free cells.
+normal operator B^T B (B = L[:, free], the domain's assembled form; see
+operators) on the free cells off the plateau, where it is symmetric positive
+definite.  Each profile reports whether the CG reached its tolerance.
 
 The Adams function with inner radius r inside gauge radius R is
 
@@ -33,12 +34,13 @@ import numpy as np
 
 from .grids import GridDomain, GridField, ball_grid
 from .group import Q
+from .io import atomic_write_text
 from .operators import (
-    bilaplacian,
     cg,
     dirichlet_energy,
+    form_gradient,
     integrate_weighted,
-    restricted_bilaplacian,
+    squared_sublaplacian,
 )
 
 
@@ -53,6 +55,7 @@ class CapacityProfile:
     cg_residual: float
     plateau_cells: int
     resolved_rings: int         # plateau thickness in cells of gauge-radius
+    converged: bool             # cg_residual <= tol
 
 
 @dataclass
@@ -95,16 +98,11 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
     if nfree == 0:
         raise ValueError("no free cells between B_ell and the ball boundary")
 
-    def embed(x):
-        u = np.where(plateau, 1.0, 0.0)
-        u[free_dofs] = x
-        return GridField(grid, u)
-
-    u_fixed = GridField(grid, np.where(plateau, 1.0, 0.0))
-    rhs = -bilaplacian(u_fixed).values[free_dofs]
-
-    x, iters, res = cg(restricted_bilaplacian(grid, free_dofs), rhs, tol, max_iter)
-    u = embed(x)
+    u = np.where(plateau, 1.0, 0.0)
+    rhs = -form_gradient(GridField(grid, u))[free_dofs[free]]
+    x, iters, res = cg(squared_sublaplacian(grid, free_dofs), rhs, tol, max_iter)
+    u[free_dofs] = x
+    u = GridField(grid, u)
     energy = dirichlet_energy(u)
     bound = bigA / (Q * np.log(1.0 / ell))
     return CapacityProfile(
@@ -117,6 +115,7 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
         cg_residual=res,
         plateau_cells=int(plateau.sum()),
         resolved_rings=rings,
+        converged=bool(res <= tol),
     )
 
 
@@ -202,6 +201,7 @@ class ProbeRow:
     a: float
     value: float
     normEstimate: float
+    converged: bool             # the capacity solve for this k reached its tolerance
 
 
 def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
@@ -228,13 +228,13 @@ def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
                     a=float(a),
                     value=singular_mt_functional(af.field, float(beta), a),
                     normEstimate=af.normEstimate,
+                    converged=prof.converged,
                 )
             )
     return rows
 
 
 def probe_to_csv(rows: list[ProbeRow], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("k,beta,a,value,normEstimate\n")
-        for r in rows:
-            fh.write(f"{r.k},{r.beta:.17g},{r.a:.17g},{r.value:.17g},{r.normEstimate:.17g}\n")
+    lines = (f"{r.k},{r.beta:.17g},{r.a:.17g},{r.value:.17g},{r.normEstimate:.17g}\n"
+             for r in rows)
+    atomic_write_text(path, "k,beta,a,value,normEstimate\n" + "".join(lines))

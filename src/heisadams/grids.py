@@ -10,9 +10,10 @@ the outermost in-mask ring is clamped to zero as well ("free" cells are the
 eroded mask).  Together with zero ghost layers this discretizes u = 0 and a
 vanishing one-sided normal difference on the boundary, which keeps the
 discrete quadratic form exactly consistent with its gradient (see operators).
-A mirror ghost policy (even reflection about the clamped ring, giving a
-vanishing *centered* normal difference) is available where that reading of
-the boundary condition is wanted.
+
+A domain is frozen, its mask a read-only copy fixed at construction, because
+the domain caches what derives from it (free cells, weights, the assembled
+operator).
 
 The t-spacing may differ from the horizontal spacing; ht = 2*hx*hy makes the
 cell centers a subgroup of the group, which some exactness tests rely on.
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .group import gauge_arr
+from .io import atomic_write_bytes, atomic_write_text
 
 _MAGIC = b"HGRD0001"
 
@@ -36,7 +38,19 @@ def _centers(n: int, half_extent: float) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) * (h / 2.0)
 
 
-@dataclass
+def gauge_power_cell_averages(spacing, centers, exponent: float, q: int) -> list[float]:
+    """Cell averages of gauge^exponent by q^3 midpoint subsampling.
+
+    One average per (x, y, t) cell center; with q even no subsample lands on
+    the center itself.
+    """
+    offsets = [(-0.5 + (np.arange(q) + 0.5) / q) * h for h in spacing]
+    OX, OY, OT = np.meshgrid(*offsets, indexing="ij")
+    return [float(np.mean(gauge_arr(x + OX, y + OY, t + OT) ** exponent))
+            for x, y, t in centers]
+
+
+@dataclass(frozen=True)
 class GridDomain:
     """Discretized box with an optional membership mask (e.g. a gauge ball)."""
 
@@ -47,10 +61,12 @@ class GridDomain:
     _coord_cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.mask is None:
-            self.mask = np.ones(self.shape, dtype=bool)
-        if self.mask.shape != self.shape:
+        mask = (np.ones(self.shape, dtype=bool) if self.mask is None
+                else np.array(self.mask, dtype=bool))
+        if mask.shape != self.shape:
             raise ValueError("mask shape does not match grid shape")
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
 
     # -- geometry ------------------------------------------------------------
 
@@ -148,23 +164,16 @@ class GridDomain:
             return w
 
         rho = self.gauge()
-        hx, hy, ht = self.spacing
-        hmax = max(hx, hy, ht)
+        hmax = max(self.spacing)
         w = np.zeros(self.shape)
         far = rho > head_cells * hmax
         w[far] = rho[far] ** (-a)
 
         near = ~far
         if near.any():
-            xs, ys, ts = self.axes()
-            q = subsamples
-            ox = (-0.5 + (np.arange(q) + 0.5) / q) * hx
-            oy = (-0.5 + (np.arange(q) + 0.5) / q) * hy
-            ot = (-0.5 + (np.arange(q) + 0.5) / q) * ht
-            OX, OY, OT = np.meshgrid(ox, oy, ot, indexing="ij")
-            for i, j, k in zip(*np.where(near)):
-                sub = gauge_arr(xs[i] + OX, ys[j] + OY, ts[k] + OT)
-                w[i, j, k] = float(np.mean(sub ** (-a)))
+            X, Y, T = self.coords()
+            w[near] = gauge_power_cell_averages(
+                self.spacing, zip(X[near], Y[near], T[near]), -a, subsamples)
         w[~self.mask] = 0.0
         self._weight_cache[key] = w
         return w
@@ -185,9 +194,8 @@ def ball_grid(n: int, radius: float = 1.0) -> GridDomain:
     [-R,R]^2 x [-R^2,R^2]; the t-axis gets the same cell count so ht differs
     from hx when R != 1.
     """
-    dom = GridDomain(shape=(n, n, n), extents=(radius, radius, radius ** 2))
-    dom.mask = dom.gauge() <= radius
-    return dom
+    box = GridDomain(shape=(n, n, n), extents=(radius, radius, radius ** 2))
+    return GridDomain(shape=box.shape, extents=box.extents, mask=box.gauge() <= radius)
 
 
 def group_lattice_grid(n: int, extent: float = 1.0, nt: int | None = None) -> GridDomain:
@@ -269,7 +277,7 @@ def save_field(f: GridField, path: str | Path) -> None:
     if not dom.mask.all():
         bits = np.packbits(dom.mask.ravel(order="F")).tobytes()
         trailer = bits + bytes(-len(bits) % 8)
-    Path(path).write_bytes(_MAGIC + header + geom + payload + trailer)
+    atomic_write_bytes(path, _MAGIC + header + geom + payload + trailer)
 
 
 def load_field(path: str | Path) -> GridField:
@@ -300,7 +308,6 @@ def load_field(path: str | Path) -> GridField:
 def field_to_csv(f: GridField, path: str | Path) -> None:
     """x,y,t,value rows for small grids."""
     X, Y, T = f.domain.coords()
-    with open(path, "w") as fh:
-        fh.write("x,y,t,value\n")
-        for x, y, t, v in zip(X.ravel(), Y.ravel(), T.ravel(), f.values.ravel()):
-            fh.write(f"{x:.17g},{y:.17g},{t:.17g},{v:.17g}\n")
+    rows = (f"{x:.17g},{y:.17g},{t:.17g},{v:.17g}\n"
+            for x, y, t, v in zip(X.ravel(), Y.ravel(), T.ravel(), f.values.ravel()))
+    atomic_write_text(path, "x,y,t,value\n" + "".join(rows))

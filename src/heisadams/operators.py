@@ -8,18 +8,20 @@ The frame is X = d/dx + 2y d/dt, Y = d/dy - 2x d/dt, T = d/dt, and
 3-point second differences and 4-point mixed stencils, which makes L exact
 on quadratics and keeps every stencil coefficient a function of coordinates
 orthogonal to its differencing directions.  That last property makes the
-assembled matrix exactly symmetric on zero-extended fields, so applying L
-twice *is* the gradient of u -> ||L u||^2 with no boundary correction terms.
+assembled matrix exactly symmetric on zero-extended fields (ghost layers are
+zero, matching the zero-extension reading of the clamped boundary).
 
-Ghost policies: "zero" (default; matches the zero-extension reading of the
-clamped boundary) and "mirror" (even reflection of the interior about the
-zeroed boundary ring, giving a vanishing centered normal difference).
+The quadratic form u -> ||L u||^2 on clamped fields has one representation:
+B = L[:, free], the columns of L at the free cells, read off sublaplacian by
+27-colour probing and cached on the domain.  Its operator on any set of free
+cells is B^T B, the form's gradient is B^T (L u), and the free rows of B are
+the L_ff that the preconditioner factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .grids import GridDomain, GridField
@@ -27,21 +29,11 @@ from .grids import GridDomain, GridField
 _C = (slice(1, -1),) * 3
 
 
-def _pad(dom: GridDomain, values: np.ndarray, policy: str) -> np.ndarray:
-    if policy == "zero":
-        return np.pad(values, 1)
-    if policy == "mirror":
-        # clamp the boundary ring, then reflect interior values outward
-        v = np.where(dom.free_mask(), values, 0.0)
-        return np.pad(v, 1, mode="reflect")
-    raise ValueError(f"unknown ghost policy {policy!r}")
-
-
-def apply_fields(u: GridField, policy: str = "zero"):
+def apply_fields(u: GridField):
     """Centered first differences of the frame: returns (Xu, Yu, Tu)."""
     dom = u.domain
     hx, hy, ht = dom.spacing
-    up = _pad(dom, u.values, policy)
+    up = np.pad(u.values, 1)
     X, Y, _ = dom.coords()
 
     ux = (up[2:, 1:-1, 1:-1] - up[:-2, 1:-1, 1:-1]) / (2 * hx)
@@ -55,11 +47,11 @@ def apply_fields(u: GridField, policy: str = "zero"):
     )
 
 
-def sublaplacian(u: GridField, policy: str = "zero") -> GridField:
+def sublaplacian(u: GridField) -> GridField:
     """Discrete L u at every cell of the box (boundary ring included)."""
     dom = u.domain
     hx, hy, ht = dom.spacing
-    up = _pad(dom, u.values, policy)
+    up = np.pad(u.values, 1)
     X, Y, _ = dom.coords()
 
     uxx = (up[2:, 1:-1, 1:-1] - 2 * up[_C] + up[:-2, 1:-1, 1:-1]) / hx**2
@@ -76,75 +68,80 @@ def sublaplacian(u: GridField, policy: str = "zero") -> GridField:
     return GridField(dom, vals)
 
 
-def bilaplacian(u: GridField, policy: str = "zero") -> GridField:
-    """L(L u): the sublaplacian applied twice, zero ghosts in between.
+def free_columns(domain: GridDomain) -> csc_matrix:
+    """B = L[:, free]: rows are all box cells, columns the free cells.
 
-    With the zero policy this equals the exact Euclidean gradient of the
-    quadratic u -> 1/2 ||L u||^2 (cell-volume factor aside) restricted to
-    free cells.
+    Both follow the C order of the box.  The stencil reaches one cell per
+    axis, so the free cells of one residue class (i mod 3, j mod 3, k mod 3)
+    never share a target: applying sublaplacian to the class's indicator
+    field reads off the 27 possible entries of each of its columns.  27
+    applies give B, and the stencil stays written in sublaplacian alone.
+    Free cells never touch the box faces, so every target is in range.
+    Cached on the domain.
     """
-    return sublaplacian(sublaplacian(u, policy=policy), policy=policy)
+    cache = domain._coord_cache
+    if "free_columns" not in cache:
+        free = domain.free_mask()
+        _, ny, nt = domain.shape
+        cells = np.flatnonzero(free)
+        offsets = np.array([di * ny * nt + dj * nt + dk
+                            for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1)])
+        rows = (cells[:, None] + offsets).astype(np.int32)
+        vals = np.empty(rows.shape)
+        i, j, k = np.unravel_index(cells, domain.shape)
+        colour = 9 * (i % 3) + 3 * (j % 3) + k % 3
+        for c in range(27):
+            sel = colour == c
+            src = np.zeros(domain.shape)
+            src.flat[cells[sel]] = 1.0
+            vals[sel] = sublaplacian(GridField(domain, src)).values.ravel()[rows[sel]]
+        hit = vals != 0.0
+        indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1)))).astype(np.int32)
+        cache["free_columns"] = csc_matrix((vals[hit], rows[hit], indptr),
+                                           shape=(free.size, cells.size))
+    return cache["free_columns"]
 
 
-def restricted_bilaplacian(domain: GridDomain, cells: np.ndarray):
-    """x -> L(L u)[cells] for the field u equal to x on cells, zero elsewhere.
+def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None):
+    """x -> (B^T B y)[cells], y equal to x on cells and zero elsewhere.
 
-    This is the quadratic form's operator on the degrees of freedom in cells
-    (a boolean mask); it is symmetric, and positive definite whenever cells
-    lie among the free cells.
+    This is L^2, the quadratic form's operator, on the degrees of freedom in
+    cells (a boolean mask within the free cells, all of them by default); it
+    is symmetric positive definite.
     """
+    B = free_columns(domain)
+    if cells is None:
+        return lambda x: B.T @ (B @ x)
+    sel = cells[domain.free_mask()]
+
     def apply(x: np.ndarray) -> np.ndarray:
-        u = np.zeros(domain.shape)
-        u[cells] = x
-        return bilaplacian(GridField(domain, u)).values[cells]
+        y = np.zeros(B.shape[1])
+        y[sel] = x
+        return (B.T @ (B @ y))[sel]
     return apply
 
 
-def free_sublaplacian(domain: GridDomain) -> csr_matrix:
-    """L_ff: the zero-ghost sublaplacian from free cells to free cells.
-
-    The stencil reaches one cell per axis, so the free cells of one residue
-    class (i mod 3, j mod 3, k mod 3) never share a target: applying
-    sublaplacian to the class's indicator field reads off one column per
-    source cell.  27 applies give every entry, and the stencil stays written
-    in sublaplacian alone.  Rows and columns follow the C order of
-    domain.free_mask().
-    """
-    free = domain.free_mask()
-    index = np.full(domain.shape, -1)
-    index[free] = np.arange(int(free.sum()))
-    tgt = np.nonzero(free)
-    rows, cols, vals = [], [], []
-    for colour in np.ndindex(3, 3, 3):
-        src = np.zeros(domain.shape, dtype=bool)
-        src[colour[0]::3, colour[1]::3, colour[2]::3] = True
-        src &= free
-        Lu = sublaplacian(GridField(domain, src.astype(float))).values[tgt]
-        # the one cell of this class within one step of each target
-        near = tuple(t + (c - t + 1) % 3 - 1 for t, c in zip(tgt, colour))
-        hit = src[near] & (Lu != 0.0)
-        rows.append(index[tgt][hit])
-        cols.append(index[near][hit])
-        vals.append(Lu[hit])
-    n = len(tgt[0])
-    return csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+def form_gradient(u: GridField) -> np.ndarray:
+    """L(L u) on the free cells as B^T (L u), for any field u: by the symmetry
+    of L, the gradient of 1/2 ||L u||^2 in the free values (volume aside)."""
+    return free_columns(u.domain).T @ sublaplacian(u).values.ravel()
 
 
 def free_preconditioner(domain: GridDomain):
     """r -> L_ff^-1 (L_ff^-1 r), the inverse of L_ff^2, cached on the domain.
 
-    L_ff^2 differs from the free-cell bilaplacian only by the rows of L
-    that land on the clamped ring, so it is a close SPD preconditioner for
-    every free-cell Krylov solve.  L_ff is factored once by sparse LU with
-    the minimum-degree ordering of L_ff + L_ff^T, which fills far less than
-    the default column ordering on this stencil; symmetric mode, which
-    prefers diagonal pivots, halves the factor and solve times.
+    L_ff, the free rows of B, is the sublaplacian from free cells to free
+    cells.  L_ff^2 differs from B^T B only by the rows of L that land on the
+    clamped ring, so it is a close SPD preconditioner for every free-cell
+    Krylov solve.  L_ff is factored once by sparse LU with the
+    minimum-degree ordering of L_ff + L_ff^T, which fills far less than the
+    default column ordering on this stencil; symmetric mode, which prefers
+    diagonal pivots, halves the factor and solve times.
     """
     cache = domain._coord_cache
     if "free_precond" not in cache:
-        lu = splu(free_sublaplacian(domain).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
+        Lff = free_columns(domain)[np.flatnonzero(domain.free_mask()), :]
+        lu = splu(Lff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         cache["free_precond"] = lambda r: lu.solve(lu.solve(r))
     return cache["free_precond"]
 

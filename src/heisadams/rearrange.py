@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import GridField
+from .io import atomic_write_text
 
 C0 = 2.0 * np.pi ** 2  # unit gauge-sphere measure on H^1
 
@@ -75,10 +76,8 @@ class RearrangementProfile:
         return float(np.sum(np.abs(self.values) ** p * widths))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            fh.write("measure,value\n")
-            for m, v in zip(self.measures, self.values):
-                fh.write(f"{m:.17g},{v:.17g}\n")
+        rows = (f"{m:.17g},{v:.17g}\n" for m, v in zip(self.measures, self.values))
+        atomic_write_text(path, "measure,value\n" + "".join(rows))
 
 
 def distribution(f: GridField, s: float) -> float:

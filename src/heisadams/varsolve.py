@@ -33,12 +33,12 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .grids import GridDomain, GridField, zeros
 from .operators import (
-    bilaplacian,
     cg,
     dirichlet_energy,
+    form_gradient,
     free_preconditioner,
     integrate_weighted,
-    restricted_bilaplacian,
+    squared_sublaplacian,
 )
 
 Array = np.ndarray
@@ -135,9 +135,9 @@ def grad_energy(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
     _check_a(a)
     dom = u.domain
     X, Y, T = dom.coords()
-    w = dom.singular_weight(a)
-    g = bilaplacian(u).values - w * nl.f(X, Y, T, u.values)
-    g = np.where(dom.free_mask(), g, 0.0)
+    free = dom.free_mask()
+    g = np.zeros(dom.shape)
+    g[free] = form_gradient(u) - (dom.singular_weight(a) * nl.f(X, Y, T, u.values))[free]
     return GridField(dom, g)
 
 
@@ -169,7 +169,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     _check_a(a)
     free = domain.free_mask()
     w = domain.singular_weight(a)[free]
-    apply_A = restricted_bilaplacian(domain, free)
+    apply_A = squared_sublaplacian(domain)
     M = free_preconditioner(domain)
 
     rng = np.random.default_rng(7)
@@ -472,7 +472,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         return zeros(dom), state
 
     free = dom.free_mask()
-    apply_A = restricted_bilaplacian(dom, free)
+    apply_A = squared_sublaplacian(dom)
     M = free_preconditioner(dom)
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
@@ -526,7 +526,7 @@ def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOpti
     nfree = int(free.sum())
     X, Y, T = dom.coords()
     w = dom.singular_weight(a)[free]
-    apply_A = restricted_bilaplacian(dom, free)
+    apply_A = squared_sublaplacian(dom)
     M = LinearOperator((nfree, nfree), matvec=free_preconditioner(dom))
 
     r = grad_energy(u, nl, a)

@@ -174,7 +174,29 @@ def test_capacity_command(tmp_path):
     doc = json.loads((out / "capacity.json").read_text())
     assert doc["energy"] > 0
     assert doc["slack"] == pytest.approx(doc["energy"] / doc["bound"] - 1, rel=1e-12)
+    assert doc["converged"] is True
     assert (out / "capacity_field.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["capacity", "sharpness"])
+def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
+    """A capacity CG that ends above its tolerance gives exit 3; the
+    artifacts are still written, capacity.json with converged = false."""
+    import functools
+    import heisadams.extremals as ext
+    short = functools.partial(ext.capacity_profile, max_iter=1)
+    monkeypatch.setattr(cli, "capacity_profile", short)
+    monkeypatch.setattr(ext, "capacity_profile", short)
+    out = tmp_path / command
+    rc = run_cli([command, "--grid", "9", "--ks", "2", "--out", str(out)])
+    assert rc == 3
+    if command == "capacity":
+        doc = json.loads((out / "capacity.json").read_text())
+        assert doc["converged"] is False and doc["cg_iterations"] == 1
+    else:
+        lines = (out / "sharpness.csv").read_text().splitlines()
+        assert lines[0] == "k,beta,a,value,normEstimate"
+        assert len(lines) == 4
 
 
 def test_rearrange_check_command(tmp_path):

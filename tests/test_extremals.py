@@ -235,10 +235,11 @@ def test_probe_threshold_arithmetic():
 
 
 # capacity profiles on ball 17, k = 2..16, as solved by unpreconditioned CG
+# on the assembled form B^T B
 _CAPACITY_BALL17 = {
-    2: (208, 275.4674562080536), 3: (261, 75.70118383386544), 4: (260, 49.69618618488979),
+    2: (207, 275.4674562080536), 3: (261, 75.70118383386544), 4: (258, 49.69618618488979),
     5: (266, 32.94887092642909), 6: (266, 32.94887092642909), 7: (253, 26.971341713397713),
-    8: (253, 26.971341713397713), **{k: (263, 17.061299961570732) for k in range(9, 17)},
+    8: (253, 26.971341713397713), **{k: (261, 17.061299961570732) for k in range(9, 17)},
 }
 
 
@@ -248,3 +249,18 @@ def test_capacity_iterations_and_energies_unchanged():
         prof = ha.capacity_profile(1.0 / k, ball)
         assert prof.cg_iterations == iters
         assert prof.energy == pytest.approx(energy, rel=1e-13)
+        assert prof.converged
+
+
+def test_capacity_reports_unconverged_solve(ball21, cap21, monkeypatch):
+    prof = ha.capacity_profile(0.5, ball21, tol=1e-8, max_iter=1)
+    assert prof.cg_iterations == 1
+    assert prof.cg_residual > 1e-8
+    assert not prof.converged
+    assert cap21.converged
+    import functools
+    import heisadams.extremals as ext
+    monkeypatch.setattr(ext, "capacity_profile",
+                        functools.partial(ext.capacity_profile, max_iter=1))
+    rows = ha.sharpness_probe(0.0, [1.0, 2.0], [2], grid=ball21)
+    assert [r.converged for r in rows] == [False, False]

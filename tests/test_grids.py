@@ -1,7 +1,11 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
 import heisadams as ha
+from heisadams.group import gauge_arr, kernel_offsets
 
 
 def test_cell_centers_hit_origin_for_odd_counts():
@@ -46,6 +50,24 @@ def test_free_mask_is_eroded_interior():
     assert bfree.sum() < ball.mask.sum()
 
 
+def test_domain_is_frozen():
+    dom = ha.box_grid(9)
+    free = dom.free_mask()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dom.mask = dom.gauge() <= 0.6
+    with pytest.raises(ValueError):
+        dom.mask[...] = dom.gauge() <= 0.6
+    assert dom.mask.all()
+    m = np.ones(dom.shape, dtype=bool)
+    held = ha.GridDomain(shape=dom.shape, extents=dom.extents, mask=m)
+    m[0] = False
+    assert held.mask.all()
+    assert dom.free_mask() is free and int(free.sum()) == 343
+    ball = ha.ball_grid(9)
+    assert np.array_equal(ball.mask, ball.gauge() <= 1.0)
+    assert np.all(ball.singular_weight(1.0)[~ball.mask] == 0.0)
+
+
 def test_group_lattice_spacing():
     dom = ha.group_lattice_grid(7)
     hx, hy, ht = dom.spacing
@@ -75,12 +97,11 @@ def test_singular_weight_rejects_supercritical():
     with pytest.raises(ValueError):
         dom.singular_weight(4.0)
     # a domain not containing the origin tolerates a >= 4
-    shifted = ha.GridDomain(shape=(6, 6, 6), extents=(1.0, 1.0, 1.0))
     # origin is not a cell center and contains_origin is still true for the
     # cell straddling it, so shift the mask off the middle instead
-    m = np.zeros(shifted.shape, dtype=bool)
+    m = np.zeros((6, 6, 6), dtype=bool)
     m[4:, 4:, 4:] = True
-    shifted.mask = m
+    shifted = ha.GridDomain(shape=(6, 6, 6), extents=(1.0, 1.0, 1.0), mask=m)
     # weights on a mask away from the origin stay finite for a = 4 readings
     # (ruled in by the contains-origin test)
     assert not (np.abs(shifted.gauge()[m]) < 1e-12).any()
@@ -168,3 +189,82 @@ def test_gauge_power_field_is_finite(ball33):
     # origin cell is the largest value and is the subsampled cell average
     oc = ball33.origin_cell
     assert f.values[oc] == f.masked().max()
+
+
+def _old_cell_average(dom, i, j, k, exponent, q):
+    """The midpoint subsampling as singular_weight and the Riesz diagonal
+    kernel each wrote it before sharing one helper."""
+    xs, ys, ts = dom.axes()
+    hx, hy, ht = dom.spacing
+    ox = (-0.5 + (np.arange(q) + 0.5) / q) * hx
+    oy = (-0.5 + (np.arange(q) + 0.5) / q) * hy
+    ot = (-0.5 + (np.arange(q) + 0.5) / q) * ht
+    OX, OY, OT = np.meshgrid(ox, oy, ot, indexing="ij")
+    if i is None:
+        return float(np.mean(gauge_arr(OX, OY, OT) ** exponent))
+    return float(np.mean(gauge_arr(xs[i] + OX, ys[j] + OY, ts[k] + OT) ** exponent))
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.group_lattice_grid(9)],
+                         ids=["box9", "lattice9"])
+def test_cell_average_helper_is_bit_identical(dom):
+    from heisadams.grids import gauge_power_cell_averages
+    rho = dom.gauge()
+    near = rho <= 6.0 * max(dom.spacing)
+    assert near.any()
+    for a in (1.0, 2.5, 3.5):
+        w = dom.singular_weight(a)
+        want = np.where(near, 0.0, w)
+        for i, j, k in zip(*np.where(near)):
+            want[i, j, k] = _old_cell_average(dom, i, j, k, -a, 4)
+        assert np.array_equal(w, want)
+    f = ha.GridField(dom, np.random.default_rng(4).standard_normal(dom.shape))
+    for alpha in (1.0, 2.0, 3.0):
+        diag = _old_cell_average(dom, None, None, None, alpha - 4.0, 2)
+        assert gauge_power_cell_averages(dom.spacing, [(0.0, 0.0, 0.0)], alpha - 4.0, 2) == [diag]
+        # the Riesz sum written out with the old diagonal kernel
+        X, Y, T = dom.coords()
+        want = np.zeros(dom.shape)
+        for idx in np.ndindex(dom.shape):
+            wx, wy, wt = kernel_offsets(X[idx], Y[idx], T[idx], X.ravel(), Y.ravel(), T.ravel())
+            r = gauge_arr(wx, wy, wt)
+            with np.errstate(divide="ignore"):
+                ker = r ** (alpha - 4.0)
+            ker[r == 0.0] = diag
+            want[idx] = np.dot(ker, f.values.ravel()) * dom.cell_volume
+        assert np.array_equal(ha.riesz_convolve(f, alpha).values, want)
+
+
+def _writers():
+    from heisadams.extremals import ProbeRow, probe_to_csv
+    from heisadams.grids import field_to_csv
+    dom = ha.ball_grid(5)
+    f = ha.GridField(dom, np.where(dom.mask, 1.5, 0.0))
+    rows = [ProbeRow(k=2, beta=1.0, a=0.0, value=2.0, normEstimate=3.0, converged=True)]
+    return {
+        "save_field": lambda p: ha.save_field(f, p),
+        "field_to_csv": lambda p: field_to_csv(f, p),
+        "probe_to_csv": lambda p: probe_to_csv(rows, p),
+        "profile_to_csv": lambda p: ha.decreasing_rearrangement(f).to_csv(p),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writers()))
+def test_writers_are_atomic(name, tmp_path, monkeypatch):
+    """A write that fails before the rename leaves the previous file intact
+    and no temporary file behind."""
+    write = _writers()[name]
+    p = tmp_path / "artifact"
+    p.write_bytes(b"previous contents")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write(p)
+    assert p.read_bytes() == b"previous contents"
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["artifact"]
+    monkeypatch.undo()
+    write(p)
+    assert p.read_bytes() != b"previous contents"

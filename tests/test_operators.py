@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from heisadams.operators import apply_fields, bilaplacian, sublaplacian
+from heisadams.operators import apply_fields, free_columns, squared_sublaplacian, sublaplacian
 
 from conftest import random_free_field
 
@@ -55,14 +55,15 @@ def test_bilaplacian_of_t_squared():
     # L(t^2) = 8|z|^2, then L(8(x^2+y^2)) = 8*(2+2) = 32
     dom = ha.box_grid(13)
     X, Y, T = dom.coords()
-    got = bilaplacian(ha.GridField(dom, T ** 2)).values
+    got = sublaplacian(sublaplacian(ha.GridField(dom, T ** 2))).values
     c = _interior(13, pad=3)
     assert np.abs(got[c] - 32.0).max() < 1e-10
 
 
 def test_bilaplacian_zero():
     dom = ha.box_grid(9)
-    assert np.all(bilaplacian(ha.zeros(dom)).values == 0.0)
+    assert np.all(sublaplacian(sublaplacian(ha.zeros(dom))).values == 0.0)
+    assert np.all(squared_sublaplacian(dom)(np.zeros(free_columns(dom).shape[1])) == 0.0)
 
 
 def test_commutator_order_two():
@@ -141,9 +142,11 @@ def test_adjointness_and_symmetry(box9):
     rng = np.random.default_rng(42)
     u = random_free_field(box9, rng)
     v = random_free_field(box9, rng)
-    lhs = ha.inner(bilaplacian(u), v)
+    free = box9.free_mask()
+    lhs = float(squared_sublaplacian(box9)(u.values[free]) @ v.values[free]) * box9.cell_volume
     rhs = ha.inner(sublaplacian(u), sublaplacian(v))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+    assert ha.inner(sublaplacian(sublaplacian(u)), v) == pytest.approx(rhs, rel=1e-12)
     # bilinear form symmetry
     assert ha.inner(sublaplacian(u), sublaplacian(v)) == pytest.approx(
         ha.inner(sublaplacian(v), sublaplacian(u)), rel=1e-12)
@@ -163,60 +166,68 @@ def test_capacity_energy_equals_norm_squared(ball33):
     assert prof.energy == pytest.approx(ha.d022_norm(prof.field) ** 2, rel=1e-12)
 
 
-def test_mirror_policy_boundary_conditions():
-    """Mirror ghosts: ring clamped to zero, and the centered difference
-    across the ring vanishes (ghost equals first interior value)."""
-    dom = ha.box_grid(9)
-    rng = np.random.default_rng(5)
-    u = random_free_field(dom, rng)
-    from heisadams.operators import _pad
-    up = _pad(dom, u.values, "mirror")
-    clamped = np.where(dom.free_mask(), u.values, 0.0)
-    # the ring (outermost cells) is zero after clamping
-    assert np.all(clamped[0, :, :] == 0.0) and np.all(clamped[:, :, -1] == 0.0)
-    # ghost layer reflects the first interior layer: centered difference = 0
-    assert np.array_equal(up[0, 1:-1, 1:-1], clamped[1, :, :])
-    assert np.array_equal(up[-1, 1:-1, 1:-1], clamped[-2, :, :])
-
-
 def test_zero_policy_one_sided_difference():
     """Zero extension: ring and ghosts vanish, so the one-sided normal
-    difference across the boundary is exactly zero."""
+    difference across the boundary is exactly zero.  The ghosts are zero
+    when L on the box equals L on a box one cell larger, with the field
+    extended by zeros, on the original cells."""
     dom = ha.box_grid(9)
     rng = np.random.default_rng(6)
     u = random_free_field(dom, rng)
-    from heisadams.operators import _pad
-    up = _pad(dom, u.project_free().values, "zero")
-    assert np.all(up[0] == 0.0) and np.all(up[-1] == 0.0)
-    assert np.all(up[1, 1:-1, 1:-1] == 0.0)  # ring itself is zero
+    clamped = u.project_free()
+    assert np.all(clamped.values[0] == 0.0) and np.all(clamped.values[:, :, -1] == 0.0)
     # free values are untouched by the projection
     free = dom.free_mask()
-    assert np.array_equal(u.project_free().values[free], u.values[free])
+    assert np.array_equal(clamped.values[free], u.values[free])
+    big = ha.box_grid(11, extent=11 / 9)
+    assert big.spacing == pytest.approx(dom.spacing, rel=1e-15)
+    Lbig = sublaplacian(ha.GridField(big, np.pad(clamped.values, 1))).values[1:-1, 1:-1, 1:-1]
+    Lu = sublaplacian(clamped).values
+    assert np.abs(Lbig - Lu).max() <= 1e-12 * np.abs(Lu).max()
 
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.box_grid(13), ha.ball_grid(13)],
                          ids=["box9", "box13", "ball13"])
 def test_probed_free_sublaplacian_matches_stencil(dom):
-    """L_ff read off by 27-colour probing is the matrix-free stencil on free
-    cells, and exactly symmetric."""
-    from heisadams.operators import free_sublaplacian
-    Lff = free_sublaplacian(dom)
+    """B = L[:, free], read off by 27-colour probing, is the stencil on the
+    whole box, and its free rows are exactly symmetric."""
+    B = free_columns(dom)
+    assert free_columns(dom) is B      # probed once per domain
     free = dom.free_mask()
+    assert B.shape == (free.size, int(free.sum()))
     rng = np.random.default_rng(11)
     for _ in range(3):
         u = random_free_field(dom, rng)
-        ref = sublaplacian(u).values[free]
-        err = np.linalg.norm(Lff @ u.values[free] - ref) / np.linalg.norm(ref)
+        ref = sublaplacian(u).values.ravel()
+        err = np.linalg.norm(B @ u.values[free] - ref) / np.linalg.norm(ref)
         assert err <= 1e-14
+    Lff = B[np.flatnonzero(free), :]
     assert (Lff != Lff.T).nnz == 0
 
 
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
+def test_squared_sublaplacian_is_the_stencil_applied_twice(dom):
+    """(B^T B y)[S] equals L(L u)[S] for u supported on a subset S of the
+    free cells (here the free cells off a central plateau, as in capacity)."""
+    free = dom.free_mask()
+    cells = free & (dom.gauge() > 0.3)
+    x = np.random.default_rng(12).standard_normal(int(cells.sum()))
+    u = np.zeros(dom.shape)
+    u[cells] = x
+    ref = sublaplacian(sublaplacian(ha.GridField(dom, u))).values[cells]
+    got = squared_sublaplacian(dom, cells)(x)
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+    xf = u[free]
+    ref = sublaplacian(sublaplacian(ha.GridField(dom, u))).values[free]
+    assert np.linalg.norm(squared_sublaplacian(dom)(xf) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_free_preconditioner_inverts_lff_squared():
-    from heisadams.operators import free_preconditioner, free_sublaplacian
+    from heisadams.operators import free_preconditioner
     dom = ha.ball_grid(13)
     M = free_preconditioner(dom)
     assert free_preconditioner(dom) is M     # factored once per domain
-    Lff = free_sublaplacian(dom)
+    Lff = free_columns(dom)[np.flatnonzero(dom.free_mask()), :]
     x = np.random.default_rng(2).standard_normal(Lff.shape[0])
     assert np.linalg.norm(M(Lff @ (Lff @ x)) - x) <= 1e-10 * np.linalg.norm(x)
 
@@ -242,10 +253,10 @@ def _plain_cg(apply_op, b, tol, max_iter):
 
 
 def test_cg_without_preconditioner_repeats_plain_cg_bit_for_bit():
-    from heisadams.operators import cg, restricted_bilaplacian
+    from heisadams.operators import cg
     dom = ha.ball_grid(13)
     free = dom.free_mask()
-    apply_A = restricted_bilaplacian(dom, free)
+    apply_A = squared_sublaplacian(dom)
     b = np.random.default_rng(4).standard_normal(int(free.sum()))
     x, it, res = cg(apply_A, b, 1e-10, 5000)
     x0, it0, res0 = _plain_cg(apply_A, b, 1e-10, 5000)
@@ -254,10 +265,10 @@ def test_cg_without_preconditioner_repeats_plain_cg_bit_for_bit():
 
 
 def test_preconditioned_cg_solves_in_few_iterations():
-    from heisadams.operators import cg, free_preconditioner, restricted_bilaplacian
+    from heisadams.operators import cg, free_preconditioner
     dom = ha.box_grid(13)
     free = dom.free_mask()
-    apply_A = restricted_bilaplacian(dom, free)
+    apply_A = squared_sublaplacian(dom)
     b = np.random.default_rng(8).standard_normal(int(free.sum()))
     _, it0, _ = cg(apply_A, b, 1e-10, 5000)
     x, it, res = cg(apply_A, b, 1e-10, 5000, M=free_preconditioner(dom))

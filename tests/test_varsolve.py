@@ -71,11 +71,31 @@ def test_grad_linear_model_exact(box9m):
     rng = np.random.default_rng(1)
     u = random_free_field(box9m, rng)
     g = ha.grad_energy(u, nl, 1.0)
-    from heisadams.operators import bilaplacian
+    from heisadams.operators import sublaplacian
     w = box9m.singular_weight(1.0)
-    want = bilaplacian(u).values - lam * w * u.values
+    want = sublaplacian(sublaplacian(u)).values - lam * w * u.values
     want = np.where(box9m.free_mask(), want, 0.0)
     assert np.allclose(g.values, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
+    """The representer's quadratic part B^T (L u) equals L(L u) on the free
+    cells for every field, also one with nonzero values on the clamped ring
+    and outside the free cells."""
+    from heisadams.operators import sublaplacian
+    dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
+    zero = ha.NonlinearitySpec(
+        name="none", f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
+        fprime=lambda X, Y, T, U: 0.0 * U, growth_class="subcritical",
+        theta=4.0, bigM=1.0, r0=1.0)
+    u = ha.GridField(dom, np.random.default_rng(9).standard_normal(dom.shape))
+    free = dom.free_mask()
+    assert np.abs(u.values[~free]).min() > 0.0
+    g = ha.grad_energy(u, zero, 1.0).values
+    want = sublaplacian(sublaplacian(u)).values[free]
+    assert np.abs(g[free] - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.all(g[~free] == 0.0)
 
 
 @pytest.mark.parametrize("model,a", [
