@@ -294,9 +294,17 @@ def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
     dom = ball_grid(cfg.grid)
     rows = sharpness_probe(a, betas, ks, grid=dom, tol=min(cfg.tol, 1e-8))
     probe_to_csv(rows, out / "sharpness.csv")
+    plateaus = {r.k: {"plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
+                for r in rows}
     write_json(out / "manifest.json", _manifest(cfg, {
         "threshold": BIG_A * (1.0 - a / 4.0), "betas": betas, "ks": ks,
+        "plateaus": [{"k": k, **p} for k, p in plateaus.items()],
     }))
+    for k, p in plateaus.items():
+        if p["resolved_rings"] == 0:
+            print(f"k = {k}: the plateau B_(1/{k}) is thinner than one cell "
+                  f"({p['plateau_cells']} cell(s)); its row is under-resolved",
+                  file=sys.stderr)
     if not all(r.converged for r in rows):
         print("a capacity solve ended above its tolerance", file=sys.stderr)
         return EXIT_CONVERGENCE

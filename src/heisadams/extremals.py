@@ -8,6 +8,13 @@ normal operator B^T B (B = L[:, free], the domain's assembled form; see
 operators) on the free cells off the plateau, where it is symmetric positive
 definite.  Each profile reports whether the CG reached its tolerance.
 
+The profile depends on ell only through the plateau cells, so the CG result
+(free values, iterations, residual) is cached on the domain keyed by those
+cells, tol and max_iter, the way singular_weight is cached per a: a probe
+over several a, or over several ell below the grid resolution, solves each
+distinct plateau once.  The reduced operator applies the columns of B at the
+free cells off the plateau, sliced out once per solve.
+
 The Adams function with inner radius r inside gauge radius R is
 
     A_r(xi) = sqrt(Q log(R/r) / A) * U_{r/R}(xi / R),   zero for |xi| >= R.
@@ -74,6 +81,9 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
     every in-ball cell with gauge <= ell, and always includes the innermost
     cell; if no cell at all lies inside B_ell the constraints are infeasible.
+    The CG result is cached on the grid per (plateau cells, tol, max_iter),
+    so every ell with the same plateau shares one solve; each call returns
+    its own field.
     """
     if not (0.0 < ell < 1.0):
         raise ValueError(f"ell must lie in (0, 1), got {ell}")
@@ -99,8 +109,12 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
         raise ValueError("no free cells between B_ell and the ball boundary")
 
     u = np.where(plateau, 1.0, 0.0)
-    rhs = -form_gradient(GridField(grid, u))[free_dofs[free]]
-    x, iters, res = cg(squared_sublaplacian(grid, free_dofs), rhs, tol, max_iter)
+    cache = grid._coord_cache
+    key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
+    if key not in cache:
+        rhs = -form_gradient(GridField(grid, u))[free_dofs[free]]
+        cache[key] = cg(squared_sublaplacian(grid, free_dofs), rhs, tol, max_iter)
+    x, iters, res = cache[key]
     u[free_dofs] = x
     u = GridField(grid, u)
     energy = dirichlet_energy(u)
@@ -202,6 +216,8 @@ class ProbeRow:
     value: float
     normEstimate: float
     converged: bool             # the capacity solve for this k reached its tolerance
+    plateau_cells: int          # of this k's capacity profile
+    resolved_rings: int         # 0 when ell < h: the row is under-resolved
 
 
 def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
@@ -229,6 +245,8 @@ def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
                     value=singular_mt_functional(af.field, float(beta), a),
                     normEstimate=af.normEstimate,
                     converged=prof.converged,
+                    plateau_cells=prof.plateau_cells,
+                    resolved_rings=prof.resolved_rings,
                 )
             )
     return rows

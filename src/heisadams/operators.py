@@ -107,18 +107,17 @@ def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None):
 
     This is L^2, the quadratic form's operator, on the degrees of freedom in
     cells (a boolean mask within the free cells, all of them by default); it
-    is symmetric positive definite.
+    is symmetric positive definite.  For a subset the columns of B at cells
+    are sliced out once, so each apply is Bc^T (Bc x) (Bc^T is CSR);
+    the products add the same nonzero terms in the same order as the full
+    B^T B on the zero-filled vector, so the result is bit for bit the same.
     """
     B = free_columns(domain)
     if cells is None:
         return lambda x: B.T @ (B @ x)
-    sel = cells[domain.free_mask()]
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(B.shape[1])
-        y[sel] = x
-        return (B.T @ (B @ y))[sel]
-    return apply
+    Bc = B[:, np.flatnonzero(cells[domain.free_mask()])]
+    BcT = Bc.T
+    return lambda x: BcT @ (Bc @ x)
 
 
 def form_gradient(u: GridField) -> np.ndarray:

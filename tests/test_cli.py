@@ -75,6 +75,23 @@ def test_sharpness_determinism(tmp_path):
     assert header == "k,beta,a,value,normEstimate"
 
 
+def test_sharpness_manifest_records_plateaus_and_warns(tmp_path, capsys):
+    """At 17^3, ell = 1/32 is below one cell: the manifest records each k's
+    plateau and the under-resolved one is named on stderr."""
+    out = tmp_path / "s"
+    rc = run_cli(["sharpness", "--a", "0", "--grid", "17", "--betas", "1*",
+                  "--ks", "2,32", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    plateaus = {p["k"]: p for p in manifest["derived"]["plateaus"]}
+    assert sorted(plateaus) == [2, 32]
+    assert plateaus[2]["resolved_rings"] == 4 and plateaus[2]["plateau_cells"] > 1
+    assert plateaus[32] == {"k": 32, "plateau_cells": 1, "resolved_rings": 0}
+    err = capsys.readouterr().err
+    assert "k = 32" in err and "k = 2:" not in err
+    assert (out / "sharpness.csv").read_text().splitlines()[0] == "k,beta,a,value,normEstimate"
+
+
 def test_config_file_and_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid = 9\na = 1.0   # weight exponent\nseed = 7\n")

@@ -252,6 +252,74 @@ def test_capacity_iterations_and_energies_unchanged():
         assert prof.converged
 
 
+def _counted_cg(monkeypatch):
+    import heisadams.extremals as ext
+    calls = []
+    plain = ext.cg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(ext, "cg", counted)
+    return calls
+
+
+def _profiles_equal(p, q):
+    return (np.array_equal(p.field.values, q.field.values) and p.energy == q.energy
+            and p.cg_iterations == q.cg_iterations and p.cg_residual == q.cg_residual
+            and (p.plateau_cells, p.resolved_rings, p.converged)
+            == (q.plateau_cells, q.resolved_rings, q.converged))
+
+
+def test_probe_solves_each_plateau_once_per_domain(monkeypatch):
+    """A probe at a = 0 then a = 2 on one ball solves one CG per distinct
+    plateau, and its rows and profiles equal those of fresh domains."""
+    calls = _counted_cg(monkeypatch)
+    ks = list(range(2, 17))
+    betas = [1.0, 2.0]
+    dom = ha.ball_grid(17)
+    rho = dom.gauge()
+    plateaus = {np.flatnonzero((rho <= 1.0 / k) & dom.mask).tobytes() for k in ks}
+    assert len(plateaus) == 6               # k = 5/6, 7/8 and 9..16 share one
+    rows = {a: ha.sharpness_probe(a, betas, ks, grid=dom) for a in (0.0, 2.0)}
+    assert len(calls) == len(plateaus)
+    for a, got in rows.items():
+        for k in ks:
+            fresh = ha.sharpness_probe(a, betas, [k], grid=ha.ball_grid(17))
+            assert [r for r in got if r.k == k] == fresh
+    for k in ks:
+        assert _profiles_equal(ha.capacity_profile(1.0 / k, dom),
+                               ha.capacity_profile(1.0 / k, ha.ball_grid(17)))
+
+
+def test_cached_profiles_are_independent_copies():
+    dom = ha.ball_grid(17)
+    first = ha.capacity_profile(1.0 / 9, dom)
+    want = first.field.values.copy()
+    first.field.values[...] = 7.0
+    for ell in (1.0 / 9, 1.0 / 10):         # the same plateau at this grid
+        again = ha.capacity_profile(ell, dom)
+        assert np.array_equal(again.field.values, want)
+        assert again.field.values is not first.field.values
+        assert again.ell == ell
+        assert again.bound == pytest.approx(A / (Q * np.log(1.0 / ell)), rel=1e-15)
+
+
+def test_cache_keys_on_tol_and_max_iter(monkeypatch):
+    dom = ha.ball_grid(17)
+    done = ha.capacity_profile(0.5, dom)
+    assert done.converged
+    calls = _counted_cg(monkeypatch)
+    short = ha.capacity_profile(0.5, dom, max_iter=1)
+    assert not short.converged and short.cg_iterations == 1
+    loose = ha.capacity_profile(0.5, dom, tol=1e-4)
+    assert loose.converged and loose.cg_iterations < done.cg_iterations
+    assert len(calls) == 2
+    assert _profiles_equal(ha.capacity_profile(0.5, dom), done)
+    assert len(calls) == 2
+
+
 def test_capacity_reports_unconverged_solve(ball21, cap21, monkeypatch):
     prof = ha.capacity_profile(0.5, ball21, tol=1e-8, max_iter=1)
     assert prof.cg_iterations == 1

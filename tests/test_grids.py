@@ -240,7 +240,8 @@ def _writers():
     from heisadams.grids import field_to_csv
     dom = ha.ball_grid(5)
     f = ha.GridField(dom, np.where(dom.mask, 1.5, 0.0))
-    rows = [ProbeRow(k=2, beta=1.0, a=0.0, value=2.0, normEstimate=3.0, converged=True)]
+    rows = [ProbeRow(k=2, beta=1.0, a=0.0, value=2.0, normEstimate=3.0, converged=True,
+                     plateau_cells=1, resolved_rings=0)]
     return {
         "save_field": lambda p: ha.save_field(f, p),
         "field_to_csv": lambda p: field_to_csv(f, p),

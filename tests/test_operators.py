@@ -222,6 +222,31 @@ def test_squared_sublaplacian_is_the_stencil_applied_twice(dom):
     assert np.linalg.norm(squared_sublaplacian(dom)(xf) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+def _subset_cells(name):
+    if name == "box9-random":
+        dom = ha.box_grid(9)
+        pick = np.random.default_rng(13).random(dom.shape) < 0.6
+        return dom, dom.free_mask() & pick
+    dom = ha.ball_grid(17)
+    return dom, dom.free_mask() & ~((dom.gauge() <= 0.5) & dom.mask)
+
+
+@pytest.mark.parametrize("name", ["box9-random", "ball17-off-plateau"])
+def test_sliced_squared_sublaplacian_equals_zero_filled_product(name):
+    """The sliced columns give bit for bit what zero-filling x into all free
+    cells, applying B^T B and gathering the subset gives."""
+    dom, cells = _subset_cells(name)
+    B = free_columns(dom)
+    sel = cells[dom.free_mask()]
+    op = squared_sublaplacian(dom, cells)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        x = rng.standard_normal(int(sel.sum()))
+        y = np.zeros(B.shape[1])
+        y[sel] = x
+        assert np.array_equal(op(x), (B.T @ (B @ y))[sel])
+
+
 def test_free_preconditioner_inverts_lff_squared():
     from heisadams.operators import free_preconditioner
     dom = ha.ball_grid(13)
