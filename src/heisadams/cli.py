@@ -343,6 +343,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     write_json(out / "hypotheses.json", {
         "lambda": lam.value,
         "lambda_converged": lam.converged,
+        "lambda_iterations": lam.iterations,
+        "lambda_residual": lam.residual,
         "sampled_range": list(report.sampled_range),
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],

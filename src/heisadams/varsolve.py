@@ -21,6 +21,11 @@ their ray maxima until the step is small, and damped Newton-MINRES then
 drives the stationarity residual to tight tolerances.  Each ray maximum
 bounds the mountain-pass level from above, and their running minimum is
 the reported level.
+
+The weighted Rayleigh constant lambda_1(a), the ceiling f must stay under,
+is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on free cells,
+found by block-one LOBPCG.  It, the descent step and the Newton steps share
+the domain's one factored L_ff^-2 preconditioner.
 """
 
 from __future__ import annotations
@@ -156,15 +161,17 @@ class LambdaResult:
 
 
 def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
-                    max_outer: int = 200, cg_tol: float = 1e-12,
-                    cg_max_iter: int = 200000) -> LambdaResult:
-    """Smallest Rayleigh quotient ||u||^2 / int u^2/rho^a by inverse iteration.
+                    max_outer: int = 200) -> LambdaResult:
+    """Smallest Rayleigh quotient ||u||^2 / int u^2/rho^a by block-one LOBPCG.
 
-    The pencil is (L^2, diag(w_a)) on free cells; L^2 is SPD there, so each
-    inverse-power step is one conjugate-gradient solve, preconditioned by
-    the domain's factored L_ff^-2.  Residual reported is
-    ||L^2 x - lambda w x|| / ||w x||.  An inner solve that ends above cg_tol
-    stops the iteration with converged=False.
+    The pencil is (L^2, diag(w_a)) on free cells; L^2 is SPD there.  Each
+    iteration preconditions the residual r = L^2 x - lambda w x with the
+    domain's factored L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
+    over span{x, M r, p}, p the previous step (Knyazev 2001): one
+    preconditioner apply and one L^2 apply, no inner solve.  It stops once
+    lambda moves by at most tol relative and the residual
+    ||L^2 x - lambda w x|| / ||w x|| is at most sqrt(tol); after max_outer
+    iterations it returns the last iterate with converged=False.
     """
     _check_a(a)
     free = domain.free_mask()
@@ -172,28 +179,48 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     apply_A = squared_sublaplacian(domain)
     M = free_preconditioner(domain)
 
+    def w_normalized(v, Av):
+        s = 1.0 / np.sqrt(v @ (w * v))
+        return v * s, Av * s
+
     rng = np.random.default_rng(7)
     x = rng.standard_normal(int(free.sum()))
-    x /= np.sqrt(x @ x)
-    lam_prev = np.inf
-    lam = np.inf
+    x, Ax = w_normalized(x, apply_A(x))
+    lam = float(x @ Ax)
+    r = Ax - lam * w * x
+    p = Ap = None
     res = np.inf
     it = 0
     for it in range(1, max_outer + 1):
-        b = w * x
-        y, _, cg_res = cg(apply_A, b, cg_tol, cg_max_iter,
-                          x0=x / max(lam, 1e-30) if np.isfinite(lam) else None, M=M)
-        x = y / np.sqrt(y @ y)
-        Ax = apply_A(x)
-        lam = float(x @ Ax) / float(x @ (w * x))
+        z = M(r)
+        z, Az = w_normalized(z, apply_A(z))
+        S = np.column_stack([x, z] if p is None else [x, z, p])
+        AS = np.column_stack([Ax, Az] if p is None else [Ax, Az, Ap])
+        try:
+            c = _smallest_ritz_vector(S, AS, w)
+        except np.linalg.LinAlgError:
+            S, AS = S[:, :2], AS[:, :2]
+            c = _smallest_ritz_vector(S, AS, w)
+        p, Ap = w_normalized(S[:, 1:] @ c[1:], AS[:, 1:] @ c[1:])
+        x, Ax = w_normalized(S @ c, AS @ c)
+        lam_prev, lam = lam, float(x @ Ax)
         r = Ax - lam * w * x
         res = float(np.sqrt(r @ r)) / float(np.sqrt((w * x) @ (w * x)))
-        if not cg_res <= cg_tol:
-            break
         if abs(lam - lam_prev) <= tol * abs(lam) and res <= np.sqrt(tol):
             return LambdaResult(value=lam, residual=res, iterations=it, converged=True)
-        lam_prev = lam
     return LambdaResult(value=lam, residual=res, iterations=it, converged=False)
+
+
+def _smallest_ritz_vector(S: Array, AS: Array, w: Array) -> Array:
+    """Coefficients in the columns of S of the smallest Ritz pair of (A, diag(w)).
+
+    The Gram matrix S^T W S is factored by Cholesky, which raises LinAlgError
+    when the columns are numerically dependent.
+    """
+    Linv = np.linalg.inv(np.linalg.cholesky(S.T @ (w[:, None] * S)))
+    G = S.T @ AS
+    _, vecs = np.linalg.eigh(Linv @ (0.5 * (G + G.T)) @ Linv.T)
+    return Linv.T @ vecs[:, 0]
 
 
 def rayleigh_quotient(u: GridField, a: float) -> float:

@@ -142,6 +142,8 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert all(c["passed"] for c in hyp["checks"])
     assert hyp["lambda_converged"] is True
+    assert 0 < hyp["lambda_iterations"] <= 200
+    assert 0 < hyp["lambda_residual"] <= 1e-5
 
 
 def test_solve_hypothesis_failure_exit_4(tmp_path):
@@ -155,7 +157,7 @@ def test_solve_hypothesis_failure_exit_4(tmp_path):
 
 
 def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch):
-    """A Rayleigh iteration whose inner solves stop short ends the solve
+    """A Rayleigh iteration stopped by its iteration cap ends the solve
     before the saddle search, with exit 3."""
     import functools
 
@@ -163,13 +165,14 @@ def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch):
         raise AssertionError("saddle search started")
 
     monkeypatch.setattr(cli, "lambda_estimate",
-                        functools.partial(cli.lambda_estimate, cg_max_iter=1))
+                        functools.partial(cli.lambda_estimate, max_outer=1))
     monkeypatch.setattr(cli, "mountain_pass_solve", no_saddle)
     out = tmp_path / "lam"
     rc = run_cli(["solve", "--nl", "cubic", "--a", "1", "--grid", "9", "--out", str(out)])
     assert rc == 3
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert hyp["lambda_converged"] is False
+    assert np.isfinite(hyp["lambda"])
     assert not (out / "solve.json").exists()
 
 

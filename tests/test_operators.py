@@ -330,3 +330,24 @@ def test_cg_breakdown_on_indefinite_preconditioner():
                         M=lambda r: np.array([1.0, -1.0, 1.0, -1.0]) * r)
     assert np.isfinite(x).all()
     assert res > 1e-10
+
+
+def test_green_function_constant_of_the_discretized_operator():
+    """Oracle for the fundamental-solution constant that does not go through
+    constants: for L = X^2 + Y^2, X = d/dx + 2y d/dt, the fundamental
+    solution of -L is rho^-2 / (8 pi) (Folland 1973).  The zero-boundary
+    Green's function of -L_ff at the centre cell, times rho^2, sits near that
+    constant at moderate gauge, and far below constants.gamma1 = 3/(4 pi)."""
+    from heisadams.operators import cg
+    dom = ha.box_grid(25)
+    free = dom.free_mask()
+    Lff = free_columns(dom)[np.flatnonzero(free), :]
+    delta = np.zeros(dom.shape)
+    delta[dom.origin_cell] = 1.0 / dom.cell_volume
+    g, _, res = cg(lambda x: -(Lff @ x), delta[free], 1e-10, 2000)
+    assert res <= 1e-10
+    rho = dom.gauge()[free]
+    ring = (rho >= 0.1) & (rho <= 0.35)
+    c = float(np.median(g[ring] * rho[ring] ** 2))
+    assert abs(c - 1 / (8 * np.pi)) <= 0.2 / (8 * np.pi)
+    assert c <= 3 / (4 * np.pi) / 5

@@ -301,13 +301,13 @@ def test_continuation_rejects_bad_nmax(box9m):
         ha.critical_continuation(ha.cubic_model(), 0, box9m)
 
 
-# lambda_estimate on box 13 with unpreconditioned inner CG: value, outer
-# iterations and sublaplacian applies of the whole estimate (each L^2 apply
-# was two stencil sweeps)
+# lambda_estimate on box 13: value and sublaplacian applies of the
+# unpreconditioned inverse iteration it replaced (each L^2 apply was two
+# stencil sweeps), and LOBPCG iterations of the current estimate
 _LAMBDA_BOX13_UNPRECONDITIONED = {
-    0.0: (120.51051478127278, 23, 12698),
-    1.0: (56.23572329595739, 16, 13386),
-    3.0: (5.436961463070182, 9, 8218),
+    0.0: (120.51051478127278, 19, 12698),
+    1.0: (56.23572329595739, 17, 13386),
+    3.0: (5.436961463070182, 13, 8218),
 }
 
 
@@ -344,8 +344,46 @@ def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
     assert sum(calls) <= applies / 10
 
 
-def test_lambda_inner_solve_failure_is_not_converged(box9m):
-    res = ha.lambda_estimate(box9m, 1.0, cg_max_iter=1)
+def test_lambda_iteration_cap_is_not_converged(box9m):
+    res = ha.lambda_estimate(box9m, 1.0, max_outer=1)
     assert not res.converged
+    assert res.iterations == 1
     assert np.isfinite(res.value)
     assert ha.lambda_estimate(box9m, 1.0).converged
+
+
+@pytest.mark.parametrize("grid,ball,a", [(13, False, 0.0), (13, False, 1.0),
+                                         (13, False, 3.0), (17, True, 1.0),
+                                         (7, False, 1.0)])
+def test_lambda_matches_shift_invert_eigsh(grid, ball, a):
+    """Oracle: the smallest eigenvalue of (B^T B, diag(w_a)) by shift-invert
+    Lanczos on the assembled pencil.  Box 7 is the CLI config test's grid."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import eigsh
+    from heisadams.operators import free_columns
+    dom = ha.ball_grid(grid) if ball else ha.box_grid(grid)
+    B = free_columns(dom)
+    K = (B.T @ B).tocsc()
+    W = sp.diags(dom.singular_weight(a)[dom.free_mask()]).tocsc()
+    want = eigsh(K, k=1, M=W, sigma=0.0, which="LM", v0=np.ones(K.shape[0]),
+                 return_eigenvectors=False)[0]
+    res = ha.lambda_estimate(dom, a, tol=1e-10)
+    assert res.converged
+    assert abs(res.value - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("a", [1.0, 3.0])
+def test_lambda_box17_at_most_30_preconditioner_applies(a):
+    from heisadams.operators import free_preconditioner
+    dom = ha.box_grid(17)
+    precond = free_preconditioner(dom)
+    calls = []
+
+    def counted(r):
+        calls.append(1)
+        return precond(r)
+
+    dom._coord_cache["free_precond"] = counted
+    res = ha.lambda_estimate(dom, a, tol=1e-10)
+    assert res.converged
+    assert len(calls) == res.iterations <= 30
