@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .constants import QuadratureOptions, compute_constants
+from .constants import BIG_A, QuadratureOptions, compute_constants
 from .extremals import capacity_profile, probe_to_csv, sharpness_probe
-from .grids import ball_grid, box_grid, gauge_power_field, save_field
+from .grids import GridField, ball_grid, box_grid, gauge_power_field, save_field
 from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
 from .operators import dirichlet_energy
 from .rearrange import (
@@ -47,6 +47,7 @@ from .varsolve import (
     level_bound,
     mountain_pass_solve,
     rayleigh_quotient,
+    tail_differences_decreasing,
     validate_hypotheses,
 )
 
@@ -54,8 +55,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_HYPOTHESES = 4
-
-BIG_A = 32.0 / 9.0
 
 
 class ConfigError(Exception):
@@ -141,64 +140,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run configuration: defaults <- config file <- flags."""
+    """Fully resolved run configuration: defaults <- config file <- flags.
+
+    Every field but command is a config key, read from a file with the type
+    of its default.
+    """
 
     command: str
-    grid: int
-    extent: float
-    a: float
-    nl: str
-    lam: float
-    alpha0: float
-    tol: float
-    out: str
-    seed: int
-    betas: str
-    ks: str
-    ell: float
-    nmax: int
-    tail_radius: float
-    mc_samples: int
-    artifact: str
-
-
-_DEFAULTS = {
-    "grid": 17,
-    "extent": 1.0,
-    "a": 0.0,
-    "nl": "cubic",
-    "lam": 1.0,
-    "alpha0": 1.0,
-    "tol": 1e-6,
-    "out": "out",
-    "seed": 0,
-    "betas": "0.75*,1.0*,1.25*",
-    "ks": "2..32",
-    "ell": 0.5,
-    "nmax": 6,
-    "tail_radius": 50.0,
-    "mc_samples": 200000,
-    "artifact": "",
-}
-
-_CASTS = {
-    "grid": int, "extent": float, "a": float, "nl": str, "lam": float,
-    "alpha0": float, "tol": float, "out": str, "seed": int, "betas": str,
-    "ks": str, "ell": float, "nmax": int, "tail_radius": float,
-    "mc_samples": int, "artifact": str,
-}
+    grid: int = 17
+    extent: float = 1.0
+    a: float = 0.0
+    nl: str = "cubic"
+    lam: float = 1.0
+    alpha0: float = 1.0
+    tol: float = 1e-6
+    out: str = "out"
+    seed: int = 0
+    betas: str = "0.75*,1.0*,1.25*"
+    ks: str = "2..32"
+    ell: float = 0.5
+    nmax: int = 6
+    tail_radius: float = 50.0
+    mc_samples: int = 200000
+    artifact: str = ""
 
 
 def resolve_config(args: argparse.Namespace) -> "RunConfig":
     """Merge defaults <- config file <- command line; validate ranges."""
-    cfg = dict(_DEFAULTS)
+    cfg = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
     if args.config:
         for key, val in _read_config_file(args.config).items():
             nkey = key.replace("-", "_")
             if nkey not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                cfg[nkey] = _CASTS[nkey](val)
+                cfg[nkey] = type(cfg[nkey])(val)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
     for key in cfg:
@@ -237,15 +213,7 @@ def _make_nl(cfg: "RunConfig"):
 def cmd_constants(cfg: RunConfig, out: Path) -> int:
     opts = QuadratureOptions(tail_radius=cfg.tail_radius, mc_samples=cfg.mc_samples,
                              mc_seed=cfg.seed)
-    consts = compute_constants(opts)
-    write_json(out / "constants.json", {
-        "q": consts.q,
-        "c0": consts.c0,
-        "gamma1": consts.gamma1,
-        "bigA": consts.bigA,
-        "unitBallVolume": consts.unitBallVolume,
-        "errorEstimates": consts.errorEstimates,
-    })
+    atomic_write_text(out / "constants.json", compute_constants(opts).to_json() + "\n")
     write_json(out / "manifest.json", _manifest(cfg))
     return EXIT_OK
 
@@ -269,7 +237,6 @@ def cmd_rearrange_check(cfg: RunConfig, out: Path) -> int:
     small = ball_grid(9)
     worst_slack = np.inf
     for _ in range(20):
-        from .grids import GridField
         av = np.where(small.mask, rng.standard_normal(small.shape), 0.0)
         bv = np.where(small.mask, rng.standard_normal(small.shape), 0.0)
         s = hardy_littlewood_slack(GridField(small, av), GridField(small, bv))
@@ -398,7 +365,6 @@ def cmd_continuation(cfg: RunConfig, out: Path) -> int:
               rows)
     if steps:
         save_field(steps[-1].solution, out / "final_solution.bin")
-    from .varsolve import tail_differences_decreasing
     write_json(out / "continuation.json", {
         "stages": len(steps),
         "all_converged": bool(all(s.state.converged for s in steps)),

@@ -12,13 +12,16 @@ Everything reduces to two integrals:
 
 The sharp exponent is then  A = Q / (c0 * gamma1^2).
 
-Closed forms (used as test oracles, not by this module):
-V = pi^2/2, c0 = 2 pi^2, gamma1 = 3/(4 pi), A = 32/9.
+The closed forms are V = pi^2/2, c0 = 2 pi^2, gamma1 = 3/(4 pi) and
+A = 32/9.  c0, gamma1 and A are this module's constants C0, GAMMA1 and BIG_A,
+and every other module takes them from here: the singular threshold
+A(1 - a/4), the plateau amplitude sqrt(Q log k / A), the level ceiling
+(4-a)A/(8 alpha0) and the kernel profiles of the rearrangement oracles.
 
-Each constant is produced by iterated adaptive 1-D quadrature in polar-like
-coordinates (angular integral done analytically, 2 pi symmetry) and
-cross-checked by an independent seeded Monte Carlo estimator; both paths are
-reported with explicit error estimates.
+compute_constants cross-checks the closed forms: each constant is produced by
+iterated adaptive 1-D quadrature in polar-like coordinates (angular integral
+done analytically, 2 pi symmetry) and by an independent seeded Monte Carlo
+estimator; both paths are reported with explicit error estimates.
 """
 
 from __future__ import annotations
@@ -31,13 +34,18 @@ import numpy as np
 
 from .group import Q
 
+C0 = 2.0 * np.pi ** 2               # unit gauge-sphere measure
+GAMMA1 = 3.0 / (4.0 * np.pi)        # fundamental-solution normalization
+BIG_A = Q / (C0 * GAMMA1 ** 2)      # the sharp exponent, 32/9 bit for bit
+
+_QUAD_TOL = 1e-10                   # abs/rel tolerance handed to the 1-D quadratures
+
 
 @dataclass(frozen=True)
 class QuadratureOptions:
     """Controls for the improper integrals and the Monte Carlo cross-check."""
 
     tail_radius: float = 50.0      # gauge-radius truncation of the gamma1 integral
-    quad_tol: float = 1e-10        # abs/rel tolerance handed to the 1-D quadratures
     mc_samples: int = 200_000
     mc_seed: int = 20240801
 
@@ -51,19 +59,11 @@ class SharpConstants:
     unitBallVolume: float
     errorEstimates: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def w3(self) -> float:
-        """Gauge-sphere measure alias used by the annulus volume formula.
-
-        Identified with c0 through int_{B(0,R)} rho^-a = c0 R^(Q-a)/(Q-a).
-        """
-        return self.c0
-
-    def weighted_ball_integral(self, a: float, radius: float = 1.0) -> float:
-        """Polar value of int_{B(0,R)} rho^-a d xi = c0 R^(Q-a) / (Q-a)."""
+    def weighted_ball_integral(self, a: float) -> float:
+        """Polar value of int_{B(0,1)} rho^-a d xi = c0 / (Q-a)."""
         if a >= self.q:
             raise ValueError(f"weight exponent a={a} must be < Q={self.q}")
-        return self.c0 * radius ** (self.q - a) / (self.q - a)
+        return self.c0 / (self.q - a)
 
     def to_json(self) -> str:
         doc = {
@@ -77,18 +77,18 @@ class SharpConstants:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _ball_volume_quad(tol: float) -> tuple[float, float]:
+def _ball_volume_quad() -> tuple[float, float]:
     # V = int_0^1 2 pi r * (t-extent 2 sqrt(1-r^4)) dr
     from scipy import integrate  # slow to import, and only quadrature needs it
 
     val, err = integrate.quad(
         lambda r: 4.0 * np.pi * r * np.sqrt(max(1.0 - r ** 4, 0.0)),
-        0.0, 1.0, epsabs=tol, epsrel=tol,
+        0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
     )
     return val, err
 
 
-def _gamma1_integral_quad(tail_radius: float, tol: float) -> tuple[float, float]:
+def _gamma1_integral_quad(tail_radius: float) -> tuple[float, float]:
     """I = int |z|^2 (|z|^4 + t^2 + 1)^(-5/2), truncated to gauge <= R.
 
     Iterated quadrature: angular part is 2 pi, then t inside, z-radius outside.
@@ -106,16 +106,15 @@ def _gamma1_integral_quad(tail_radius: float, tol: float) -> tuple[float, float]
             return 0.0
         val, _ = integrate.quad(
             lambda t: (r ** 4 + t * t + 1.0) ** -2.5,
-            0.0, tmax, epsabs=tol, epsrel=tol,
+            0.0, tmax, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
         )
         return 2.0 * val
 
     val, err = integrate.quad(
         lambda r: 2.0 * np.pi * r ** 3 * t_slice(r),
-        0.0, tail_radius, epsabs=tol, epsrel=tol, limit=200,
+        0.0, tail_radius, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
     )
-    c0_bound = 2.0 * np.pi ** 2 * Q  # crude c0 upper bound, only for the tail term
-    tail = c0_bound / (4.0 * tail_radius ** 4)
+    tail = C0 * Q / (4.0 * tail_radius ** 4)  # crude c0 upper bound, only for the tail term
     return val, err + tail
 
 
@@ -163,11 +162,11 @@ def compute_constants(options: QuadratureOptions | None = None) -> SharpConstant
     """
     opts = options or QuadratureOptions()
 
-    vol, vol_err = _ball_volume_quad(opts.quad_tol)
+    vol, vol_err = _ball_volume_quad()
     c0 = Q * vol
     c0_err = Q * vol_err
 
-    integral, integral_err = _gamma1_integral_quad(opts.tail_radius, opts.quad_tol)
+    integral, integral_err = _gamma1_integral_quad(opts.tail_radius)
     gamma1 = 1.0 / (2.0 * integral)
     gamma1_err = gamma1 * (integral_err / integral)
 
@@ -197,34 +196,3 @@ def compute_constants(options: QuadratureOptions | None = None) -> SharpConstant
             "mc_gamma1_sigma": gamma1_mc_sigma,
         },
     )
-
-
-def fundamental_constant_general(n: int, tol: float = 1e-9) -> float:
-    """gamma_n for the n-dimensional analogue, for reference only.
-
-        gamma_n = ( n(n+1) * int_{R^{2n+1}} |z|^2 (|z|^4+t^2+1)^(-(n+4)/2) )^(-1)
-
-    Only n = 1 is wired into the solvers; this exists to document how the
-    normalization generalizes.  Uses the 2n-sphere area for the angular part.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    from math import gamma as gamma_fn
-
-    from scipy import integrate
-
-    surf = 2.0 * np.pi ** n / gamma_fn(n)  # area of S^{2n-1}
-    expo = (n + 4) / 2.0
-
-    def t_slice(r):
-        val, _ = integrate.quad(
-            lambda t: (r ** 4 + t * t + 1.0) ** -expo,
-            0.0, np.inf, epsabs=tol, epsrel=tol,
-        )
-        return 2.0 * val
-
-    integral, _ = integrate.quad(
-        lambda r: surf * r ** (2 * n - 1) * r ** 2 * t_slice(r),
-        0.0, np.inf, epsabs=tol, epsrel=tol, limit=200,
-    )
-    return 1.0 / (n * (n + 1) * integral)

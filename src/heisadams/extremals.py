@@ -28,8 +28,8 @@ The plateau-growth constant is estimated by
 
     M_k = int_{1/k <= |xi| <= 1} exp(Q log k * U_{1/k}(xi)^2) d xi,
 
-whose k -> infinity limit is positive.  A reading without the square in the
-exponent is available behind a flag since both appear in the literature.
+whose k -> infinity limit is positive.  The sharp exponent A is
+constants.BIG_A.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import GridDomain, GridField, ball_grid
+from .constants import BIG_A
+from .grids import GridDomain, GridField
 from .group import Q
-from .io import atomic_write_text
+from .io import write_csv
 from .operators import (
     cg,
     dirichlet_energy,
@@ -56,7 +57,7 @@ class CapacityProfile:
     ell: float
     field: GridField
     energy: float               # ||L u||_2^2 of the minimizer
-    bound: float                # A / (Q log(1/ell)) for the supplied sharp exponent
+    bound: float                # A / (Q log(1/ell))
     slack: float                # energy / bound - 1, reported not asserted
     cg_iterations: int
     cg_residual: float
@@ -74,8 +75,8 @@ class AdamsFunction:
     plateau: float              # sqrt(Q log(R/r) / A), exact arithmetic
 
 
-def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
-                     tol: float = 1e-8, max_iter: int = 20000) -> CapacityProfile:
+def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
+                     max_iter: int = 20000) -> CapacityProfile:
     """Discrete conductor-capacity minimizer of B_ell inside the unit ball.
 
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
@@ -118,7 +119,7 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
     u[free_dofs] = x
     u = GridField(grid, u)
     energy = dirichlet_energy(u)
-    bound = bigA / (Q * np.log(1.0 / ell))
+    bound = BIG_A / (Q * np.log(1.0 / ell))
     return CapacityProfile(
         ell=ell,
         field=u,
@@ -133,8 +134,7 @@ def capacity_profile(ell: float, grid: GridDomain, bigA: float = 32.0 / 9.0,
     )
 
 
-def adams_function(r: float, bigR: float, grid: GridDomain,
-                   bigA: float = 32.0 / 9.0, tol: float = 1e-8,
+def adams_function(r: float, bigR: float, grid: GridDomain, tol: float = 1e-8,
                    profile: CapacityProfile | None = None) -> AdamsFunction:
     """Plateau function sqrt(Q log(R/r)/A) * U_{r/R}(xi/R), zero outside B_R.
 
@@ -147,8 +147,8 @@ def adams_function(r: float, bigR: float, grid: GridDomain,
     if not (0.0 < r < bigR):
         raise ValueError(f"need 0 < r < R, got r={r}, R={bigR}")
     ell = r / bigR
-    prof = profile if profile is not None else capacity_profile(ell, grid, bigA=bigA, tol=tol)
-    amplitude = float(np.sqrt(Q * np.log(bigR / r) / bigA))
+    prof = profile if profile is not None else capacity_profile(ell, grid, tol=tol)
+    amplitude = float(np.sqrt(Q * np.log(bigR / r) / BIG_A))
     field = GridField(grid, amplitude * prof.field.values)
     norm = float(np.sqrt(amplitude ** 2 * prof.energy))
     return AdamsFunction(r=r, bigR=bigR, field=field, normEstimate=norm, plateau=amplitude)
@@ -161,43 +161,26 @@ class PlateauGrowthEstimate:
     capacity_energy: float
 
 
-def m_constant(kmax: int, grids: GridDomain | list[GridDomain],
-               exponent_reading: str = "squared",
-               bigA: float = 32.0 / 9.0, tol: float = 1e-8) -> list[list[PlateauGrowthEstimate]]:
+def m_constant(kmax: int, grid: GridDomain, tol: float = 1e-8) -> list[PlateauGrowthEstimate]:
     """Annulus integrals whose limit is the plateau-growth constant.
 
-    For each grid in the ladder and each k = 2..kmax computes
+    For each k = 2..kmax computes
 
-        int_{1/k <= |xi| <= 1} exp(Q log k * U_{1/k}^2) d xi          (squared)
-        int_{1/k <= |xi| <= 1} exp(Q log k * |U_{1/k}|) d xi          (linear)
+        int_{1/k <= |xi| <= 1} exp(Q log k * U_{1/k}^2) d xi
 
-    All estimates are positive by construction.  Returns one list per grid.
+    on grid.  All estimates are positive by construction.
     """
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
-    if exponent_reading not in ("squared", "linear"):
-        raise ValueError("exponent_reading must be 'squared' or 'linear'")
-    ladder = grids if isinstance(grids, list) else [grids]
-
-    results: list[list[PlateauGrowthEstimate]] = []
-    for grid in ladder:
-        rho = grid.gauge()
-        vol = grid.cell_volume
-        per_grid = []
-        for k in range(2, kmax + 1):
-            prof = capacity_profile(1.0 / k, grid, bigA=bigA, tol=tol)
-            U = prof.field.values
-            ann = grid.mask & (rho >= 1.0 / k)
-            if exponent_reading == "squared":
-                integrand = np.exp(Q * np.log(k) * U[ann] ** 2)
-            else:
-                integrand = np.exp(Q * np.log(k) * np.abs(U[ann]))
-            per_grid.append(
-                PlateauGrowthEstimate(k=k, value=float(np.sum(integrand)) * vol,
-                                      capacity_energy=prof.energy)
-            )
-        results.append(per_grid)
-    return results
+    rho = grid.gauge()
+    out = []
+    for k in range(2, kmax + 1):
+        prof = capacity_profile(1.0 / k, grid, tol=tol)
+        ann = grid.mask & (rho >= 1.0 / k)
+        integrand = np.exp(Q * np.log(k) * prof.field.values[ann] ** 2)
+        out.append(PlateauGrowthEstimate(k=k, value=float(np.sum(integrand)) * grid.cell_volume,
+                                         capacity_energy=prof.energy))
+    return out
 
 
 def singular_mt_functional(u: GridField, beta: float, a: float) -> float:
@@ -220,22 +203,20 @@ class ProbeRow:
     resolved_rings: int         # 0 when ell < h: the row is under-resolved
 
 
-def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
-                    bigR: float = 1.0, bigA: float = 32.0 / 9.0,
-                    n: int = 33, tol: float = 1e-8) -> list[ProbeRow]:
+def sharpness_probe(a: float, betas, ks, grid: GridDomain,
+                    tol: float = 1e-8) -> list[ProbeRow]:
     """Exponential-functional matrix over the Adams family.
 
-    For each k the field is the Adams function with r = R/k on the unit-ball
+    For each k the field is the Adams function with r = 1/k on the unit-ball
     grid, and for each beta the row records int exp(beta u^2)/rho^a together
     with the field's norm estimate.  Growth in k above the threshold exponent
     A(1 - a/4), against a plateau at or below it, is the numerical trace of
     sharpness; the supremum statement itself is not a finite computation.
     """
-    dom = grid or ball_grid(n)
     rows: list[ProbeRow] = []
     for k in sorted(set(int(k) for k in ks)):
-        prof = capacity_profile(1.0 / k, dom, bigA=bigA, tol=tol)
-        af = adams_function(bigR / k, bigR, dom, bigA=bigA, profile=prof)
+        prof = capacity_profile(1.0 / k, grid, tol=tol)
+        af = adams_function(1.0 / k, 1.0, grid, profile=prof)
         for beta in betas:
             rows.append(
                 ProbeRow(
@@ -253,6 +234,5 @@ def sharpness_probe(a: float, betas, ks, grid: GridDomain | None = None,
 
 
 def probe_to_csv(rows: list[ProbeRow], path: str | Path) -> None:
-    lines = (f"{r.k},{r.beta:.17g},{r.a:.17g},{r.value:.17g},{r.normEstimate:.17g}\n"
-             for r in rows)
-    atomic_write_text(path, "k,beta,a,value,normEstimate\n" + "".join(lines))
+    write_csv(path, ["k", "beta", "a", "value", "normEstimate"],
+              ((r.k, r.beta, r.a, r.value, r.normEstimate) for r in rows))

@@ -27,9 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from .group import gauge_arr
-from .io import atomic_write_bytes, atomic_write_text
+from .io import atomic_write_bytes, write_csv
 
 _MAGIC = b"HGRD0001"
+
+_HEAD_CELLS = 6.0    # gauge radius, in cells, of singular_weight's averaged head
+_SUBSAMPLES = 4      # midpoint subsamples per axis in a head cell
 
 
 def _centers(n: int, half_extent: float) -> np.ndarray:
@@ -140,21 +143,21 @@ class GridDomain:
 
     # -- singular weight -------------------------------------------------------
 
-    def singular_weight(self, a: float, head_cells: float = 6.0, subsamples: int = 4) -> np.ndarray:
+    def singular_weight(self, a: float) -> np.ndarray:
         """Per-cell weights for the measure rho^-a d xi, cached per a.
 
         Off the singular head the weight is gauge(center)^-a.  Cells whose
-        center lies within head_cells*max(h) of the origin in gauge distance
-        get the cell average of rho^-a by subsamples^3 midpoint subsampling
-        (even counts, so no subsample ever lands on the origin); this removes
-        the O(h) quadrature excess a bare midpoint value would leave next to
-        the singular sheet |z|^4 = t^2 scale.
+        center lies within _HEAD_CELLS * max(h) of the origin in gauge
+        distance get the cell average of rho^-a by _SUBSAMPLES^3 midpoint
+        subsampling (an even count, so no subsample ever lands on the
+        origin); this removes the O(h) quadrature excess a bare midpoint
+        value would leave next to the singular sheet |z|^4 = t^2 scale.
         """
         if a < 0:
             raise ValueError("weight exponent a must be >= 0")
         if a >= 4.0 and self.contains_origin():
             raise ValueError(f"rho^-{a} is not integrable over a domain containing 0")
-        key = (round(float(a), 12), head_cells, subsamples)
+        key = round(float(a), 12)
         if key in self._weight_cache:
             return self._weight_cache[key]
         if a == 0.0:
@@ -166,44 +169,37 @@ class GridDomain:
         rho = self.gauge()
         hmax = max(self.spacing)
         w = np.zeros(self.shape)
-        far = rho > head_cells * hmax
+        far = rho > _HEAD_CELLS * hmax
         w[far] = rho[far] ** (-a)
 
         near = ~far
         if near.any():
             X, Y, T = self.coords()
             w[near] = gauge_power_cell_averages(
-                self.spacing, zip(X[near], Y[near], T[near]), -a, subsamples)
+                self.spacing, zip(X[near], Y[near], T[near]), -a, _SUBSAMPLES)
         w[~self.mask] = 0.0
         self._weight_cache[key] = w
         return w
 
 
-def box_grid(n: int, extent: float = 1.0, t_extent: float | None = None,
-             nt: int | None = None) -> GridDomain:
-    """Full box [-extent,extent]^2 x [-t_extent,t_extent], n cells per axis."""
-    te = extent if t_extent is None else t_extent
-    ntc = n if nt is None else nt
-    return GridDomain(shape=(n, n, ntc), extents=(extent, extent, te))
+def box_grid(n: int, extent: float = 1.0) -> GridDomain:
+    """Full box [-extent,extent]^3, n cells per axis."""
+    return GridDomain(shape=(n, n, n), extents=(extent, extent, extent))
 
 
-def ball_grid(n: int, radius: float = 1.0) -> GridDomain:
-    """Koranyi ball of given radius, masked out of its bounding box.
-
-    The gauge ball {(|z|^4+t^2)^(1/4) <= R} has bounding box
-    [-R,R]^2 x [-R^2,R^2]; the t-axis gets the same cell count so ht differs
-    from hx when R != 1.
-    """
-    box = GridDomain(shape=(n, n, n), extents=(radius, radius, radius ** 2))
-    return GridDomain(shape=box.shape, extents=box.extents, mask=box.gauge() <= radius)
+def ball_grid(n: int) -> GridDomain:
+    """Unit Koranyi ball {(|z|^4+t^2)^(1/4) <= 1}, masked out of its bounding
+    box [-1,1]^3, n cells per axis."""
+    box = GridDomain(shape=(n, n, n), extents=(1.0, 1.0, 1.0))
+    return GridDomain(shape=box.shape, extents=box.extents, mask=box.gauge() <= 1.0)
 
 
-def group_lattice_grid(n: int, extent: float = 1.0, nt: int | None = None) -> GridDomain:
-    """Box grid whose centers form a subgroup: ht = 2*hx*hy exactly."""
-    hx = 2.0 * extent / n
-    ntc = n if nt is None else nt
+def group_lattice_grid(n: int) -> GridDomain:
+    """Box grid on [-1,1]^2 whose centers form a subgroup: ht = 2*hx*hy
+    exactly, n cells per axis."""
+    hx = 2.0 / n
     ht = 2.0 * hx * hx
-    return GridDomain(shape=(n, n, ntc), extents=(extent, extent, ntc * ht / 2.0))
+    return GridDomain(shape=(n, n, n), extents=(1.0, 1.0, n * ht / 2.0))
 
 
 @dataclass
@@ -308,6 +304,5 @@ def load_field(path: str | Path) -> GridField:
 def field_to_csv(f: GridField, path: str | Path) -> None:
     """x,y,t,value rows for small grids."""
     X, Y, T = f.domain.coords()
-    rows = (f"{x:.17g},{y:.17g},{t:.17g},{v:.17g}\n"
-            for x, y, t, v in zip(X.ravel(), Y.ravel(), T.ravel(), f.values.ravel()))
-    atomic_write_text(path, "x,y,t,value\n" + "".join(rows))
+    write_csv(path, ["x", "y", "t", "value"],
+              zip(X.ravel(), Y.ravel(), T.ravel(), f.values.ravel()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -47,7 +48,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))

@@ -146,22 +146,18 @@ def free_preconditioner(domain: GridDomain):
 
 
 def cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
-       x0: np.ndarray | None = None, M=None) -> tuple[np.ndarray, int, float]:
+       M=None) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients for a symmetric positive-definite apply_op.
 
-    Starts from x0 (zero by default) and stops once ||r|| <= tol ||b||.  M,
-    if given, applies an SPD preconditioner; without it the iterates are
-    those of plain CG.  A step with p.Ap <= 0 or r.z <= 0 (an operator or
+    Starts from zero and stops once ||r|| <= tol ||b||.  M, if given,
+    applies an SPD preconditioner; without it the iterates are those of
+    plain CG.  A step with p.Ap <= 0 or r.z <= 0 (an operator or
     preconditioner that is not positive definite) ends the iteration at the
     current iterate.  Returns the iterate, the iteration count and
     ||r|| / ||b||, the true residual after such a breakdown.
     """
-    if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
-    else:
-        x = x0.copy()
-        r = b - apply_op(x)
+    x = np.zeros_like(b)
+    r = b.copy()
     z = r if M is None else M(r)
     p = z.copy()
     rs = float(r @ r)

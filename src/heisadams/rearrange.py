@@ -23,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import C0
 from .grids import GridField
-from .io import atomic_write_text
+from .io import write_csv
 
-C0 = 2.0 * np.pi ** 2  # unit gauge-sphere measure on H^1
+_SAMPLES_PER_DECADE = 10   # s-grid density of one_d_reduction
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,7 @@ class RearrangementProfile:
         return float(np.sum(np.abs(self.values) ** p * widths))
 
     def to_csv(self, path: str | Path) -> None:
-        rows = (f"{m:.17g},{v:.17g}\n" for m, v in zip(self.measures, self.values))
-        atomic_write_text(path, "measure,value\n" + "".join(rows))
+        write_csv(path, ["measure", "value"], zip(self.measures, self.values))
 
 
 def distribution(f: GridField, s: float) -> float:
@@ -126,15 +126,15 @@ def hardy_littlewood_slack(f: GridField, g: GridField) -> float:
     return rhs - lhs
 
 
-def kernel_star(t, c0: float = C0):
+def kernel_star(t):
     """Closed form g*(t) for g = rho^-2 on H^1."""
-    return np.sqrt(c0 / (4.0 * np.asarray(t, dtype=float)))
+    return np.sqrt(C0 / (4.0 * np.asarray(t, dtype=float)))
 
 
-def kernel_double_star(t, c0: float = C0):
+def kernel_double_star(t):
     """Closed form g**(t) = 2 g*(t), via the exact antiderivative of g*."""
     t = np.asarray(t, dtype=float)
-    return 2.0 * np.sqrt(c0 / 4.0) * np.sqrt(t) / t
+    return 2.0 * np.sqrt(C0 / 4.0) * np.sqrt(t) / t
 
 
 def oneil_slack(f: GridField, alpha: float, t: float,
@@ -179,7 +179,7 @@ def oneil_slack(f: GridField, alpha: float, t: float,
     return (u_dstar - u_star, bound - u_dstar)
 
 
-def one_d_reduction(f: GridField, samples_per_decade: int = 10) -> tuple[np.ndarray, np.ndarray, float]:
+def one_d_reduction(f: GridField) -> tuple[np.ndarray, np.ndarray, float]:
     """Reduce f to the half-line profile phi(s) = |O|^(1/2) f*(|O| e^-s) e^(-s/2).
 
     Returns (s_grid, phi_samples, l2_defect).  The grid runs from 0 to
@@ -195,7 +195,7 @@ def one_d_reduction(f: GridField, samples_per_decade: int = 10) -> tuple[np.ndar
     vol = f.domain.cell_volume
 
     s_max = float(np.log(total / vol))
-    ds = np.log(10.0) / samples_per_decade
+    ds = np.log(10.0) / _SAMPLES_PER_DECADE
     ns = int(np.ceil(s_max / ds)) + 1
     s = np.linspace(0.0, s_max, max(ns, 2))
 

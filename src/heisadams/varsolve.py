@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
+from .constants import BIG_A
 from .grids import GridDomain, GridField, zeros
 from .operators import (
     cg,
@@ -257,15 +258,19 @@ class ValidationReport:
         return all(c.passed for c in self.checks if c.name in need)
 
 
+# validate_hypotheses samples u at _N_U points per sign, at _N_XI grid points
+# drawn with a fixed seed
+_N_U = 400
+_N_XI = 64
+
+
 def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
                         domain: GridDomain, u_max: float = 8.0,
-                        n_u: int = 400, n_xi: int = 64,
-                        bigR: float = 1.0, m_estimate: float | None = None,
-                        seed: int = 0) -> ValidationReport:
+                        m_estimate: float | None = None) -> ValidationReport:
     """Sampled check of the structural conditions on f.
 
-    All statements are verified on u in [-u_max, u_max] at n_xi sampled grid
-    points only; the report records that range and claims nothing beyond it.
+    All statements are verified on u in [-u_max, u_max] at _N_XI sampled
+    grid points only; the report records that range and claims nothing beyond it.
 
       sign             f(xi,u) >= 0 for u >= 0 and <= 0 for u <= 0
       primitive_bound  0 < F <= M f on [r0, u_max]
@@ -275,17 +280,17 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
                        (critical class only; threshold needs an M estimate)
     """
     _check_a(a)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     X, Y, T = domain.coords()
     m = domain.mask
-    idx = rng.choice(int(m.sum()), size=min(n_xi, int(m.sum())), replace=False)
+    idx = rng.choice(int(m.sum()), size=min(_N_XI, int(m.sum())), replace=False)
     xs = X[m][idx]
     ys = Y[m][idx]
     ts = T[m][idx]
 
     checks: list[HypothesisCheck] = []
 
-    u_pos = np.linspace(1e-9, u_max, n_u)
+    u_pos = np.linspace(1e-9, u_max, _N_U)
     u_all = np.concatenate([-u_pos[::-1], u_pos])
 
     def sample(fn, uu):
@@ -349,10 +354,10 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
                       np.array([u_max]))
         beta1_emp = float(np.min(tail))
         if m_estimate is not None and m_estimate > 0:
-            thresh = (4.0 - a) * (32.0 / 9.0) / (4.0 * alpha0 * bigR ** (4.0 - a) * m_estimate)
+            thresh = (4.0 - a) * BIG_A / (4.0 * alpha0 * m_estimate)
             okH = beta1_emp > thresh
             detail = (f"u f exp(-alpha0 u^2) at u_max is {beta1_emp:.4g}; "
-                      f"threshold (4-a)A/(4 alpha0 R^(4-a) M) = {thresh:.4g}")
+                      f"threshold (4-a)A/(4 alpha0 M) = {thresh:.4g}")
         else:
             okH = beta1_emp > 0
             detail = (f"u f exp(-alpha0 u^2) at u_max is {beta1_emp:.4g}; "
@@ -366,20 +371,23 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
 
 # -- level bound ---------------------------------------------------------------
 
-def level_bound(a: float, alpha0: float, bigA: float = 32.0 / 9.0) -> float:
+def level_bound(a: float, alpha0: float) -> float:
     """Critical-level ceiling ((4-a)/8) * A / alpha0."""
     _check_a(a)
     if alpha0 <= 0:
         raise ValueError("alpha0 must be positive")
-    return (4.0 - a) / 8.0 * bigA / alpha0
+    return (4.0 - a) / 8.0 * BIG_A / alpha0
 
 
 # -- mountain pass ---------------------------------------------------------------
 
 # The descent direction only has to point downhill and to measure its own
-# size against newton_switch, so its CG solve stops at a loose tolerance.
+# size against _NEWTON_SWITCH, so its CG solve stops at a loose tolerance.
 _DESCENT_CG_TOL = 1e-3
 _DESCENT_CG_MAX_ITER = 20000
+_NEWTON_SWITCH = 1e-1        # relative descent-step size at which Newton takes over
+_NEWTON_MAX_ITERS = 60
+_TRIVIALITY_FLOOR = 1e-6     # a solution with ||u|| at or below it is the trivial state
 
 
 @dataclass
@@ -387,9 +395,6 @@ class SolveOptions:
     tol: float = 1e-6
     max_deform_iters: int = 200      # cap on Nehari descent steps
     t_max: float = 1e12
-    triviality_floor: float = 1e-6
-    newton_switch: float = 1e-1      # relative descent-step size at which Newton takes over
-    newton_max_iters: int = 60
 
 
 @dataclass
@@ -480,7 +485,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     maximum of J along it, which lies on the Nehari manifold J'(u) u = 0.
     Each descent step subtracts the Sobolev gradient d = (L^2)^-1 grad J(u),
     one preconditioned conjugate-gradient solve on the free cells, and
-    scales the result back to its ray maximum.  Once ||d|| <= newton_switch
+    scales the result back to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH
     ||u||, damped Newton-MINRES drives the residual below tol.  Every ray
     maximum max_t J(t u) bounds the mountain-pass level from above; the recorded
     level is their running minimum over the iterates, so it is
@@ -515,14 +520,14 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         gf = g.values[free]
         d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER, M=M)
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
-        if np.sqrt(float(d @ gf) * dom.cell_volume) <= opts.newton_switch * unorm:
+        if np.sqrt(float(d @ gf) * dom.cell_volume) <= _NEWTON_SWITCH * unorm:
             break
         step = u.values.copy()
         step[free] -= d
         u = _ray_max(GridField(dom, step), nl, a)
 
     u, res, newton_its, ok = _newton_polish(u, nl, a, opts, history)
-    nontrivial = history[-1][3] > opts.triviality_floor
+    nontrivial = history[-1][3] > _TRIVIALITY_FLOOR
     state = MountainPassState(
         levelEstimate=history[-1][1],
         gradResidual=res,
@@ -559,7 +564,7 @@ def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOpti
     r = grad_energy(u, nl, a)
     rn = grad_norm(r)
     it, level, unorm = 0, history[-1][1], history[-1][3]
-    while rn > opts.tol * max(1.0, unorm) and it < opts.newton_max_iters:
+    while rn > opts.tol * max(1.0, unorm) and it < _NEWTON_MAX_ITERS:
         it += 1
         wfp = w * nl.fprime(X, Y, T, u.values)[free]
         op = LinearOperator((nfree, nfree), matvec=lambda x: apply_A(x) - wfp * x)
@@ -627,12 +632,12 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
     return steps
 
 
-def tail_differences_decreasing(steps: list[ContinuationStep], window: int = 3) -> bool:
-    """True when the last `window` solution drifts ||u_{n+1} - u_n|| decrease."""
+def tail_differences_decreasing(steps: list[ContinuationStep]) -> bool:
+    """True when the last three solution drifts ||u_{n+1} - u_n|| decrease."""
     diffs = [s.diff_from_previous for s in steps if np.isfinite(s.diff_from_previous)]
-    if len(diffs) < window:
+    if len(diffs) < 3:
         return False
-    tail = diffs[-window:]
+    tail = diffs[-3:]
     return all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
 
 

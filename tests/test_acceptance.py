@@ -313,8 +313,7 @@ def test_criterion_9b_critical_level_bound():
     dom = ha.ball_grid(17)
     lam = ha.lambda_estimate(dom, 1.0, tol=1e-10)
     nl = ha.critical_model(lam=0.9 * lam.value, alpha0=1.0)
-    rep = ha.validate_hypotheses(nl, 1.0, lam.value, dom, u_max=6.0,
-                                 m_estimate=8.0, bigR=1.0)
+    rep = ha.validate_hypotheses(nl, 1.0, lam.value, dom, u_max=6.0, m_estimate=8.0)
     seed = ha.adams_function(0.25, 1.0, dom, tol=1e-8)
     u, st = ha.mountain_pass_solve(nl, 1.0, dom, ha.SolveOptions(tol=1e-6),
                                    warm_start=seed.field)

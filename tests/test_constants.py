@@ -1,9 +1,13 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import heisadams as ha
+from heisadams import constants as hc
+from heisadams.group import Q
 
 # closed-form reductions of the two defining integrals:
 #   V = pi^2/2 (t-slab length 2 sqrt(1-r^4), then polar in z)
@@ -28,7 +32,6 @@ def test_defining_relations(constants):
     assert c.bigA == pytest.approx(c.q / (c.c0 * c.gamma1 ** 2), rel=1e-15)
     assert c.c0 == pytest.approx(c.q * c.unitBallVolume, rel=1e-12)
     assert c.q == 4
-    assert c.w3 == c.c0
 
 
 def test_monte_carlo_agrees_within_3_sigma(constants):
@@ -66,11 +69,19 @@ def test_tail_truncation_is_controlled():
     assert abs(loose.gamma1 - tight.gamma1) <= loose.errorEstimates["gamma1"] + tight.errorEstimates["gamma1"]
 
 
-def test_general_n_normalization_matches_n1(constants):
-    from heisadams.constants import fundamental_constant_general
-
-    g1 = fundamental_constant_general(1, tol=1e-9)
-    assert g1 == pytest.approx(GAMMA1_EXACT, rel=1e-5)
-    # documented generalization stays finite and positive for n = 2
-    g2 = fundamental_constant_general(2, tol=1e-7)
-    assert g2 > 0.0
+def test_sharp_constants_have_one_home():
+    """C0, GAMMA1 and BIG_A are defined in constants.py alone: the closed form
+    of A is 32/9 bit for bit, every other module binds the same objects, and
+    none spells a literal of its own."""
+    assert hc.BIG_A == 32.0 / 9.0 == Q / (hc.C0 * hc.GAMMA1 ** 2)
+    assert hc.C0 == C0_EXACT
+    assert hc.GAMMA1 == GAMMA1_EXACT
+    for modname, mod in sorted(sys.modules.items()):
+        if modname.startswith("heisadams.") and mod is not hc:
+            for name in ("C0", "GAMMA1", "BIG_A"):
+                assert getattr(mod, name, getattr(hc, name)) is getattr(hc, name), (modname, name)
+    for path in sorted(Path(hc.__file__).parent.glob("*.py")):
+        if path.name != "constants.py":
+            text = path.read_text()
+            for literal in ("32.0 / 9.0", "32/9", "32 / 9", "2.0 * np.pi ** 2", "2 * np.pi ** 2"):
+                assert literal not in text, (path.name, literal)

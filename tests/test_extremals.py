@@ -145,7 +145,7 @@ def test_adams_rejects_bad_radii(ball21):
 
 
 def test_m_constant_positive_and_recorded(ball21):
-    ests = m_constant(6, ball21, tol=1e-7)[0]
+    ests = m_constant(6, ball21, tol=1e-7)
     ks = [e.k for e in ests]
     assert ks == [2, 3, 4, 5, 6]
     assert all(e.value > 0 for e in ests)
@@ -167,7 +167,7 @@ def test_m_constant_sequence_to_sixteen():
     """k = 2..16 on a fixed coarse grid: the sequence is recorded and the
     Cauchy differences stay bounded (the limit itself is not computable)."""
     dom = ha.ball_grid(13)
-    ests = m_constant(16, dom, tol=1e-6)[0]
+    ests = m_constant(16, dom, tol=1e-6)
     assert [e.k for e in ests] == list(range(2, 17))
     vals = np.array([e.value for e in ests])
     assert np.all(vals > 0)
@@ -177,12 +177,7 @@ def test_m_constant_sequence_to_sixteen():
     assert diffs[-3:].max() <= 2.0 * vals[-3:].max()
 
 
-def test_m_constant_linear_reading_differs(ball21):
-    sq = m_constant(3, ball21, tol=1e-7, exponent_reading="squared")[0]
-    lin = m_constant(3, ball21, tol=1e-7, exponent_reading="linear")[0]
-    assert all(l.value != s.value for l, s in zip(lin, sq))
-    with pytest.raises(ValueError):
-        m_constant(3, ball21, exponent_reading="other")
+def test_m_constant_rejects_kmax_below_two(ball21):
     with pytest.raises(ValueError):
         m_constant(1, ball21)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -248,6 +249,31 @@ def _writers():
         "probe_to_csv": lambda p: probe_to_csv(rows, p),
         "profile_to_csv": lambda p: ha.decreasing_rearrangement(f).to_csv(p),
     }
+
+
+# (leading bytes, sha256) of each writer's output for the _writers() inputs:
+# floats as %.17g, ints as digits, one header line, "\n" line ends
+_WRITER_BYTES = {
+    "field_to_csv": (b"x,y,t,value\n-0.80000000000000004,-0.80000000000000004,"
+                     b"-0.80000000000000004,0\n",
+                     "96c1e44836d10aeae6504bce6a3d782e219907f8dd94607dcdd953e3047fcb75"),
+    "probe_to_csv": (b"k,beta,a,value,normEstimate\n2,1,0,2,3\n",
+                     "d302e451e225b4bd0d9c504ee6ed1a84b4ce17c42bffdc313349535e3eab9be9"),
+    "profile_to_csv": (b"measure,value\n0.064000000000000015,1.5\n",
+                       "70ab95d2cfd8f80bd36091776b857c281f7a28689db9256c5606a35947fe8dce"),
+    "save_field": (b"HGRD0001\x05\x00\x00\x00\x00\x00\x00\x00",
+                   "44fbaba915d9cdbaf454662f5565f38aa0810d41afcace0c75e5854317f694bf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_writers()))
+def test_writers_bytes_are_pinned(name, tmp_path):
+    p = tmp_path / "artifact"
+    _writers()[name](p)
+    data = p.read_bytes()
+    head, digest = _WRITER_BYTES[name]
+    assert data.startswith(head)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", sorted(_writers()))

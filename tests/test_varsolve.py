@@ -184,7 +184,7 @@ def test_validate_hypotheses_detects_bad_origin_gap(box9m):
 def test_validate_hypotheses_critical_bound(box9m, lam9):
     nl = ha.critical_model(lam=5.0, alpha0=1.0)
     rep = ha.validate_hypotheses(nl, 1.0, lam9[1.0].value, box9m, u_max=6.0,
-                                 m_estimate=8.0, bigR=1.0)
+                                 m_estimate=8.0)
     names = {c.name: c for c in rep.checks}
     assert names["exp_lower_bound"].passed
     assert names["sign"].passed
