@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +191,9 @@ def resolve_config(args: argparse.Namespace) -> "RunConfig":
         raise ConfigError(f"unknown nonlinearity {rc.nl!r}")
     if not (0.0 < rc.ell < 1.0):
         raise ConfigError(f"ell = {rc.ell} outside (0, 1)")
+    if rc.command in ("capacity", "sharpness", "rearrange-check") and rc.extent != 1.0:
+        raise ConfigError(f"{rc.command} works on the unit gauge ball; "
+                          f"extent = {rc.extent} is not 1.0")
     return rc
 
 
@@ -259,7 +262,8 @@ def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
     betas = _parse_betas(cfg.betas, a)
     ks = _parse_ks(cfg.ks)
     dom = ball_grid(cfg.grid)
-    rows = sharpness_probe(a, betas, ks, grid=dom, tol=min(cfg.tol, 1e-8))
+    cfg = replace(cfg, tol=min(cfg.tol, 1e-8))   # the manifest records the CG's tol
+    rows = sharpness_probe(a, betas, ks, grid=dom, tol=cfg.tol)
     probe_to_csv(rows, out / "sharpness.csv")
     plateaus = {r.k: {"plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
                 for r in rows}
@@ -280,7 +284,8 @@ def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
 
 def cmd_capacity(cfg: RunConfig, out: Path) -> int:
     dom = ball_grid(cfg.grid)
-    prof = capacity_profile(cfg.ell, dom, tol=min(cfg.tol, 1e-8))
+    cfg = replace(cfg, tol=min(cfg.tol, 1e-8))   # the manifest records the CG's tol
+    prof = capacity_profile(cfg.ell, dom, tol=cfg.tol)
     save_field(prof.field, out / "capacity_field.bin")
     write_json(out / "capacity.json", {
         "ell": prof.ell,

@@ -6,7 +6,10 @@ of B.  Discretely this is an equality-constrained least-squares problem; we
 eliminate the constrained cells and run conjugate gradients on the reduced
 normal operator B^T B (B = L[:, free], the domain's assembled form; see
 operators) on the free cells off the plateau, where it is symmetric positive
-definite.  Each profile reports whether the CG reached its tolerance.
+definite.  The CG is diagonally (Jacobi) preconditioned by diag(B^T B) on
+those cells, read from the domain's cached form_diagonal; it stops on the
+unpreconditioned residual.  Each profile reports whether the CG reached its
+tolerance.
 
 The profile depends on ell only through the plateau cells, so the CG result
 (free values, iterations, residual) is cached on the domain keyed by those
@@ -46,6 +49,7 @@ from .io import write_csv
 from .operators import (
     cg,
     dirichlet_energy,
+    form_diagonal,
     form_gradient,
     integrate_weighted,
     squared_sublaplacian,
@@ -113,8 +117,11 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     cache = grid._coord_cache
     key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
     if key not in cache:
-        rhs = -form_gradient(GridField(grid, u))[free_dofs[free]]
-        cache[key] = cg(squared_sublaplacian(grid, free_dofs), rhs, tol, max_iter)
+        off = free_dofs[free]
+        rhs = -form_gradient(GridField(grid, u))[off]
+        dinv = 1.0 / form_diagonal(grid)[off]
+        cache[key] = cg(squared_sublaplacian(grid, free_dofs), rhs, tol, max_iter,
+                        M=lambda r: dinv * r)
     x, iters, res = cache[key]
     u[free_dofs] = x
     u = GridField(grid, u)

@@ -14,8 +14,9 @@ zero, matching the zero-extension reading of the clamped boundary).
 The quadratic form u -> ||L u||^2 on clamped fields has one representation:
 B = L[:, free], the columns of L at the free cells, read off sublaplacian by
 27-colour probing and cached on the domain.  Its operator on any set of free
-cells is B^T B, the form's gradient is B^T (L u), and the free rows of B are
-the L_ff that the preconditioner factors.
+cells is B^T B, its diagonal diag(B^T B) is the squared column norms of B
+(cached with it), the form's gradient is B^T (L u), and the free rows of B
+are the L_ff that free_preconditioner factors.
 """
 
 from __future__ import annotations
@@ -100,6 +101,21 @@ def free_columns(domain: GridDomain) -> csc_matrix:
         cache["free_columns"] = csc_matrix((vals[hit], rows[hit], indptr),
                                            shape=(free.size, cells.size))
     return cache["free_columns"]
+
+
+def form_diagonal(domain: GridDomain) -> np.ndarray:
+    """diag(B^T B), the squared column norms of B, one per free cell.
+
+    The diagonal of the form's operator on any set of free cells is this
+    vector restricted to them, a Jacobi preconditioner for its CG.  Every
+    column of B holds its cell's own nonzero L entry, so none is empty and
+    one reduceat over the CSC column starts sums them.  Cached on the domain.
+    """
+    cache = domain._coord_cache
+    if "form_diagonal" not in cache:
+        B = free_columns(domain)
+        cache["form_diagonal"] = np.add.reduceat(B.data ** 2, B.indptr[:-1])
+    return cache["form_diagonal"]
 
 
 def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None):

@@ -92,6 +92,29 @@ def test_sharpness_manifest_records_plateaus_and_warns(tmp_path, capsys):
     assert (out / "sharpness.csv").read_text().splitlines()[0] == "k,beta,a,value,normEstimate"
 
 
+@pytest.mark.parametrize("tol, want", [("1e-6", 1e-8), ("1e-10", 1e-10)])
+def test_capacity_manifests_record_the_cg_tolerance(tmp_path, tol, want):
+    """capacity and sharpness run their CG at min(tol, 1e-8); the manifest
+    records that tolerance, not the one given."""
+    out = tmp_path / "c"
+    assert run_cli(["capacity", "--grid", "9", "--tol", tol, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
+    out = tmp_path / "s"
+    assert run_cli(["sharpness", "--grid", "9", "--betas", "1*", "--ks", "2",
+                    "--tol", tol, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
+
+
+@pytest.mark.parametrize("command", ["capacity", "sharpness", "rearrange-check"])
+def test_unit_ball_commands_reject_an_extent(tmp_path, capsys, command):
+    out = tmp_path / command
+    assert run_cli([command, "--grid", "9", "--extent", "2.0", "--out", str(out)]) == 2
+    assert "extent" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli([command, "--grid", "9", "--extent", "1.0", "--ks", "2",
+                    "--out", str(out)]) == 0
+
+
 def test_config_file_and_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("grid = 9\na = 1.0   # weight exponent\nseed = 7\n")

@@ -247,6 +247,19 @@ def test_sliced_squared_sublaplacian_equals_zero_filled_product(name):
         assert np.array_equal(op(x), (B.T @ (B @ y))[sel])
 
 
+def test_form_diagonal_is_diag_of_BtB():
+    """The cached diagonal is diag(B^T B), positive everywhere, read once."""
+    from heisadams.operators import form_diagonal
+    for dom in (ha.box_grid(9), ha.ball_grid(17)):
+        d = form_diagonal(dom)
+        assert form_diagonal(dom) is d   # cached on the domain
+        B = free_columns(dom)
+        want = (B.T @ B).diagonal()
+        assert d.shape == want.shape
+        assert np.all(d > 0)
+        assert np.all(np.abs(d - want) <= 1e-15 * want)
+
+
 def test_free_preconditioner_inverts_lff_squared():
     from heisadams.operators import free_preconditioner
     dom = ha.ball_grid(13)
