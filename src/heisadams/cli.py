@@ -1,13 +1,17 @@
 """Batch experiment driver.
 
 Every experiment is a subcommand writing CSV/JSON artifacts plus a manifest
-that echoes the fully resolved configuration (flags, config-file values, and
-defaults actually used).  Identical config and seed produce byte-identical
-artifacts.  Exit codes: 0 success, 2 configuration error, 3 convergence
-failure, 4 hypothesis-validation failure.
+whose "resolved" block holds the command, out and every key the command
+read, with the value it ran at (flag, config-file value or default).
+Identical config and seed produce byte-identical artifacts.  Exit codes:
+0 success, 2 configuration error, 3 convergence failure, 4
+hypothesis-validation failure.
 
-Configuration may come from a flat key=value file ('#' starts a comment)
-passed with --config; command-line flags override file values.
+Each subcommand takes --out, --config and a flag for each key it reads
+(_COMMANDS; 'heisadams <command> --help' lists them), and no other.
+--config names a flat key=value file ('#' starts a comment) that may set
+only those keys; flags override file values.  Any other key exits 2 before
+the output directory is created.
 
 Beta tokens for the sharpness probe: a bare float is an absolute exponent,
 'xA' means x times the sharp constant A, and 'x*' means x times the singular
@@ -19,8 +23,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,103 +113,92 @@ def _parse_ks(spec: str) -> list[int]:
     return [int(tok) for tok in spec.split(",") if tok.strip()]
 
 
+# Every config key, declared once: key -> (type, default, help).  Flags are
+# the keys with '-' for '_'; each subcommand takes "out" and the keys
+# _COMMANDS lists for it, and no other.
+_KEYS = {
+    "out": (str, "out", "output directory"),
+    "grid": (int, 17, "cells per axis"),
+    "extent": (float, 1.0, "box half-extent"),
+    "a": (float, 0.0, "singular-weight exponent"),
+    "nl": (str, "cubic", "nonlinearity: cubic | critical"),
+    "lam": (float, 1.0, "critical-model coefficient"),
+    "alpha0": (float, 1.0, "critical-model exponent scale"),
+    "tol": (float, 1e-6, "solver tolerance"),
+    "seed": (int, 0, "seed of the randomized checks"),
+    "betas": (str, "0.75*,1.0*,1.25*", "beta list, e.g. 0.75*,1.25* or 0.9A,1.1A"),
+    "ks": (str, "2..32", "k list, e.g. 2..32 or 2,4,8"),
+    "ell": (float, 0.5, "inner gauge radius ratio"),
+    "nmax": (int, 6, "number of continuation stages"),
+    "tail_radius": (float, 50.0, "gauge truncation radius"),
+    "mc_samples": (int, 200000, "Monte Carlo sample count"),
+    "artifact": (str, "", "path of the CSV artifact to reshape"),
+}
+
+# key -> (valid, message) for the keys with a restricted range
+_RANGES = {
+    "grid": (lambda v: v >= 5, "grid must have at least 5 cells per axis"),
+    "a": (lambda v: 0.0 <= v < 4.0, "a = {} outside [0, 4)"),
+    "nl": (lambda v: v in ("cubic", "critical"), "unknown nonlinearity {!r}"),
+    "ell": (lambda v: 0.0 < v < 1.0, "ell = {} outside (0, 1)"),
+}
+
+
+def _command_keys(command: str) -> tuple[str, ...]:
+    return ("out",) + _COMMANDS[command][1]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="heisadams", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("command", choices=[
-        "constants", "rearrange-check", "sharpness", "capacity",
-        "solve", "continuation", "lambda", "plot-data",
-    ])
-    ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--grid", type=int, help="cells per axis (default 17)")
-    ap.add_argument("--extent", type=float, help="box half-extent (default 1.0)")
-    ap.add_argument("--a", type=float, help="singular-weight exponent (default 0)")
-    ap.add_argument("--nl", help="nonlinearity: cubic | critical (default cubic)")
-    ap.add_argument("--lam", type=float, help="critical-model coefficient")
-    ap.add_argument("--alpha0", type=float, help="critical-model exponent scale")
-    ap.add_argument("--tol", type=float, help="solver/quadrature tolerance")
-    ap.add_argument("--out", help="output directory (default ./out)")
-    ap.add_argument("--seed", type=int, help="seed for randomized suites (default 0)")
-    ap.add_argument("--betas", help="sharpness: beta list, e.g. 0.75*,1.25* or 0.9A,1.1A")
-    ap.add_argument("--ks", help="sharpness: k list, e.g. 2..32 or 2,4,8")
-    ap.add_argument("--ell", type=float, help="capacity: inner gauge radius ratio")
-    ap.add_argument("--nmax", type=int, help="continuation: number of stages")
-    ap.add_argument("--tail-radius", type=float, dest="tail_radius",
-                    help="constants: gauge truncation radius")
-    ap.add_argument("--mc-samples", type=int, dest="mc_samples",
-                    help="constants: Monte Carlo sample count")
-    ap.add_argument("--artifact", help="plot-data: path of the CSV artifact to reshape")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        # no abbreviations: 'continuation --a 1' must not mean --alpha0
+        sp = sub.add_parser(command, allow_abbrev=False, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="flat key=value config file")
+        for key in _command_keys(command):
+            typ, default, text = _KEYS[key]
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
+                            help=f"{text} (default {default!r})")
     return ap
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run configuration: defaults <- config file <- flags.
+def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
+    """Merge defaults <- config file <- command line; validate ranges.
 
-    Every field but command is a config key, read from a file with the type
-    of its default.
+    The result holds command, out and exactly the command's keys, so reading
+    any other key raises AttributeError.
     """
-
-    command: str
-    grid: int = 17
-    extent: float = 1.0
-    a: float = 0.0
-    nl: str = "cubic"
-    lam: float = 1.0
-    alpha0: float = 1.0
-    tol: float = 1e-6
-    out: str = "out"
-    seed: int = 0
-    betas: str = "0.75*,1.0*,1.25*"
-    ks: str = "2..32"
-    ell: float = 0.5
-    nmax: int = 6
-    tail_radius: float = 50.0
-    mc_samples: int = 200000
-    artifact: str = ""
-
-
-def resolve_config(args: argparse.Namespace) -> "RunConfig":
-    """Merge defaults <- config file <- command line; validate ranges."""
-    cfg = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
-    if args.config:
-        for key, val in _read_config_file(args.config).items():
+    given = dict(vars(args))
+    command = given.pop("command")
+    cfg = {key: _KEYS[key][1] for key in _command_keys(command)}
+    path = given.pop("config", None)
+    if path:
+        for key, val in _read_config_file(path).items():
             nkey = key.replace("-", "_")
             if nkey not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{command} does not read config key {key!r}"
+                                  if nkey in _KEYS else f"unknown config key {key!r}")
             try:
-                cfg[nkey] = type(cfg[nkey])(val)
+                cfg[nkey] = _KEYS[nkey][0](val)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
-    for key in cfg:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-
-    rc = RunConfig(command=args.command, **cfg)
-    if rc.command != "continuation" and not (0.0 <= rc.a < 4.0):
-        raise ConfigError(f"a = {rc.a} outside [0, 4)")
-    if rc.grid < 5:
-        raise ConfigError("grid must have at least 5 cells per axis")
-    if rc.nl not in ("cubic", "critical"):
-        raise ConfigError(f"unknown nonlinearity {rc.nl!r}")
-    if not (0.0 < rc.ell < 1.0):
-        raise ConfigError(f"ell = {rc.ell} outside (0, 1)")
-    if rc.command in ("capacity", "sharpness", "rearrange-check") and rc.extent != 1.0:
-        raise ConfigError(f"{rc.command} works on the unit gauge ball; "
-                          f"extent = {rc.extent} is not 1.0")
-    return rc
+    cfg.update(given)
+    for key, (valid, message) in _RANGES.items():
+        if key in cfg and not valid(cfg[key]):
+            raise ConfigError(message.format(cfg[key]))
+    return SimpleNamespace(command=command, **cfg)
 
 
-def _manifest(cfg: "RunConfig", extra: dict | None = None) -> dict:
-    resolved = asdict(cfg)
+def _manifest(cfg: SimpleNamespace, extra: dict | None = None) -> dict:
+    resolved = vars(cfg)
     doc = {"version": __version__, "resolved": {k: resolved[k] for k in sorted(resolved)}}
     if extra:
         doc["derived"] = extra
     return doc
 
 
-def _make_nl(cfg: "RunConfig"):
+def _make_nl(cfg: SimpleNamespace):
     if cfg.nl == "cubic":
         return cubic_model()
     return critical_model(lam=cfg.lam, alpha0=cfg.alpha0)
@@ -213,7 +206,7 @@ def _make_nl(cfg: "RunConfig"):
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_constants(cfg: RunConfig, out: Path) -> int:
+def cmd_constants(cfg: SimpleNamespace, out: Path) -> int:
     opts = QuadratureOptions(tail_radius=cfg.tail_radius, mc_samples=cfg.mc_samples,
                              mc_seed=cfg.seed)
     atomic_write_text(out / "constants.json", compute_constants(opts).to_json() + "\n")
@@ -221,7 +214,7 @@ def cmd_constants(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_rearrange_check(cfg: RunConfig, out: Path) -> int:
+def cmd_rearrange_check(cfg: SimpleNamespace, out: Path) -> int:
     n = cfg.grid
     dom = ball_grid(n)
     f = gauge_power_field(dom, 2.0)
@@ -257,12 +250,12 @@ def cmd_rearrange_check(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
+def cmd_sharpness(cfg: SimpleNamespace, out: Path) -> int:
     a = cfg.a
     betas = _parse_betas(cfg.betas, a)
     ks = _parse_ks(cfg.ks)
     dom = ball_grid(cfg.grid)
-    cfg = replace(cfg, tol=min(cfg.tol, 1e-8))   # the manifest records the CG's tol
+    cfg.tol = min(cfg.tol, 1e-8)   # the manifest records the CG's tol
     rows = sharpness_probe(a, betas, ks, grid=dom, tol=cfg.tol)
     probe_to_csv(rows, out / "sharpness.csv")
     plateaus = {r.k: {"plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
@@ -282,9 +275,9 @@ def cmd_sharpness(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_capacity(cfg: RunConfig, out: Path) -> int:
+def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
     dom = ball_grid(cfg.grid)
-    cfg = replace(cfg, tol=min(cfg.tol, 1e-8))   # the manifest records the CG's tol
+    cfg.tol = min(cfg.tol, 1e-8)   # the manifest records the CG's tol
     prof = capacity_profile(cfg.ell, dom, tol=cfg.tol)
     save_field(prof.field, out / "capacity_field.bin")
     write_json(out / "capacity.json", {
@@ -305,7 +298,7 @@ def cmd_capacity(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_solve(cfg: RunConfig, out: Path) -> int:
+def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
     a = cfg.a
@@ -358,7 +351,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_continuation(cfg: RunConfig, out: Path) -> int:
+def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
     opts = SolveOptions(tol=cfg.tol)
@@ -382,7 +375,7 @@ def cmd_continuation(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_lambda(cfg: RunConfig, out: Path) -> int:
+def cmd_lambda(cfg: SimpleNamespace, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
     res = lambda_estimate(dom, cfg.a, tol=min(cfg.tol, 1e-10))
     write_json(out / "lambda.json", {
@@ -434,22 +427,23 @@ def emit_plot_data(artifact: str | Path, out: Path) -> list[Path]:
     return written
 
 
-def cmd_plot_data(cfg: RunConfig, out: Path) -> int:
+def cmd_plot_data(cfg: SimpleNamespace, out: Path) -> int:
     if not cfg.artifact:
         raise ConfigError("plot-data requires --artifact")
     emit_plot_data(cfg.artifact, out)
     return EXIT_OK
 
 
+# subcommand -> (runner, the config keys it reads besides out)
 _COMMANDS = {
-    "constants": cmd_constants,
-    "rearrange-check": cmd_rearrange_check,
-    "sharpness": cmd_sharpness,
-    "capacity": cmd_capacity,
-    "solve": cmd_solve,
-    "continuation": cmd_continuation,
-    "lambda": cmd_lambda,
-    "plot-data": cmd_plot_data,
+    "constants": (cmd_constants, ("tail_radius", "mc_samples", "seed")),
+    "rearrange-check": (cmd_rearrange_check, ("grid", "seed")),
+    "sharpness": (cmd_sharpness, ("grid", "a", "tol", "betas", "ks")),
+    "capacity": (cmd_capacity, ("grid", "tol", "ell")),
+    "solve": (cmd_solve, ("grid", "extent", "a", "nl", "lam", "alpha0", "tol")),
+    "continuation": (cmd_continuation, ("grid", "extent", "nl", "lam", "alpha0", "tol", "nmax")),
+    "lambda": (cmd_lambda, ("grid", "extent", "a", "tol")),
+    "plot-data": (cmd_plot_data, ("artifact",)),
 }
 
 
@@ -472,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        return _COMMANDS[cfg.command](cfg, out)
+        return _COMMANDS[cfg.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

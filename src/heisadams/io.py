@@ -20,20 +20,6 @@ def fmt(x) -> str:
     return str(x)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -46,6 +32,10 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, text.encode())
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:

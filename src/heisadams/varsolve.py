@@ -30,7 +30,7 @@ the domain's one factored L_ff^-2 preconditioner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,8 +59,7 @@ class NonlinearitySpec:
     f, bigF, fprime are vectorized callables (X, Y, T, U) -> array; the
     built-in models ignore the space arguments.  growth_class is either
     "subcritical" or "critical"; alpha0 is the critical exponent scale when
-    critical.  theta, bigM, r0 parametrize the superlinearity hypotheses and
-    beta1 the asymptotic lower bound used in the critical level estimate.
+    critical.  theta, bigM, r0 parametrize the superlinearity hypotheses.
     """
 
     name: str
@@ -72,8 +71,6 @@ class NonlinearitySpec:
     bigM: float
     r0: float
     alpha0: float | None = None
-    beta1: float | None = None
-    params: dict = dc_field(default_factory=dict)
 
 
 def cubic_model() -> NonlinearitySpec:
@@ -95,7 +92,7 @@ def critical_model(lam: float, alpha0: float = 1.0) -> NonlinearitySpec:
 
     F = lam/(2 alpha0) (exp(alpha0 u^2) - 1); u f / F -> 2 alpha0 u^2, so any
     theta > 2 works for large u; u f(u) exp(-alpha0 u^2) = lam u^2 -> inf, so
-    the asymptotic lower bound holds with any beta1 (recorded as inf).
+    the asymptotic lower bound holds with any beta1.
     """
     if lam <= 0 or alpha0 <= 0:
         raise ValueError("critical model needs lam > 0 and alpha0 > 0")
@@ -109,12 +106,7 @@ def critical_model(lam: float, alpha0: float = 1.0) -> NonlinearitySpec:
         bigM=1.0,
         r0=1.0,
         alpha0=alpha0,
-        beta1=np.inf,
-        params={"lam": lam, "alpha0": alpha0},
     )
-
-
-MODELS = {"cubic": cubic_model}
 
 
 # -- functional and gradient --------------------------------------------------
@@ -239,7 +231,6 @@ def rayleigh_quotient(u: GridField, a: float) -> float:
 class HypothesisCheck:
     name: str
     passed: bool
-    witness: dict
     detail: str
 
 
@@ -298,11 +289,8 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
 
     fv = sample(nl.f, u_all)
     ok = bool(np.all(fv[:, u_all >= 0] >= 0) and np.all(fv[:, u_all <= 0] <= 0))
-    worst = np.unravel_index(np.argmin(np.sign(u_all)[None, :] * fv), fv.shape)
     checks.append(HypothesisCheck(
         "sign", ok,
-        {"xi": (float(xs[worst[0]]), float(ys[worst[0]]), float(ts[worst[0]])),
-         "u": float(u_all[worst[1]])},
         "f has the sign of u at all samples" if ok else "sign violation found",
     ))
 
@@ -316,10 +304,8 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
         ratio = np.where(fv2 > 0, Fv / fv2, np.inf)
     min_M = float(np.max(ratio))
     okF = pos and min_M <= nl.bigM
-    wi = np.unravel_index(np.argmax(ratio), ratio.shape)
     checks.append(HypothesisCheck(
         "primitive_bound", okF,
-        {"u": float(big_u[wi[1]]), "minimal_M": min_M},
         f"F <= M f on [r0, u_max] with minimal M = {min_M:.4g} (declared {nl.bigM})",
     ))
 
@@ -328,10 +314,8 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
     fv3 = sample(nl.f, u_abs)
     gap = u_abs[None, :] * fv3 - nl.theta * Fv
     okT = bool(np.all(gap >= -1e-12 * np.maximum(1.0, np.abs(u_abs[None, :] * fv3))))
-    wi = np.unravel_index(np.argmin(gap), gap.shape)
     checks.append(HypothesisCheck(
         "superquadratic", okT,
-        {"u": float(u_abs[wi[1]]), "theta_F_minus_uf": float(-gap[wi])},
         f"theta F <= u f for |u| >= r0 with theta = {nl.theta}",
     ))
 
@@ -343,7 +327,6 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
     okG = sup_q < lam
     checks.append(HypothesisCheck(
         "origin_gap", okG,
-        {"delta": delta, "sup_2F_over_u2": sup_q, "lambda": lam},
         f"2F/u^2 <= {sup_q:.4g} < lambda = {lam:.4g} on (0, {delta}]"
         if okG else f"2F/u^2 reaches {sup_q:.4g} >= lambda = {lam:.4g}",
     ))
@@ -362,9 +345,7 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
             okH = beta1_emp > 0
             detail = (f"u f exp(-alpha0 u^2) at u_max is {beta1_emp:.4g}; "
                       "no plateau-growth estimate supplied, checked positivity only")
-        checks.append(HypothesisCheck(
-            "exp_lower_bound", okH, {"beta1_empirical": beta1_emp}, detail,
-        ))
+        checks.append(HypothesisCheck("exp_lower_bound", okH, detail))
 
     return ValidationReport(checks=checks, sampled_range=(-u_max, u_max))
 
@@ -624,10 +605,9 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
     for n in range(1, nmax + 1):
         a_n = 4.0 - 1.0 / n
         u, state = mountain_pass_solve(nl, a_n, domain, opts, warm_start=prev)
-        if not state.converged:
-            steps.append(_continuation_step(n, a_n, u, state, prev, nl, X, Y, T))
-            break
         steps.append(_continuation_step(n, a_n, u, state, prev, nl, X, Y, T))
+        if not state.converged:
+            break
         prev = u
     return steps
 

@@ -25,7 +25,7 @@ def test_constants_command(tmp_path):
     assert doc["bigA"] == pytest.approx(32 / 9, rel=1e-5)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved"]["mc_samples"] == 20000
-    assert "tol" in manifest["resolved"]  # defaults are echoed
+    assert manifest["resolved"]["tail_radius"] == 50.0  # defaults are echoed
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -67,7 +67,7 @@ def test_sharpness_determinism(tmp_path):
     for name in ("s1", "s2"):
         out = tmp_path / name
         rc = run_cli(["sharpness", "--a", "0", "--grid", "9", "--betas",
-                      "0.75*,1.25*", "--ks", "2,4", "--out", str(out), "--seed", "1"])
+                      "0.75*,1.25*", "--ks", "2,4", "--out", str(out)])
         assert rc == 0
         files.append(read(out / "sharpness.csv"))
     assert files[0] == files[1]
@@ -105,19 +105,78 @@ def test_capacity_manifests_record_the_cg_tolerance(tmp_path, tol, want):
     assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
 
 
-@pytest.mark.parametrize("command", ["capacity", "sharpness", "rearrange-check"])
-def test_unit_ball_commands_reject_an_extent(tmp_path, capsys, command):
-    out = tmp_path / command
-    assert run_cli([command, "--grid", "9", "--extent", "2.0", "--out", str(out)]) == 2
-    assert "extent" in capsys.readouterr().err
+# each subcommand's keys besides out; the spec the parser is built from
+COMMAND_KEYS = {
+    "constants": {"tail_radius", "mc_samples", "seed"},
+    "rearrange-check": {"grid", "seed"},
+    "sharpness": {"grid", "a", "tol", "betas", "ks"},
+    "capacity": {"grid", "tol", "ell"},
+    "solve": {"grid", "extent", "a", "nl", "lam", "alpha0", "tol"},
+    "continuation": {"grid", "extent", "nl", "lam", "alpha0", "tol", "nmax"},
+    "lambda": {"grid", "extent", "a", "tol"},
+    "plot-data": {"artifact"},
+}
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("constants", "grid", "9"),
+    ("rearrange-check", "tol", "1e-6"),
+    ("rearrange-check", "extent", "1.0"),
+    ("sharpness", "seed", "1"),
+    ("sharpness", "extent", "1.0"),
+    ("capacity", "nl", "critical"),
+    ("capacity", "extent", "1.0"),
+    ("capacity", "ks", "2"),
+    ("solve", "seed", "1"),
+    ("continuation", "a", "1"),       # not an abbreviation of --alpha0
+    ("lambda", "nl", "critical"),
+    ("plot-data", "grid", "9"),
+])
+def test_commands_reject_keys_they_do_not_read(tmp_path, capsys, command, key, value):
+    """A key outside the command's entry exits 2, as a flag and from a
+    config file, before the output directory is created."""
+    assert key not in COMMAND_KEYS[command]
+    out = tmp_path / "out"
+    assert run_cli([command, "--" + key, value, "--out", str(out)]) == 2
+    assert "--" + key in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
     assert not out.exists()
-    assert run_cli([command, "--grid", "9", "--extent", "1.0", "--ks", "2",
-                    "--out", str(out)]) == 0
+
+
+def test_manifests_resolve_exactly_the_keys_each_command_reads(tmp_path):
+    runs = {
+        "constants": ["--mc-samples", "2000"],
+        "rearrange-check": ["--grid", "9"],
+        "sharpness": ["--grid", "9", "--betas", "1*", "--ks", "2"],
+        "capacity": ["--grid", "9"],
+        "solve": ["--grid", "7"],
+        "continuation": ["--grid", "7", "--nmax", "1"],
+        "lambda": ["--grid", "7"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert run_cli([command, *args, "--out", str(out)]) == 0
+        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+        assert set(resolved) == COMMAND_KEYS[command] | {"command", "out"}, command
+    # plot-data writes no manifest; its resolved configuration is the same set
+    args = cli._build_parser().parse_args(["plot-data", "--artifact", "x.csv"])
+    assert set(vars(cli.resolve_config(args))) == {"command", "out", "artifact"}
+
+
+def test_config_holds_only_the_command_keys():
+    args = cli._build_parser().parse_args(["capacity", "--grid", "9"])
+    cfg = cli.resolve_config(args)
+    assert (cfg.grid, cfg.ell, cfg.out) == (9, 0.5, "out")
+    with pytest.raises(AttributeError):
+        cfg.extent
 
 
 def test_config_file_and_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("grid = 9\na = 1.0   # weight exponent\nseed = 7\n")
+    cfgfile.write_text("grid = 9\na = 1.0   # weight exponent\nextent = 1.5\n")
     out = tmp_path / "o"
     rc = run_cli(["lambda", "--config", str(cfgfile), "--out", str(out),
                   "--grid", "7"])
@@ -125,7 +184,7 @@ def test_config_file_and_override(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["resolved"]["grid"] == 7      # flag overrides file
     assert manifest["resolved"]["a"] == 1.0       # file overrides default
-    assert manifest["resolved"]["seed"] == 7
+    assert manifest["resolved"]["extent"] == 1.5
     doc = json.loads((out / "lambda.json").read_text())
     assert doc["value"] > 0 and doc["converged"]
 
@@ -231,7 +290,8 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
     monkeypatch.setattr(cli, "capacity_profile", short)
     monkeypatch.setattr(ext, "capacity_profile", short)
     out = tmp_path / command
-    rc = run_cli([command, "--grid", "9", "--ks", "2", "--out", str(out)])
+    ks = ["--ks", "2"] if command == "sharpness" else []
+    rc = run_cli([command, "--grid", "9", *ks, "--out", str(out)])
     assert rc == 3
     if command == "capacity":
         doc = json.loads((out / "capacity.json").read_text())
@@ -308,3 +368,22 @@ def test_plot_data_missing_artifact(tmp_path):
     assert run_cli(["plot-data", "--artifact", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["plot-data", "--out", str(tmp_path)]) == 2
+
+
+def test_readme_cli_examples_parse():
+    """Every heisadams line in README.md's sh blocks names only flags its
+    command reads, with values in range, and the README's key table is the
+    commands' keys."""
+    import re
+    import shlex
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for ln in block.splitlines() if ln.strip().startswith("heisadams ")]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        cfg = cli.resolve_config(cli._build_parser().parse_args(argv))
+        assert cfg.command == argv[0]
+    table = {cmd: {k.replace("-", "_") for k in re.findall(r"`([\w-]+)`", keys)}
+             for cmd, keys in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", readme, re.M)}
+    assert table == COMMAND_KEYS
