@@ -46,6 +46,6 @@ print(f"converged={st.converged} residual={st.gradResidual:.3e} "
       f"|u|={ha.d022_norm(u):.6g} J(u)={J:.6g}")
 print(f"quotient(u) = {ha.rayleigh_quotient(u, args.a):.6g} >= Lambda: "
       f"{ha.rayleigh_quotient(u, args.a) >= lam_res.value * (1 - 1e-8)}")
-if nl.growth_class == "critical":
+if nl.alpha0 is not None:
     print(f"level ceiling (4-a)A/(8 alpha0) = {ha.level_bound(args.a, args.alpha0):.6g}, "
           f"achieved J = {J:.6g}")

@@ -22,7 +22,6 @@ from .operators import (
     d022_norm,
     dirichlet_energy,
     inner,
-    integrate,
     integrate_weighted,
     sublaplacian,
 )

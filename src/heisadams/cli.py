@@ -341,7 +341,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
         "newton_iterations": state.newton_iterations,
         "message": state.message,
     }
-    if nl.growth_class == "critical" and nl.alpha0:
+    if nl.alpha0 is not None:
         summary["level_bound"] = level_bound(a, nl.alpha0)
     write_json(out / "solve.json", summary)
     write_json(out / "manifest.json", _manifest(cfg, {"lambda": lam.value}))
@@ -377,7 +377,8 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
 
 def cmd_lambda(cfg: SimpleNamespace, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
-    res = lambda_estimate(dom, cfg.a, tol=min(cfg.tol, 1e-10))
+    cfg.tol = min(cfg.tol, 1e-10)   # the manifest records the LOBPCG's tol
+    res = lambda_estimate(dom, cfg.a, tol=cfg.tol)
     write_json(out / "lambda.json", {
         "a": cfg.a,
         "value": res.value,

@@ -223,7 +223,3 @@ def integrate_weighted(f: GridField, a: float) -> float:
     w = dom.singular_weight(a)
     return float(np.sum(f.values * w)) * dom.cell_volume
 
-
-def integrate(f: GridField) -> float:
-    dom = f.domain
-    return float(np.sum(f.values[dom.mask])) * dom.cell_volume

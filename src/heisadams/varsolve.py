@@ -57,16 +57,14 @@ class NonlinearitySpec:
     """A nonlinearity f(xi, u), its u-primitive F, and growth metadata.
 
     f, bigF, fprime are vectorized callables (X, Y, T, U) -> array; the
-    built-in models ignore the space arguments.  growth_class is either
-    "subcritical" or "critical"; alpha0 is the critical exponent scale when
-    critical.  theta, bigM, r0 parametrize the superlinearity hypotheses.
+    built-in models ignore the space arguments.  alpha0 is the exponent
+    scale of critical exponential growth, None for subcritical growth.
+    theta, bigM, r0 parametrize the superlinearity hypotheses.
     """
 
-    name: str
     f: Callable[..., Array]
     bigF: Callable[..., Array]
     fprime: Callable[..., Array]
-    growth_class: str
     theta: float
     bigM: float
     r0: float
@@ -76,11 +74,9 @@ class NonlinearitySpec:
 def cubic_model() -> NonlinearitySpec:
     """f(u) = u^3, F = u^4/4: subcritical, superquadratic with theta = 4."""
     return NonlinearitySpec(
-        name="cubic",
         f=lambda X, Y, T, U: U ** 3,
         bigF=lambda X, Y, T, U: 0.25 * U ** 4,
         fprime=lambda X, Y, T, U: 3.0 * U ** 2,
-        growth_class="subcritical",
         theta=4.0,
         bigM=25.0,   # primitive bound F <= M f holds up to u = 4 M on samples
         r0=1.0,
@@ -97,11 +93,9 @@ def critical_model(lam: float, alpha0: float = 1.0) -> NonlinearitySpec:
     if lam <= 0 or alpha0 <= 0:
         raise ValueError("critical model needs lam > 0 and alpha0 > 0")
     return NonlinearitySpec(
-        name="critical-exp",
         f=lambda X, Y, T, U: lam * U * np.exp(alpha0 * U ** 2),
         bigF=lambda X, Y, T, U: lam / (2 * alpha0) * (np.exp(alpha0 * U ** 2) - 1.0),
         fprime=lambda X, Y, T, U: lam * (1.0 + 2.0 * alpha0 * U ** 2) * np.exp(alpha0 * U ** 2),
-        growth_class="critical",
         theta=3.0,
         bigM=1.0,
         r0=1.0,
@@ -331,8 +325,8 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
         if okG else f"2F/u^2 reaches {sup_q:.4g} >= lambda = {lam:.4g}",
     ))
 
-    if nl.growth_class == "critical":
-        alpha0 = nl.alpha0 or 1.0
+    if nl.alpha0 is not None:
+        alpha0 = nl.alpha0
         tail = sample(lambda X_, Y_, T_, U: U * nl.f(X_, Y_, T_, U) * np.exp(-alpha0 * U ** 2),
                       np.array([u_max]))
         beta1_emp = float(np.min(tail))
@@ -369,13 +363,13 @@ _DESCENT_CG_MAX_ITER = 20000
 _NEWTON_SWITCH = 1e-1        # relative descent-step size at which Newton takes over
 _NEWTON_MAX_ITERS = 60
 _TRIVIALITY_FLOOR = 1e-6     # a solution with ||u|| at or below it is the trivial state
+_RAY_T_MAX = 1e12            # J still rising at t ||u|| past it: the ray has no maximum
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-6
     max_deform_iters: int = 200      # cap on Nehari descent steps
-    t_max: float = 1e12
 
 
 @dataclass
@@ -386,12 +380,11 @@ class MountainPassState:
     converged: bool
     geometry_failure: bool = False
     newton_iterations: int = 0
-    e_scale: float = 0.0
     message: str = ""
 
 
 class GeometryFailure(RuntimeError):
-    """No descent endpoint with negative energy exists along the seed ray."""
+    """J has no maximum along the seed ray: it still rises past t ||u|| = _RAY_T_MAX."""
 
 
 def default_bump(domain: GridDomain) -> GridField:
@@ -404,46 +397,29 @@ def default_bump(domain: GridDomain) -> GridField:
     return GridField(domain, vals)
 
 
-def find_descent_endpoint(nl: NonlinearitySpec, a: float, domain: GridDomain,
-                          t_max: float, u0: GridField | None = None) -> tuple[GridField, float]:
-    """Find e = t u0 with J(e) < 0 along a normalized positive ray.
-
-    t doubles from 1 until the energy goes negative; the ray maximum of J
-    then lies in (0, t).
-    """
-    seed = u0 if u0 is not None else default_bump(domain)
-    nrm = np.sqrt(dirichlet_energy(seed))
-    if nrm == 0.0:
-        raise GeometryFailure("seed direction has zero norm")
-    seed = seed * (1.0 / nrm)
-
-    t = 1.0
-    while t <= t_max and energy(seed * t, nl, a) >= 0.0:
-        t *= 2.0
-    if t > t_max:
-        raise GeometryFailure(
-            f"energy stayed nonnegative along the seed ray up to t = {t_max:g}"
-        )
-    return seed * t, t
-
-
 def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
     """t u at the maximizer t > 0 of J(t u), which lies on the Nehari manifold.
 
     phi(t) = J(t u) has phi'(t) = t ||u||^2 - int f(t u) u / rho^a, positive
     for small t and with a single sign change when f(s)/s increases in |s|;
-    the root is found by Newton steps kept inside a bisection bracket.
+    the root is found by Newton steps kept inside a bisection bracket, and t
+    doubles from 1 while the bracket is still open.  Raises GeometryFailure
+    when phi' is still positive once t ||u|| passes _RAY_T_MAX.
     """
     dom = u.domain
     X, Y, T = dom.coords()
     wu = dom.singular_weight(a) * u.values * dom.cell_volume
     unorm2 = dirichlet_energy(u)
+    unorm = np.sqrt(unorm2)
     lo, hi, t = 0.0, np.inf, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
             tu = t * u.values
             d1 = t * unorm2 - float(np.sum(wu * nl.f(X, Y, T, tu)))
             if d1 > 0.0:
+                if t * unorm > _RAY_T_MAX:
+                    raise GeometryFailure(
+                        f"energy still rises along the ray at t ||u|| = {t * unorm:.3g}")
                 lo = t
             else:
                 hi = t
@@ -463,20 +439,28 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     """Saddle search by Nehari-projected descent, finished by damped Newton.
 
     The seed ray (a positive bump, or the warm start) is scaled to the
-    maximum of J along it, which lies on the Nehari manifold J'(u) u = 0.
-    Each descent step subtracts the Sobolev gradient d = (L^2)^-1 grad J(u),
-    one preconditioned conjugate-gradient solve on the free cells, and
-    scales the result back to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH
-    ||u||, damped Newton-MINRES drives the residual below tol.  Every ray
-    maximum max_t J(t u) bounds the mountain-pass level from above; the recorded
-    level is their running minimum over the iterates, so it is
-    non-increasing, and it equals J(u) when the search ends at the
-    least-energy solution.
+    maximum of J along it, which lies on the Nehari manifold J'(u) u = 0; a
+    seed of zero norm, or a ray along which J has no maximum, returns the
+    zero field with geometry_failure set.  Each descent step subtracts the
+    Sobolev gradient d = (L^2)^-1 grad J(u), one preconditioned
+    conjugate-gradient solve on the free cells, and scales the result back
+    to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, damped Newton
+    drives the residual below tol: the linearization L^2 - w f'(u) is
+    symmetric but indefinite at a saddle, so each step is a MINRES solve
+    on the free cells, halved until the residual decreases.  Both phases
+    share the L_ff^-2 preconditioner.  Every ray maximum max_t J(t u) bounds
+    the mountain-pass level from above; the recorded level is their running
+    minimum over the iterates of both phases, so it is non-increasing, and
+    it equals J(u) when the search ends at the least-energy solution.
     """
     opts = opts or SolveOptions()
     dom = domain
+    seed = warm_start if warm_start is not None else default_bump(dom)
+    nrm = np.sqrt(dirichlet_energy(seed))
     try:
-        e, t_scale = find_descent_endpoint(nl, a, dom, opts.t_max, warm_start)
+        if nrm == 0.0:
+            raise GeometryFailure("seed direction has zero norm")
+        u = _ray_max(seed * (1.0 / nrm), nl, a)
     except GeometryFailure as exc:
         state = MountainPassState(
             levelEstimate=np.nan, gradResidual=np.inf, history=[],
@@ -485,11 +469,13 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         return zeros(dom), state
 
     free = dom.free_mask()
+    nfree = int(free.sum())
+    X, Y, T = dom.coords()
+    w = dom.singular_weight(a)[free]
     apply_A = squared_sublaplacian(dom)
-    M = free_preconditioner(dom)
+    precond = free_preconditioner(dom)
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
-    u = _ray_max(e, nl, a)
     while True:
         level = min(level, energy(u, nl, a))
         g = grad_energy(u, nl, a)
@@ -499,7 +485,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
         gf = g.values[free]
-        d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER, M=M)
+        d, _, _ = cg(apply_A, gf, _DESCENT_CG_TOL, _DESCENT_CG_MAX_ITER, M=precond)
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
         if np.sqrt(float(d @ gf) * dom.cell_volume) <= _NEWTON_SWITCH * unorm:
             break
@@ -507,49 +493,13 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         step[free] -= d
         u = _ray_max(GridField(dom, step), nl, a)
 
-    u, res, newton_its, ok = _newton_polish(u, nl, a, opts, history)
-    nontrivial = history[-1][3] > _TRIVIALITY_FLOOR
-    state = MountainPassState(
-        levelEstimate=history[-1][1],
-        gradResidual=res,
-        history=history,
-        converged=bool(ok and nontrivial),
-        newton_iterations=newton_its,
-        e_scale=t_scale,
-    )
-    if not ok:
-        state.message = "Newton stagnated; returning its last iterate"
-    elif not nontrivial:
-        state.message = "converged to the trivial state below the triviality floor"
-    return u, state
-
-
-def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOptions,
-                   history: list) -> tuple[GridField, float, int, bool]:
-    """Damped Newton on  L^2 u = w f(u)  from the last descent iterate.
-
-    The linearization L^2 - w f'(u) is symmetric but indefinite at a saddle;
-    steps are computed with MINRES on free cells, preconditioned by the
-    SPD L_ff^-2, and halved until the residual decreases.  Each iterate
-    appends a history row whose level also takes in the iterate's ray
-    maximum.
-    """
-    dom = u.domain
-    free = dom.free_mask()
-    nfree = int(free.sum())
-    X, Y, T = dom.coords()
-    w = dom.singular_weight(a)[free]
-    apply_A = squared_sublaplacian(dom)
-    M = LinearOperator((nfree, nfree), matvec=free_preconditioner(dom))
-
-    r = grad_energy(u, nl, a)
-    rn = grad_norm(r)
-    it, level, unorm = 0, history[-1][1], history[-1][3]
-    while rn > opts.tol * max(1.0, unorm) and it < _NEWTON_MAX_ITERS:
-        it += 1
+    M = LinearOperator((nfree, nfree), matvec=precond)
+    newton_its = 0
+    while res > opts.tol * max(1.0, unorm) and newton_its < _NEWTON_MAX_ITERS:
+        newton_its += 1
         wfp = w * nl.fprime(X, Y, T, u.values)[free]
         op = LinearOperator((nfree, nfree), matvec=lambda x: apply_A(x) - wfp * x)
-        delta, info = minres(op, -r.values[free], rtol=1e-10, maxiter=4000, M=M)
+        delta, info = minres(op, -g.values[free], rtol=1e-10, maxiter=4000, M=M)
         if info != 0 and not np.isfinite(delta).all():
             break
         s = 1.0
@@ -558,19 +508,33 @@ def _newton_polish(u: GridField, nl: NonlinearitySpec, a: float, opts: SolveOpti
             trial = u.values.copy()
             trial[free] += s * delta
             trial = GridField(dom, trial)
-            rt = grad_energy(trial, nl, a)
-            rtn = grad_norm(rt)
-            if rtn < rn:
-                u, r, rn = trial, rt, rtn
+            gt = grad_energy(trial, nl, a)
+            rt = grad_norm(gt)
+            if rt < res:
+                u, g, res = trial, gt, rt
                 improved = True
                 break
             s *= 0.5
         unorm = np.sqrt(dirichlet_energy(u))
         level = min(level, energy(_ray_max(u, nl, a), nl, a))
-        history.append((history[-1][0] + 1, level, rn, unorm))
+        history.append((len(history) + 1, level, res, unorm))
         if not improved:
             break
-    return u, rn, it, rn <= opts.tol * max(1.0, unorm)
+
+    ok = res <= opts.tol * max(1.0, unorm)
+    nontrivial = unorm > _TRIVIALITY_FLOOR
+    state = MountainPassState(
+        levelEstimate=level,
+        gradResidual=res,
+        history=history,
+        converged=bool(ok and nontrivial),
+        newton_iterations=newton_its,
+    )
+    if not ok:
+        state.message = "Newton stagnated; returning its last iterate"
+    elif not nontrivial:
+        state.message = "converged to the trivial state below the triviality floor"
+    return u, state
 
 
 # -- continuation --------------------------------------------------------------
@@ -605,7 +569,15 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
     for n in range(1, nmax + 1):
         a_n = 4.0 - 1.0 / n
         u, state = mountain_pass_solve(nl, a_n, domain, opts, warm_start=prev)
-        steps.append(_continuation_step(n, a_n, u, state, prev, nl, X, Y, T))
+        fu = GridField(domain, nl.f(X, Y, T, u.values) * u.values)
+        Fu = GridField(domain, nl.bigF(X, Y, T, u.values))
+        steps.append(ContinuationStep(
+            n=n, a=a_n, solution=u, state=state,
+            norm=np.sqrt(dirichlet_energy(u)),
+            diff_from_previous=np.nan if prev is None else np.sqrt(dirichlet_energy(u - prev)),
+            weighted_uf=integrate_weighted(fu, a_n),
+            weighted_F=integrate_weighted(Fu, a_n),
+        ))
         if not state.converged:
             break
         prev = u
@@ -619,19 +591,3 @@ def tail_differences_decreasing(steps: list[ContinuationStep]) -> bool:
         return False
     tail = diffs[-3:]
     return all(tail[i + 1] < tail[i] for i in range(len(tail) - 1))
-
-
-def _continuation_step(n, a_n, u, state, prev, nl, X, Y, T) -> ContinuationStep:
-    dom = u.domain
-    fu = GridField(dom, nl.f(X, Y, T, u.values) * u.values)
-    Fu = GridField(dom, nl.bigF(X, Y, T, u.values))
-    diff = np.nan
-    if prev is not None:
-        diff = np.sqrt(dirichlet_energy(u - prev))
-    return ContinuationStep(
-        n=n, a=a_n, solution=u, state=state,
-        norm=np.sqrt(dirichlet_energy(u)),
-        diff_from_previous=diff,
-        weighted_uf=integrate_weighted(fu, a_n),
-        weighted_F=integrate_weighted(Fu, a_n),
-    )

@@ -105,6 +105,15 @@ def test_capacity_manifests_record_the_cg_tolerance(tmp_path, tol, want):
     assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
 
 
+@pytest.mark.parametrize("tol, want", [("1e-6", 1e-10), ("1e-12", 1e-12)])
+def test_lambda_manifest_records_the_lobpcg_tolerance(tmp_path, tol, want):
+    """lambda runs LOBPCG at min(tol, 1e-10); the manifest records that
+    tolerance, not the one given."""
+    out = tmp_path / "l"
+    assert run_cli(["lambda", "--grid", "7", "--tol", tol, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
+
+
 # each subcommand's keys besides out; the spec the parser is built from
 COMMAND_KEYS = {
     "constants": {"tail_radius", "mc_samples", "seed"},

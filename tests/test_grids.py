@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import heisadams as ha
 from heisadams.group import gauge_arr, kernel_offsets
@@ -160,6 +163,31 @@ def test_field_serialization_keeps_ball_mask(tmp_path):
     assert np.array_equal(g.domain.free_mask(), dom.free_mask())
     assert np.array_equal(f.values, g.values)
     assert g.domain.extents == pytest.approx(dom.extents)
+
+
+@st.composite
+def masked_fields(draw):
+    """A field on a random small box, with a random mask or none; the cell
+    counts run through values that are not multiples of 8."""
+    shape = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    extents = tuple(draw(st.floats(1e-3, 1e3)) for _ in range(3))
+    mask = draw(st.none() | arrays(bool, shape))
+    values = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False)))
+    return ha.GridField(ha.GridDomain(shape=shape, extents=extents, mask=mask), values)
+
+
+@given(masked_fields())
+@settings(max_examples=60, deadline=None)
+def test_field_roundtrip_is_exact_for_any_shape_and_mask(tmp_path_factory, f):
+    p = tmp_path_factory.mktemp("roundtrip") / "field.bin"
+    ha.save_field(f, p)
+    assert p.stat().st_size % 8 == 0
+    g = ha.load_field(p)
+    assert g.domain.shape == f.domain.shape
+    assert g.domain.extents == f.domain.extents
+    assert g.domain.spacing == f.domain.spacing
+    assert np.array_equal(g.domain.mask, f.domain.mask)
+    assert g.values.tobytes() == f.values.tobytes()
 
 
 def test_field_binary_layout_is_x_fastest(tmp_path):

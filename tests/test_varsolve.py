@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from heisadams.varsolve import GeometryFailure, find_descent_endpoint
+from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
 
 from conftest import random_free_field
 
@@ -23,9 +23,8 @@ def test_energy_trivial_cases(box9m):
     nl = ha.cubic_model()
     assert ha.energy(ha.zeros(box9m), nl, 0.0) == 0.0
     free_nl = ha.NonlinearitySpec(
-        name="none", f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, growth_class="subcritical",
-        theta=4.0, bigM=1.0, r0=1.0)
+        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
+        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     rng = np.random.default_rng(0)
     u = random_free_field(box9m, rng)
     assert ha.energy(u, free_nl, 1.0) == pytest.approx(
@@ -64,10 +63,10 @@ def test_grad_zero_at_origin_when_f_vanishes(box9m):
 def test_grad_linear_model_exact(box9m):
     lam = 3.7
     nl = ha.NonlinearitySpec(
-        name="linear", f=lambda X, Y, T, U: lam * U,
+        f=lambda X, Y, T, U: lam * U,
         bigF=lambda X, Y, T, U: 0.5 * lam * U ** 2,
         fprime=lambda X, Y, T, U: lam + 0.0 * U,
-        growth_class="subcritical", theta=2.5, bigM=1.0, r0=1.0)
+        theta=2.5, bigM=1.0, r0=1.0)
     rng = np.random.default_rng(1)
     u = random_free_field(box9m, rng)
     g = ha.grad_energy(u, nl, 1.0)
@@ -86,9 +85,8 @@ def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
     from heisadams.operators import sublaplacian
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
     zero = ha.NonlinearitySpec(
-        name="none", f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, growth_class="subcritical",
-        theta=4.0, bigM=1.0, r0=1.0)
+        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
+        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     u = ha.GridField(dom, np.random.default_rng(9).standard_normal(dom.shape))
     free = dom.free_mask()
     assert np.abs(u.values[~free]).min() > 0.0
@@ -172,10 +170,10 @@ def test_validate_hypotheses_detects_bad_origin_gap(box9m):
     # f = lam*u with lam far above the Rayleigh floor violates the gap
     lam_big = 1e6
     nl = ha.NonlinearitySpec(
-        name="steep", f=lambda X, Y, T, U: lam_big * U,
+        f=lambda X, Y, T, U: lam_big * U,
         bigF=lambda X, Y, T, U: 0.5 * lam_big * U ** 2,
         fprime=lambda X, Y, T, U: lam_big + 0.0 * U,
-        growth_class="subcritical", theta=2.1, bigM=1e9, r0=1.0)
+        theta=2.1, bigM=1e9, r0=1.0)
     rep = ha.validate_hypotheses(nl, 0.0, 100.0, box9m)
     names = {c.name: c for c in rep.checks}
     assert not names["origin_gap"].passed
@@ -192,21 +190,19 @@ def test_validate_hypotheses_critical_bound(box9m, lam9):
 
 def test_geometry_failure_for_zero_nonlinearity(box9m):
     free_nl = ha.NonlinearitySpec(
-        name="none", f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, growth_class="subcritical",
-        theta=4.0, bigM=1.0, r0=1.0)
-    u, st = ha.mountain_pass_solve(free_nl, 0.0, box9m,
-                                   ha.SolveOptions(t_max=1e6))
+        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
+        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
+    u, st = ha.mountain_pass_solve(free_nl, 0.0, box9m)
     assert st.geometry_failure
     assert not st.converged
+    assert np.all(u.values == 0.0)
     with pytest.raises(GeometryFailure):
-        find_descent_endpoint(free_nl, 0.0, box9m, 1e6)
+        _ray_max(default_bump(box9m), free_nl, 0.0)
 
 
 def test_ray_energy_goes_negative(box9m):
     """J(t u0) is eventually negative and decreasing along the ray."""
     nl = ha.cubic_model()
-    from heisadams.varsolve import default_bump
     u0 = default_bump(box9m)
     u0 = ha.GridField(box9m, u0.values / ha.d022_norm(u0))
     ts = [2.0 ** k for k in range(0, 14)]
@@ -214,6 +210,24 @@ def test_ray_energy_goes_negative(box9m):
     assert any(j < 0 for j in js)
     kneg = next(i for i, j in enumerate(js) if j < 0)
     assert all(js[i + 1] < js[i] for i in range(kneg, len(js) - 1))
+
+
+@pytest.mark.parametrize("model", ["cubic", "critical"])
+def test_ray_max_is_the_nehari_point_of_the_ray(box9m, lam9, model):
+    """_ray_max lands on the Nehari manifold ||L u||^2 = int f(u) u / rho^a,
+    at the maximum of J along the ray, whatever the seed's scale."""
+    a = 1.0
+    nl = ha.cubic_model() if model == "cubic" else ha.critical_model(0.9 * lam9[a].value)
+    seed = default_bump(box9m)
+    u = _ray_max(seed, nl, a)
+    X, Y, T = box9m.coords()
+    norm2 = ha.dirichlet_energy(u)
+    uf = ha.integrate_weighted(ha.GridField(box9m, nl.f(X, Y, T, u.values) * u.values), a)
+    assert abs(norm2 - uf) <= 1e-10 * norm2
+    J = ha.energy(u, nl, a)
+    assert J > ha.energy(0.99 * u, nl, a) and J > ha.energy(1.01 * u, nl, a)
+    u7 = _ray_max(7.0 * seed, nl, a)
+    assert np.abs(u7.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
 
 
 def test_mountain_pass_geometry_positive_ring(box9m, lam9):
@@ -240,10 +254,9 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
                for i in range(len(levels) - 1))
     # weighted Poincare-type inequality at the solution
     assert ha.rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
-    # the seed ray reaches negative energy at the recorded scale
-    e, t = find_descent_endpoint(nl, 1.0, box9m, ha.SolveOptions().t_max)
-    assert t == st.e_scale
-    assert ha.energy(e, nl, 1.0) < 0.0
+    # the first iterate is the maximum of J along the seed ray
+    seed = _ray_max(default_bump(box9m), nl, 1.0)
+    assert st.history[0][1] == pytest.approx(ha.energy(seed, nl, 1.0), rel=1e-12)
     # Newton alone stagnates from the seed ray's Nehari point, so descent must
     # take a step: one history row per descent iterate, two rows per step
     assert len(st.history) - st.newton_iterations >= 2
