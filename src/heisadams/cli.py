@@ -15,8 +15,8 @@ the output directory is created.
 
 Beta tokens for the sharpness probe: a bare float is an absolute exponent,
 'xA' means x times the sharp constant A, and 'x*' means x times the singular
-threshold A(1 - a/4).  k lists: 'a..b' doubles from a up to b, otherwise a
-comma list.
+threshold A(1 - a/4); no beta may be negative.  k lists: 'a..b' doubles from
+a up to b, otherwise a comma list; every k is >= 2.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .constants import BIG_A, QuadratureOptions, compute_constants
-from .extremals import capacity_profile, probe_to_csv, sharpness_probe
+from .extremals import adams_function, capacity_profile, probe_to_csv, sharpness_probe
 from .grids import GridField, ball_grid, box_grid, gauge_power_field, save_field
 from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
 from .operators import dirichlet_energy
@@ -83,34 +83,32 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _parse_betas(spec: str, a: float) -> list[float]:
-    out = []
-    for tok in spec.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.endswith("A"):
-            out.append(float(tok[:-1]) * BIG_A)
-        elif tok.endswith("*"):
-            out.append(float(tok[:-1]) * BIG_A * (1.0 - a / 4.0))
-        else:
-            out.append(float(tok))
-    if not out:
-        raise ConfigError(f"no beta values in {spec!r}")
+    scale = {"A": BIG_A, "*": BIG_A * (1.0 - a / 4.0)}
+    toks = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    try:
+        out = [float(t[:-1]) * scale[t[-1]] if t[-1] in scale else float(t) for t in toks]
+    except ValueError as exc:
+        raise ConfigError(f"bad beta list {spec!r}") from exc
+    if not all(beta >= 0.0 for beta in out):
+        raise ConfigError(f"beta list {spec!r} has a negative beta")
     return out
 
 
 def _parse_ks(spec: str) -> list[int]:
-    spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        ks = []
-        k = lo
-        while k <= hi:
-            ks.append(k)
-            k *= 2
-        return ks
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    try:
+        if ".." in spec:
+            k, hi = (int(tok) for tok in spec.split("..", 1))
+            ks = []
+            while 0 < k <= hi:    # doubling a k <= 0 never passes hi
+                ks.append(k)
+                k *= 2
+        else:
+            ks = [int(tok) for tok in spec.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad k list {spec!r}") from exc
+    if ks and min(ks) < 2:
+        raise ConfigError(f"k list {spec!r} has a k below 2")
+    return ks
 
 
 # Every config key, declared once: key -> (type, default, help).  Flags are
@@ -120,6 +118,7 @@ _KEYS = {
     "out": (str, "out", "output directory"),
     "grid": (int, 17, "cells per axis"),
     "extent": (float, 1.0, "box half-extent"),
+    "domain": (str, "box", "domain: box | ball (the unit gauge ball)"),
     "a": (float, 0.0, "singular-weight exponent"),
     "nl": (str, "cubic", "nonlinearity: cubic | critical"),
     "lam": (float, 1.0, "critical-model coefficient"),
@@ -139,8 +138,12 @@ _KEYS = {
 _RANGES = {
     "grid": (lambda v: v >= 5, "grid must have at least 5 cells per axis"),
     "a": (lambda v: 0.0 <= v < 4.0, "a = {} outside [0, 4)"),
+    "domain": (lambda v: v in ("box", "ball"), "unknown domain {!r}"),
     "nl": (lambda v: v in ("cubic", "critical"), "unknown nonlinearity {!r}"),
     "ell": (lambda v: 0.0 < v < 1.0, "ell = {} outside (0, 1)"),
+    # the parsers raise ConfigError on a bad token; an empty list is invalid
+    "betas": (lambda v: _parse_betas(v, 0.0), "no beta values in {!r}"),
+    "ks": (_parse_ks, "no k values in {!r}"),
 }
 
 
@@ -187,6 +190,8 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     for key, (valid, message) in _RANGES.items():
         if key in cfg and not valid(cfg[key]):
             raise ConfigError(message.format(cfg[key]))
+    if cfg.get("domain") == "ball" and cfg["extent"] != 1.0:
+        raise ConfigError("the ball domain is the unit gauge ball; it takes no extent")
     return SimpleNamespace(command=command, **cfg)
 
 
@@ -279,12 +284,15 @@ def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
     dom = ball_grid(cfg.grid)
     cfg.tol = min(cfg.tol, 1e-8)   # the manifest records the CG's tol
     prof = capacity_profile(cfg.ell, dom, tol=cfg.tol)
+    adams = adams_function(cfg.ell, 1.0, dom, profile=prof)
     save_field(prof.field, out / "capacity_field.bin")
     write_json(out / "capacity.json", {
         "ell": prof.ell,
         "energy": prof.energy,
         "bound": prof.bound,
         "slack": prof.slack,
+        "plateau": adams.plateau,
+        "normEstimate": adams.normEstimate,
         "cg_iterations": prof.cg_iterations,
         "cg_residual": prof.cg_residual,
         "plateau_cells": prof.plateau_cells,
@@ -299,7 +307,7 @@ def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
 
 
 def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
-    dom = box_grid(cfg.grid, extent=cfg.extent)
+    dom = ball_grid(cfg.grid) if cfg.domain == "ball" else box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
     a = cfg.a
 
@@ -441,7 +449,7 @@ _COMMANDS = {
     "rearrange-check": (cmd_rearrange_check, ("grid", "seed")),
     "sharpness": (cmd_sharpness, ("grid", "a", "tol", "betas", "ks")),
     "capacity": (cmd_capacity, ("grid", "tol", "ell")),
-    "solve": (cmd_solve, ("grid", "extent", "a", "nl", "lam", "alpha0", "tol")),
+    "solve": (cmd_solve, ("grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol")),
     "continuation": (cmd_continuation, ("grid", "extent", "nl", "lam", "alpha0", "tol", "nmax")),
     "lambda": (cmd_lambda, ("grid", "extent", "a", "tol")),
     "plot-data": (cmd_plot_data, ("artifact",)),

@@ -403,15 +403,18 @@ def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
     phi(t) = J(t u) has phi'(t) = t ||u||^2 - int f(t u) u / rho^a, positive
     for small t and with a single sign change when f(s)/s increases in |s|;
     the root is found by Newton steps kept inside a bisection bracket, and t
-    doubles from 1 while the bracket is still open.  Raises GeometryFailure
-    when phi' is still positive once t ||u|| passes _RAY_T_MAX.
+    doubles from 1 while the bracket is still open.  As in rtsafe, a Newton
+    step longer than half the previous step bisects instead, so the search
+    cannot creep along a steep exponential.  Raises GeometryFailure when
+    phi' is still positive once t ||u|| passes _RAY_T_MAX, and RuntimeError
+    when 200 steps do not pin the root down.
     """
     dom = u.domain
     X, Y, T = dom.coords()
     wu = dom.singular_weight(a) * u.values * dom.cell_volume
     unorm2 = dirichlet_energy(u)
     unorm = np.sqrt(unorm2)
-    lo, hi, t = 0.0, np.inf, 1.0
+    lo, hi, t, dt_prev = 0.0, np.inf, 1.0, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
             tu = t * u.values
@@ -425,11 +428,13 @@ def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
                 hi = t
             d2 = unorm2 - float(np.sum(wu * u.values * nl.fprime(X, Y, T, tu)))
             t_new = t - d1 / d2 if d2 < 0.0 else np.nan
-            if not lo < t_new < hi:
+            if not lo < t_new < hi or abs(2.0 * d1) > abs(dt_prev * d2):
                 t_new = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
             if abs(t_new - t) <= 1e-15 * t:
                 break
-            t = t_new
+            dt_prev, t = t_new - t, t_new
+        else:
+            raise RuntimeError(f"ray search unconverged after 200 steps, t in [{lo}, {hi}]")
     return u * t_new
 
 

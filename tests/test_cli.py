@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heisadams as ha
 from heisadams import cli
 
 
@@ -120,7 +121,7 @@ COMMAND_KEYS = {
     "rearrange-check": {"grid", "seed"},
     "sharpness": {"grid", "a", "tol", "betas", "ks"},
     "capacity": {"grid", "tol", "ell"},
-    "solve": {"grid", "extent", "a", "nl", "lam", "alpha0", "tol"},
+    "solve": {"grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol"},
     "continuation": {"grid", "extent", "nl", "lam", "alpha0", "tol", "nmax"},
     "lambda": {"grid", "extent", "a", "tol"},
     "plot-data": {"artifact"},
@@ -209,6 +210,11 @@ def test_invalid_ranges_exit_2(tmp_path):
     assert run_cli(["solve", "--a", "-1", "--out", str(tmp_path / "y")]) == 2
     assert run_cli(["capacity", "--ell", "1.5", "--out", str(tmp_path / "z")]) == 2
     assert run_cli(["solve", "--nl", "quintic", "--out", str(tmp_path / "w")]) == 2
+    # the ball is the unit gauge ball: it takes no extent
+    assert run_cli(["solve", "--domain", "disk", "--out", str(tmp_path / "v")]) == 2
+    assert run_cli(["solve", "--domain", "ball", "--extent", "2",
+                    "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
 
 
 def test_unknown_command_exit_2(tmp_path, capsys):
@@ -235,6 +241,33 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert hyp["lambda_converged"] is True
     assert 0 < hyp["lambda_iterations"] <= 200
     assert 0 < hyp["lambda_residual"] <= 1e-5
+
+
+def test_solve_on_the_gauge_ball(tmp_path):
+    out = tmp_path / "ball"
+    rc = run_cli(["solve", "--nl", "critical", "--domain", "ball", "--grid", "9", "--a", "1",
+                  "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["domain"] == "ball"
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["converged"] and doc["level"] == pytest.approx(doc["energy"], rel=1e-8)
+    u = ha.load_field(out / "solution.bin")
+    assert np.array_equal(u.domain.mask, ha.ball_grid(9).mask)
+    assert not u.domain.mask.all()
+
+
+@pytest.mark.parametrize("flag", [
+    "--ks=0..4", "--ks=-2..4", "--ks=1..4", "--ks=0,2", "--ks=2,-4", "--ks=", "--ks=2..x",
+    "--betas=-1", "--betas=1*,-0.5A", "--betas=", "--betas=abc",
+])
+def test_sharpness_rejects_bad_k_and_beta_lists(tmp_path, capsys, flag):
+    """k below 2, a negative beta, an empty list or a malformed token exits 2
+    before the output directory is created."""
+    out = tmp_path / "out"
+    assert run_cli(["sharpness", "--grid", "9", flag, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_hypothesis_failure_exit_4(tmp_path):
@@ -287,6 +320,8 @@ def test_capacity_command(tmp_path):
     assert doc["slack"] == pytest.approx(doc["energy"] / doc["bound"] - 1, rel=1e-12)
     assert doc["converged"] is True
     assert (out / "capacity_field.bin").exists()
+    adams = ha.adams_function(0.5, 1.0, ha.ball_grid(13), tol=1e-8)
+    assert (doc["plateau"], doc["normEstimate"]) == (adams.plateau, adams.normEstimate)
 
 
 @pytest.mark.parametrize("command", ["capacity", "sharpness"])
@@ -380,14 +415,17 @@ def test_plot_data_missing_artifact(tmp_path):
 
 
 def test_readme_cli_examples_parse():
-    """Every heisadams line in README.md's sh blocks names only flags its
-    command reads, with values in range, and the README's key table is the
-    commands' keys."""
+    """Every command line in README.md's sh blocks runs heisadams, pip or
+    pytest; each heisadams line names only flags its command reads, with
+    values in range; and the README's key table is the commands' keys."""
     import re
     import shlex
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = [ln.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-             for ln in block.splitlines() if ln.strip().startswith("heisadams ")]
+    commands = [ln.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for ln in block.splitlines() if ln.strip()]
+    for line in commands:
+        assert line.startswith(("heisadams ", "pip ", "python -m pytest")), line
+    lines = [ln for ln in commands if ln.startswith("heisadams ")]
     assert len(lines) >= 8
     for line in lines:
         argv = shlex.split(line)[1:]

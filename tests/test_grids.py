@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import heisadams as ha
 from heisadams.group import gauge_arr, kernel_offsets
+from heisadams.io import atomic_write_bytes, atomic_write_text
 
 
 def test_cell_centers_hit_origin_for_odd_counts():
@@ -70,6 +71,25 @@ def test_domain_is_frozen():
     ball = ha.ball_grid(9)
     assert np.array_equal(ball.mask, ball.gauge() <= 1.0)
     assert np.all(ball.singular_weight(1.0)[~ball.mask] == 0.0)
+
+
+@given(st.tuples(*[st.integers(1, 7)] * 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_domain_mask_is_a_frozen_copy_for_any_shape_and_mask(shape, data):
+    mask = data.draw(st.none() | arrays(bool, shape))
+    dom = ha.GridDomain(shape=shape, extents=(1.0, 2.0, 0.5), mask=mask)
+    want = np.ones(shape, dtype=bool) if mask is None else mask.copy()
+    assert np.array_equal(dom.mask, want) and not dom.mask.flags.writeable
+    if mask is not None:
+        mask ^= True
+        assert np.array_equal(dom.mask, want)
+    with pytest.raises(ValueError):
+        dom.mask[...] = False
+    for name in ("mask", "shape", "extents"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dom, name, getattr(dom, name))
+    free = dom.free_mask()
+    assert free.shape == shape and not (free & ~dom.mask).any()
 
 
 def test_group_lattice_spacing():
@@ -323,3 +343,25 @@ def test_writers_are_atomic(name, tmp_path, monkeypatch):
     monkeypatch.undo()
     write(p)
     assert p.read_bytes() != b"previous contents"
+
+
+@given(st.binary(max_size=2048))
+@settings(max_examples=60, deadline=None)
+def test_atomic_write_bytes_reads_back_exactly(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("atomic")
+    p = d / "artifact.bin"
+    atomic_write_bytes(p, b"previous contents")
+    atomic_write_bytes(p, data)
+    assert p.read_bytes() == data
+    assert [x.name for x in d.iterdir()] == ["artifact.bin"]
+
+
+@given(st.text(max_size=512))
+@settings(max_examples=60, deadline=None)
+def test_atomic_write_text_reads_back_exactly(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("atomic")
+    p = d / "artifact.txt"
+    atomic_write_text(p, text)
+    with open(p, encoding="utf-8", newline="") as fh:
+        assert fh.read() == text
+    assert [x.name for x in d.iterdir()] == ["artifact.txt"]

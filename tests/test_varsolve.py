@@ -262,14 +262,22 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
     assert len(st.history) - st.newton_iterations >= 2
 
 
-@pytest.mark.parametrize("model,a", [("cubic", 1.0), ("critical", 3.0)])
-def test_mountain_pass_level_is_the_critical_value(box9m, model, a):
+@pytest.mark.parametrize("make_grid,n,model,a", [
+    pytest.param(ha.box_grid, 9, "cubic", 1.0, id="cubic-1.0"),
+    pytest.param(ha.box_grid, 9, "critical", 3.0, id="critical-3.0"),
+    # from the default bump on a ball, the ray search meets a steep
+    # exponential, where unguarded Newton steps creep toward the root
+    pytest.param(ha.ball_grid, 13, "critical", 1.0, id="ball13-critical-1.0"),
+    pytest.param(ha.ball_grid, 9, "critical", 3.0, id="ball9-critical-3.0"),
+])
+def test_mountain_pass_level_is_the_critical_value(make_grid, n, model, a):
     """The reported level is J(u) at the least-energy solution, not a bound above it."""
+    dom = make_grid(n)
     if model == "cubic":
         nl = ha.cubic_model()
     else:
-        nl = ha.critical_model(lam=0.9 * ha.lambda_estimate(box9m, a, tol=1e-10).value)
-    u, st = ha.mountain_pass_solve(nl, a, box9m, ha.SolveOptions(tol=1e-6))
+        nl = ha.critical_model(lam=0.9 * ha.lambda_estimate(dom, a, tol=1e-10).value)
+    u, st = ha.mountain_pass_solve(nl, a, dom, ha.SolveOptions(tol=1e-6))
     assert st.converged
     J = ha.energy(u, nl, a)
     assert st.levelEstimate == pytest.approx(J, rel=1e-8)
