@@ -141,6 +141,10 @@ _RANGES = {
     "domain": (lambda v: v in ("box", "ball"), "unknown domain {!r}"),
     "nl": (lambda v: v in ("cubic", "critical"), "unknown nonlinearity {!r}"),
     "ell": (lambda v: 0.0 < v < 1.0, "ell = {} outside (0, 1)"),
+    **{key: (lambda v: 0.0 < v < np.inf, key + " = {} must be finite and positive")
+       for key in ("lam", "alpha0", "extent", "tail_radius", "tol")},
+    "nmax": (lambda v: v >= 1, "nmax = {} must be at least 1"),
+    "mc_samples": (lambda v: v >= 2, "mc_samples = {} must be at least 2"),
     # the parsers raise ConfigError on a bad token; an empty list is invalid
     "betas": (lambda v: _parse_betas(v, 0.0), "no beta values in {!r}"),
     "ks": (_parse_ks, "no k values in {!r}"),
@@ -406,8 +410,8 @@ def emit_plot_data(artifact: str | Path, out: Path) -> list[Path]:
     inputs.
     """
     artifact = Path(artifact)
-    if not artifact.exists():
-        raise ConfigError(f"artifact {artifact} does not exist")
+    if not artifact.is_file():
+        raise ConfigError(f"artifact {artifact} does not exist or is not a file")
     header, rows = read_csv(artifact)
     written: list[Path] = []
     if header[:3] == ["k", "beta", "a"]:

@@ -13,7 +13,7 @@ discrete quadratic form exactly consistent with its gradient (see operators).
 
 A domain is frozen, its mask a read-only copy fixed at construction, because
 the domain caches what derives from it (free cells, weights, the assembled
-operator).
+operator, capacity solves) in one dict, _cache.
 
 The t-spacing may differ from the horizontal spacing; ht = 2*hx*hy makes the
 cell centers a subgroup of the group, which some exactness tests rely on.
@@ -60,8 +60,7 @@ class GridDomain:
     shape: tuple[int, int, int]
     extents: tuple[float, float, float]
     mask: np.ndarray | None = None          # cells belonging to Omega; default all
-    _weight_cache: dict = dc_field(default_factory=dict, repr=False)
-    _coord_cache: dict = dc_field(default_factory=dict, repr=False)
+    _cache: dict = dc_field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         mask = (np.ones(self.shape, dtype=bool) if self.mask is None
@@ -91,16 +90,16 @@ class GridDomain:
 
     def coords(self):
         """Meshgrids (X, Y, T) of cell centers, cached."""
-        if "XYZ" not in self._coord_cache:
+        if "XYZ" not in self._cache:
             xs, ys, ts = self.axes()
-            self._coord_cache["XYZ"] = np.meshgrid(xs, ys, ts, indexing="ij")
-        return self._coord_cache["XYZ"]
+            self._cache["XYZ"] = np.meshgrid(xs, ys, ts, indexing="ij")
+        return self._cache["XYZ"]
 
     def gauge(self) -> np.ndarray:
-        if "gauge" not in self._coord_cache:
+        if "gauge" not in self._cache:
             X, Y, T = self.coords()
-            self._coord_cache["gauge"] = gauge_arr(X, Y, T)
-        return self._coord_cache["gauge"]
+            self._cache["gauge"] = gauge_arr(X, Y, T)
+        return self._cache["gauge"]
 
     @property
     def origin_cell(self) -> tuple[int, int, int] | None:
@@ -123,7 +122,7 @@ class GridDomain:
 
         The removed ring is the discrete Dirichlet boundary (clamped to 0).
         """
-        if "free" not in self._coord_cache:
+        if "free" not in self._cache:
             m = self.mask
             er = m.copy()
             er[1:, :, :] &= m[:-1, :, :]
@@ -135,8 +134,8 @@ class GridDomain:
             er[0, :, :] = er[-1, :, :] = False
             er[:, 0, :] = er[:, -1, :] = False
             er[:, :, 0] = er[:, :, -1] = False
-            self._coord_cache["free"] = er
-        return self._coord_cache["free"]
+            self._cache["free"] = er
+        return self._cache["free"]
 
     def domain_volume(self) -> float:
         return float(self.mask.sum()) * self.cell_volume
@@ -157,13 +156,13 @@ class GridDomain:
             raise ValueError("weight exponent a must be >= 0")
         if a >= 4.0 and self.contains_origin():
             raise ValueError(f"rho^-{a} is not integrable over a domain containing 0")
-        key = round(float(a), 12)
-        if key in self._weight_cache:
-            return self._weight_cache[key]
+        key = ("weight", round(float(a), 12))
+        if key in self._cache:
+            return self._cache[key]
         if a == 0.0:
             w = np.ones(self.shape)
             w[~self.mask] = 0.0
-            self._weight_cache[key] = w
+            self._cache[key] = w
             return w
 
         rho = self.gauge()
@@ -178,7 +177,7 @@ class GridDomain:
             w[near] = gauge_power_cell_averages(
                 self.spacing, zip(X[near], Y[near], T[near]), -a, _SUBSAMPLES)
         w[~self.mask] = 0.0
-        self._weight_cache[key] = w
+        self._cache[key] = w
         return w
 
 

@@ -51,6 +51,6 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows

@@ -16,14 +16,15 @@ B = L[:, free], the columns of L at the free cells, read off sublaplacian by
 27-colour probing and cached on the domain.  Its operator on any set of free
 cells is B^T B, its diagonal diag(B^T B) is the squared column norms of B
 (cached with it), the form's gradient is B^T (L u), and the free rows of B
-are the L_ff that free_preconditioner factors.
+are the L_ff that free_preconditioner factors.  The operator and L_ff^-2 are
+scipy LinearOperators, which every linear solve hands to scipy's cg or minres.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, splu
 
 from .grids import GridDomain, GridField
 
@@ -80,7 +81,7 @@ def free_columns(domain: GridDomain) -> csc_matrix:
     Free cells never touch the box faces, so every target is in range.
     Cached on the domain.
     """
-    cache = domain._coord_cache
+    cache = domain._cache
     if "free_columns" not in cache:
         free = domain.free_mask()
         _, ny, nt = domain.shape
@@ -111,14 +112,14 @@ def form_diagonal(domain: GridDomain) -> np.ndarray:
     column of B holds its cell's own nonzero L entry, so none is empty and
     one reduceat over the CSC column starts sums them.  Cached on the domain.
     """
-    cache = domain._coord_cache
+    cache = domain._cache
     if "form_diagonal" not in cache:
         B = free_columns(domain)
         cache["form_diagonal"] = np.add.reduceat(B.data ** 2, B.indptr[:-1])
     return cache["form_diagonal"]
 
 
-def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None):
+def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None) -> LinearOperator:
     """x -> (B^T B y)[cells], y equal to x on cells and zero elsewhere.
 
     This is L^2, the quadratic form's operator, on the degrees of freedom in
@@ -129,11 +130,11 @@ def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None):
     B^T B on the zero-filled vector, so the result is bit for bit the same.
     """
     B = free_columns(domain)
-    if cells is None:
-        return lambda x: B.T @ (B @ x)
-    Bc = B[:, np.flatnonzero(cells[domain.free_mask()])]
-    BcT = Bc.T
-    return lambda x: BcT @ (Bc @ x)
+    if cells is not None:
+        B = B[:, np.flatnonzero(cells[domain.free_mask()])]
+    BT = B.T
+    n = B.shape[1]
+    return LinearOperator((n, n), matvec=lambda x: BT @ (B @ x), dtype=float)
 
 
 def form_gradient(u: GridField) -> np.ndarray:
@@ -142,7 +143,7 @@ def form_gradient(u: GridField) -> np.ndarray:
     return free_columns(u.domain).T @ sublaplacian(u).values.ravel()
 
 
-def free_preconditioner(domain: GridDomain):
+def free_preconditioner(domain: GridDomain) -> LinearOperator:
     """r -> L_ff^-1 (L_ff^-1 r), the inverse of L_ff^2, cached on the domain.
 
     L_ff, the free rows of B, is the sublaplacian from free cells to free
@@ -153,52 +154,13 @@ def free_preconditioner(domain: GridDomain):
     default column ordering on this stencil; symmetric mode, which prefers
     diagonal pivots, halves the factor and solve times.
     """
-    cache = domain._coord_cache
+    cache = domain._cache
     if "free_precond" not in cache:
         Lff = free_columns(domain)[np.flatnonzero(domain.free_mask()), :]
         lu = splu(Lff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        cache["free_precond"] = lambda r: lu.solve(lu.solve(r))
+        cache["free_precond"] = LinearOperator(
+            Lff.shape, matvec=lambda r: lu.solve(lu.solve(r)), dtype=float)
     return cache["free_precond"]
-
-
-def cg(apply_op, b: np.ndarray, tol: float, max_iter: int,
-       M=None) -> tuple[np.ndarray, int, float]:
-    """Conjugate gradients for a symmetric positive-definite apply_op.
-
-    Starts from zero and stops once ||r|| <= tol ||b||.  M, if given,
-    applies an SPD preconditioner; without it the iterates are those of
-    plain CG.  A step with p.Ap <= 0 or r.z <= 0 (an operator or
-    preconditioner that is not positive definite) ends the iteration at the
-    current iterate.  Returns the iterate, the iteration count and
-    ||r|| / ||b||, the true residual after such a breakdown.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r if M is None else M(r)
-    p = z.copy()
-    rs = float(r @ r)
-    rz = rs if M is None else float(r @ z)
-    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
-    it = 0
-    while np.sqrt(rs) > tol * bnorm and it < max_iter:
-        it += 1
-        Ap = apply_op(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0 or rz <= 0.0:
-            r = b - apply_op(x)
-            return x, it, np.sqrt(float(r @ r)) / bnorm
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rs = float(r @ r)
-        if M is None:
-            z, rz_new = r, rs
-        else:
-            z = M(r)
-            rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return x, it, np.sqrt(rs) / bnorm
 
 
 def dirichlet_energy(u: GridField) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import cg
 
 import heisadams as ha
 
@@ -24,3 +25,11 @@ def random_free_field(dom, rng, scale=1.0):
     v = np.zeros(dom.shape)
     v[free] = scale * rng.standard_normal(int(free.sum()))
     return ha.GridField(dom, v)
+
+
+def counted_cg(A, b, tol, max_iter, M=None):
+    """scipy's cg from zero: the iterate, its iteration count and its true
+    relative residual."""
+    steps = []
+    x, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=M, callback=steps.append)
+    return x, len(steps), np.linalg.norm(b - A @ x) / np.linalg.norm(b)

@@ -215,6 +215,22 @@ def test_invalid_ranges_exit_2(tmp_path):
     assert run_cli(["solve", "--domain", "ball", "--extent", "2",
                     "--out", str(tmp_path / "v")]) == 2
     assert not (tmp_path / "v").exists()
+    # numeric keys out of range exit 2 before the output directory exists
+    for args in (["solve", "--nl", "critical", "--lam", "-1"],
+                 ["solve", "--nl", "critical", "--alpha0", "0"],
+                 ["continuation", "--nmax", "0"],
+                 ["lambda", "--extent", "0"],
+                 ["lambda", "--extent", "inf"],
+                 ["constants", "--mc-samples", "0"],
+                 ["constants", "--mc-samples", "1"],
+                 ["constants", "--tail-radius", "-1"],
+                 ["capacity", "--tol", "nan"],
+                 ["capacity", "--tol", "-1"],
+                 ["sharpness", "--tol", "inf"],
+                 ["solve", "--tol", "0"]):
+        out = tmp_path / "range"
+        assert run_cli(args + ["--out", str(out)]) == 2, args
+        assert not out.exists(), args
 
 
 def test_unknown_command_exit_2(tmp_path, capsys):
@@ -412,6 +428,14 @@ def test_plot_data_missing_artifact(tmp_path):
     assert run_cli(["plot-data", "--artifact", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path)]) == 2
     assert run_cli(["plot-data", "--out", str(tmp_path)]) == 2
+
+
+def test_plot_data_empty_artifact_or_directory(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for artifact in (empty, tmp_path):
+        assert run_cli(["plot-data", "--artifact", str(artifact),
+                        "--out", str(tmp_path / "pd")]) == 2
 
 
 def test_readme_cli_examples_parse():

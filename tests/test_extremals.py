@@ -250,7 +250,8 @@ def test_capacity_iterations_and_energies_unchanged():
 def test_capacity_jacobi_matches_plain_cg():
     """The diagonal preconditioner changes the iteration count and nothing
     else: the same minimizer and energy as plain CG, in fewer steps."""
-    from heisadams.operators import cg, dirichlet_energy, form_gradient, squared_sublaplacian
+    from conftest import counted_cg
+    from heisadams.operators import dirichlet_energy, form_gradient, squared_sublaplacian
     ball = ha.ball_grid(17)
     free = ball.free_mask()
     rho = ball.gauge()
@@ -260,13 +261,26 @@ def test_capacity_jacobi_matches_plain_cg():
         free_dofs = free & ~plateau
         u = np.where(plateau, 1.0, 0.0)
         rhs = -form_gradient(ha.GridField(ball, u))[free_dofs[free]]
-        x, iters, res = cg(squared_sublaplacian(ball, free_dofs), rhs, 1e-8, 20000)
+        x, iters, res = counted_cg(squared_sublaplacian(ball, free_dofs), rhs, 1e-8, 20000)
         assert res <= 1e-8
         u[free_dofs] = x
         plain = ha.GridField(ball, u)
         assert prof.energy == pytest.approx(dirichlet_energy(plain), rel=1e-13)
         assert np.abs(prof.field.values - plain.values).max() <= 1e-6
         assert prof.cg_iterations <= 0.72 * iters
+
+
+def test_cg_residual_is_the_true_residual(cap21, ball21):
+    """cg_residual is ||b - A x|| / ||b|| of the returned field, recomputed
+    here, not the residual the CG updates by recursion."""
+    from heisadams.operators import form_gradient, squared_sublaplacian
+    free = ball21.free_mask()
+    plateau = (ball21.gauge() <= 0.5) & ball21.mask
+    free_dofs = free & ~plateau
+    b = -form_gradient(ha.GridField(ball21, np.where(plateau, 1.0, 0.0)))[free_dofs[free]]
+    A = squared_sublaplacian(ball21, free_dofs)
+    want = np.linalg.norm(b - A @ cap21.field.values[free_dofs]) / np.linalg.norm(b)
+    assert cap21.cg_residual == pytest.approx(want, rel=1e-12)
 
 
 def _counted_cg(monkeypatch):

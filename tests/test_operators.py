@@ -4,7 +4,7 @@ import pytest
 import heisadams as ha
 from heisadams.operators import apply_fields, free_columns, squared_sublaplacian, sublaplacian
 
-from conftest import random_free_field
+from conftest import counted_cg, random_free_field
 
 
 def _interior(n, pad=2):
@@ -270,79 +270,17 @@ def test_free_preconditioner_inverts_lff_squared():
     assert np.linalg.norm(M(Lff @ (Lff @ x)) - x) <= 1e-10 * np.linalg.norm(x)
 
 
-def _plain_cg(apply_op, b, tol, max_iter):
-    """Unpreconditioned CG as written before the preconditioner option."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    bnorm = max(np.sqrt(float(b @ b)), 1e-300)
-    it = 0
-    while np.sqrt(rs) > tol * bnorm and it < max_iter:
-        it += 1
-        Ap = apply_op(p)
-        alpha = rs / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, it, np.sqrt(rs) / bnorm
-
-
-def test_cg_without_preconditioner_repeats_plain_cg_bit_for_bit():
-    from heisadams.operators import cg
-    dom = ha.ball_grid(13)
-    free = dom.free_mask()
-    apply_A = squared_sublaplacian(dom)
-    b = np.random.default_rng(4).standard_normal(int(free.sum()))
-    x, it, res = cg(apply_A, b, 1e-10, 5000)
-    x0, it0, res0 = _plain_cg(apply_A, b, 1e-10, 5000)
-    assert it == it0 and res == res0
-    assert np.array_equal(x, x0)
-
-
 def test_preconditioned_cg_solves_in_few_iterations():
-    from heisadams.operators import cg, free_preconditioner
+    from heisadams.operators import free_preconditioner
     dom = ha.box_grid(13)
     free = dom.free_mask()
     apply_A = squared_sublaplacian(dom)
     b = np.random.default_rng(8).standard_normal(int(free.sum()))
-    _, it0, _ = cg(apply_A, b, 1e-10, 5000)
-    x, it, res = cg(apply_A, b, 1e-10, 5000, M=free_preconditioner(dom))
+    _, it0, _ = counted_cg(apply_A, b, 1e-10, 5000)
+    x, it, res = counted_cg(apply_A, b, 1e-10, 5000, M=free_preconditioner(dom))
     assert res <= 1e-10
     assert np.linalg.norm(apply_A(x) - b) <= 1e-9 * np.linalg.norm(b)
     assert it <= it0 / 5
-
-
-@pytest.mark.parametrize("precondition", [False, True])
-def test_cg_breakdown_on_indefinite_operator(precondition):
-    """p.Ap <= 0 ends CG at the current iterate with its true residual,
-    without dividing by the vanishing curvature."""
-    import warnings
-    from heisadams.operators import cg
-    d = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
-    b = np.ones_like(d)
-    M = (lambda r: 0.5 * r) if precondition else None
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        x, it, res = cg(lambda v: d * v, b, 1e-10, 100, M=M)
-    assert np.isfinite(x).all()
-    assert res > 1e-10
-    assert res == pytest.approx(np.linalg.norm(b - d * x) / np.linalg.norm(b), rel=1e-15)
-
-
-def test_cg_breakdown_on_indefinite_preconditioner():
-    import warnings
-    from heisadams.operators import cg
-    d = np.array([1.0, 2.0, 3.0, 4.0])
-    b = np.array([1.0, 1.0, 1.0, 1.0])
-    with warnings.catch_warnings(), np.errstate(all="raise"):
-        warnings.simplefilter("error")
-        x, it, res = cg(lambda v: d * v, b, 1e-10, 100,
-                        M=lambda r: np.array([1.0, -1.0, 1.0, -1.0]) * r)
-    assert np.isfinite(x).all()
-    assert res > 1e-10
 
 
 def test_green_function_constant_of_the_discretized_operator():
@@ -351,13 +289,12 @@ def test_green_function_constant_of_the_discretized_operator():
     solution of -L is rho^-2 / (8 pi) (Folland 1973).  The zero-boundary
     Green's function of -L_ff at the centre cell, times rho^2, sits near that
     constant at moderate gauge, and far below constants.gamma1 = 3/(4 pi)."""
-    from heisadams.operators import cg
     dom = ha.box_grid(25)
     free = dom.free_mask()
     Lff = free_columns(dom)[np.flatnonzero(free), :]
     delta = np.zeros(dom.shape)
     delta[dom.origin_cell] = 1.0 / dom.cell_volume
-    g, _, res = cg(lambda x: -(Lff @ x), delta[free], 1e-10, 2000)
+    g, _, res = counted_cg(-Lff, delta[free], 1e-10, 2000)
     assert res <= 1e-10
     rho = dom.gauge()[free]
     ring = (rho >= 0.1) & (rho <= 0.35)

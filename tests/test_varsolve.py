@@ -404,7 +404,7 @@ def test_lambda_box17_at_most_30_preconditioner_applies(a):
         calls.append(1)
         return precond(r)
 
-    dom._coord_cache["free_precond"] = counted
+    dom._cache["free_precond"] = counted
     res = ha.lambda_estimate(dom, a, tol=1e-10)
     assert res.converged
     assert len(calls) == res.iterations <= 30
