@@ -3,7 +3,7 @@ on the first Heisenberg group: sharp constants, rearrangement checks,
 capacity-normalized extremal families, and a mountain-pass solver for the
 singularly weighted biharmonic problem."""
 
-from .group import GaugePoint, ORIGIN, Q, dilate, distance, gauge, group_mul, inverse
+from .group import Q
 from .constants import QuadratureOptions, SharpConstants, compute_constants
 from .grids import (
     GridDomain,

@@ -22,6 +22,7 @@ a up to b, otherwise a comma list; every k is >= 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -218,7 +219,7 @@ def _make_nl(cfg: SimpleNamespace):
 def cmd_constants(cfg: SimpleNamespace, out: Path) -> int:
     opts = QuadratureOptions(tail_radius=cfg.tail_radius, mc_samples=cfg.mc_samples,
                              mc_seed=cfg.seed)
-    atomic_write_text(out / "constants.json", compute_constants(opts).to_json() + "\n")
+    write_json(out / "constants.json", dataclasses.asdict(compute_constants(opts)))
     write_json(out / "manifest.json", _manifest(cfg))
     return EXIT_OK
 

@@ -26,7 +26,6 @@ estimator; both paths are reported with explicit error estimates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -64,17 +63,6 @@ class SharpConstants:
         if a >= self.q:
             raise ValueError(f"weight exponent a={a} must be < Q={self.q}")
         return self.c0 / (self.q - a)
-
-    def to_json(self) -> str:
-        doc = {
-            "q": self.q,
-            "c0": self.c0,
-            "gamma1": self.gamma1,
-            "bigA": self.bigA,
-            "unitBallVolume": self.unitBallVolume,
-            "errorEstimates": dict(sorted(self.errorEstimates.items())),
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _ball_volume_quad() -> tuple[float, float]:

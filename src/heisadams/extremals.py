@@ -85,8 +85,8 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     """Discrete conductor-capacity minimizer of B_ell inside the unit ball.
 
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
-    every in-ball cell with gauge <= ell, and always includes the innermost
-    cell; if no cell at all lies inside B_ell the constraints are infeasible.
+    every in-ball cell with gauge <= ell; if no cell lies inside B_ell the
+    constraints are infeasible and ValueError is raised.
     The CG result is cached on the grid per (plateau cells, tol, max_iter),
     so every ell with the same plateau shares one solve; each call returns
     its own field.
@@ -99,14 +99,9 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
 
     plateau = (rho <= ell) & grid.mask
     if not plateau.any():
-        # the innermost cell stands in for an under-resolved B_ell
-        idx = np.unravel_index(np.argmin(np.where(grid.mask, rho, np.inf)), grid.shape)
-        if rho[idx] > ell:
-            raise ValueError(
-                f"ell = {ell} unresolved: smallest in-ball cell gauge is {rho[idx]:.3g}"
-            )
-        plateau = np.zeros(grid.shape, dtype=bool)
-        plateau[idx] = True
+        raise ValueError(
+            f"ell = {ell} unresolved: smallest in-ball cell gauge is {rho[grid.mask].min():.3g}"
+        )
     rings = int(np.floor(ell / hmax))
 
     free_dofs = free & ~plateau

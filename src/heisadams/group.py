@@ -8,83 +8,30 @@ parabolic dilations delta_lam(x, y, t) = (lam x, lam y, lam^2 t), and the
 Koranyi gauge |(x, y, t)| = ((x^2 + y^2)^2 + t^2)^(1/4).  The homogeneous
 dimension of this group is Q = 4.
 
-Scalar operations work on GaugePoint; the *_arr variants are vectorized
-over numpy arrays of coordinates and are what the grid code uses.
+Every operation takes coordinates as separate arguments and broadcasts over
+numpy arrays (plain floats work too); the inverse of (x, y, t) is
+(-x, -y, -t).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 #: Homogeneous dimension of the first Heisenberg group.
 Q = 4
 
 
-@dataclass(frozen=True)
-class GaugePoint:
-    """A point of the group, held as plain floats."""
-
-    x: float
-    y: float
-    t: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.t)
-
-
-ORIGIN = GaugePoint(0.0, 0.0, 0.0)
-
-
-def group_mul(p: GaugePoint, q: GaugePoint) -> GaugePoint:
-    """Group product p * q (non-commutative)."""
-    return GaugePoint(
-        p.x + q.x,
-        p.y + q.y,
-        p.t + q.t + 2.0 * (p.y * q.x - p.x * q.y),
-    )
-
-
-def inverse(p: GaugePoint) -> GaugePoint:
-    """Group inverse, (-x, -y, -t); p * inverse(p) is exactly the origin."""
-    return GaugePoint(-p.x, -p.y, -p.t)
-
-
-def gauge(p: GaugePoint) -> float:
-    """Koranyi gauge ((x^2 + y^2)^2 + t^2)^(1/4) >= 0."""
-    z2 = p.x * p.x + p.y * p.y
-    return float((z2 * z2 + p.t * p.t) ** 0.25)
-
-
-def dilate(lam: float, p: GaugePoint) -> GaugePoint:
-    """Parabolic dilation (lam x, lam y, lam^2 t); requires lam > 0."""
-    if lam <= 0.0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    return GaugePoint(lam * p.x, lam * p.y, lam * lam * p.t)
-
-
-def distance(p: GaugePoint, q: GaugePoint) -> float:
-    """Gauge distance |q^-1 * p|, left-invariant by construction."""
-    return gauge(group_mul(inverse(q), p))
-
-
-# -- vectorized versions over coordinate arrays ------------------------------
-
 def gauge_arr(x, y, t):
+    """Koranyi gauge ((x^2 + y^2)^2 + t^2)^(1/4) >= 0."""
     z2 = x * x + y * y
     return (z2 * z2 + t * t) ** 0.25
 
 
 def group_mul_arr(px, py, pt, qx, qy, qt):
+    """Group product p * q (non-commutative)."""
     return (
         px + qx,
         py + qy,
         pt + qt + 2.0 * (py * qx - px * qy),
     )
-
-
-def right_translate_arr(x, y, t, g: GaugePoint):
-    """Coordinates of (x, y, t) * g, vectorized."""
-    return group_mul_arr(x, y, t, g.x, g.y, g.t)
 
 
 def kernel_offsets(x, y, t, ex, ey, et):

@@ -461,9 +461,15 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
     it equals J(u) when the search ends at the least-energy solution.
+    Raises ValueError when the warm start is nonzero off free_mask(): the
+    search only moves the free cells, so such values would survive into
+    the returned field.
     """
     opts = opts or SolveOptions()
     dom = domain
+    if warm_start is not None and np.any(warm_start.values[~dom.free_mask()] != 0.0):
+        raise ValueError("warm start must vanish off the free cells (the clamped ring "
+                         "and outside the mask)")
     seed = warm_start if warm_start is not None else default_bump(dom)
     nrm = np.sqrt(dirichlet_energy(seed))
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import heisadams as ha
 from heisadams import constants as hc
 from heisadams.group import Q
+from heisadams.io import write_json
 
 # closed-form reductions of the two defining integrals:
 #   V = pi^2/2 (t-slab length 2 sqrt(1-r^4), then polar in z)
@@ -47,8 +49,9 @@ def test_error_estimates_present_and_small(constants):
         assert e[key] < 1e-3
 
 
-def test_json_export(constants):
-    doc = json.loads(constants.to_json())
+def test_json_export(constants, tmp_path):
+    write_json(tmp_path / "constants.json", dataclasses.asdict(constants))
+    doc = json.loads((tmp_path / "constants.json").read_text())
     assert set(doc) == {"q", "c0", "gamma1", "bigA", "unitBallVolume", "errorEstimates"}
     assert doc["q"] == 4
     assert doc["bigA"] == pytest.approx(A_EXACT, rel=1e-5)

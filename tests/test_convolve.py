@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from heisadams.group import right_translate_arr
+from heisadams.group import group_mul_arr
 
 
 def test_rejects_bad_alpha():
@@ -65,10 +65,9 @@ def test_right_translation_equivariance_exact():
     def to_idx(c, axis):
         return np.rint((c - axis[0]) / (axis[1] - axis[0])).astype(int)
 
-    for g in (ha.GaugePoint(hx, 0.0, 0.0), ha.GaugePoint(0.0, hy, 0.0),
-              ha.GaugePoint(0.0, 0.0, ht), ha.GaugePoint(hx, -hy, ht)):
+    for g in ((hx, 0.0, 0.0), (0.0, hy, 0.0), (0.0, 0.0, ht), (hx, -hy, ht)):
         # f_g(eta) = f(eta * g), built by exact lattice index shifts
-        ex, ey, et = right_translate_arr(X, Y, T, g)
+        ex, ey, et = group_mul_arr(X, Y, T, *g)
         fi, fj, fk = to_idx(ex, xs), to_idx(ey, ys), to_idx(et, ts)
         ok = (fi >= 0) & (fi < 9) & (fj >= 0) & (fj < 9) & (fk >= 0) & (fk < 9)
         fg = np.zeros(dom.shape)
@@ -77,7 +76,7 @@ def test_right_translation_equivariance_exact():
         assert fg.sum() != 0.0
         Ug = ha.riesz_convolve(ha.GridField(dom, fg), 2.0)
 
-        gx, gy, gt = right_translate_arr(X, Y, T, g)
+        gx, gy, gt = group_mul_arr(X, Y, T, *g)
         gi, gj, gk = to_idx(gx, xs), to_idx(gy, ys), to_idx(gt, ts)
         ok2 = (gi >= 0) & (gi < 9) & (gj >= 0) & (gj < 9) & (gk >= 0) & (gk < 9)
         sel = np.zeros(dom.shape, bool)

@@ -262,6 +262,16 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
     assert len(st.history) - st.newton_iterations >= 2
 
 
+def test_mountain_pass_rejects_unclamped_warm_start(box9m):
+    """The search moves only the free cells, so a warm start that is nonzero
+    on the clamped ring would survive into a "converged" non-solution."""
+    seed = default_bump(box9m)
+    ring = box9m.mask & ~box9m.free_mask()
+    bad = ha.GridField(box9m, seed.values + 0.05 * ring)
+    with pytest.raises(ValueError, match="free cells"):
+        ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, warm_start=bad)
+
+
 @pytest.mark.parametrize("make_grid,n,model,a", [
     pytest.param(ha.box_grid, 9, "cubic", 1.0, id="cubic-1.0"),
     pytest.param(ha.box_grid, 9, "critical", 3.0, id="critical-3.0"),
