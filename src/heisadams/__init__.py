@@ -19,7 +19,6 @@ from .grids import (
 )
 from .operators import (
     apply_fields,
-    d022_norm,
     dirichlet_energy,
     inner,
     integrate_weighted,

@@ -34,7 +34,7 @@ from .constants import BIG_A, QuadratureOptions, compute_constants
 from .extremals import adams_function, capacity_profile, probe_to_csv, sharpness_probe
 from .grids import GridField, ball_grid, box_grid, gauge_power_field, save_field
 from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
-from .operators import dirichlet_energy
+from .operators import dirichlet_energy, grid_form
 from .rearrange import (
     decreasing_rearrangement,
     double_star,
@@ -317,7 +317,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     a = cfg.a
 
     lam = lambda_estimate(dom, a, tol=1e-10)
-    report = validate_hypotheses(nl, a, lam.value, dom)
+    report = validate_hypotheses(nl, a, lam.value)
     write_json(out / "hypotheses.json", {
         "lambda": lam.value,
         "lambda_converged": lam.converged,
@@ -348,7 +348,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
         "level": state.levelEstimate,
         "gradResidual": state.gradResidual,
         "norm": unorm,
-        "energy": energy(u, nl, a),
+        "energy": energy(grid_form(dom), u.values[dom.free_mask()], nl, a),
         "rayleigh_bound_ok": bool(
             unorm == 0.0 or rayleigh_quotient(u, a) >= lam.value * (1 - 1e-6)),
         "newton_iterations": state.newton_iterations,

@@ -32,7 +32,7 @@ def riesz_convolve(f: GridField, alpha: float, target: GridDomain | None = None)
     sx, sy, st = (c[src.mask] for c in src.coords())
     fv = f.values[src.mask]
     vol = src.cell_volume
-    diag_kernel = gauge_power_cell_averages(src.spacing, [(0.0, 0.0, 0.0)], alpha - 4.0, 2)[0]
+    diag_kernel = float(gauge_power_cell_averages(src.spacing, (0.0, 0.0, 0.0), alpha - 4.0, 2))
 
     tx, ty, tt = (c[tgt.mask] for c in tgt.coords())
     out = np.zeros(tx.shape)

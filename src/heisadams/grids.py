@@ -41,16 +41,20 @@ def _centers(n: int, half_extent: float) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) * (h / 2.0)
 
 
-def gauge_power_cell_averages(spacing, centers, exponent: float, q: int) -> list[float]:
+def gauge_power_cell_averages(spacing, centers, exponent: float, q: int) -> np.ndarray:
     """Cell averages of gauge^exponent by q^3 midpoint subsampling.
 
-    One average per (x, y, t) cell center; with q even no subsample lands on
-    the center itself.
+    centers = (X, Y, T), arrays (or scalars) of one shape, which the result
+    takes; with q even no subsample lands on a center itself.
     """
     offsets = [(-0.5 + (np.arange(q) + 0.5) / q) * h for h in spacing]
     OX, OY, OT = np.meshgrid(*offsets, indexing="ij")
-    return [float(np.mean(gauge_arr(x + OX, y + OY, t + OT) ** exponent))
-            for x, y, t in centers]
+    X, Y, T = (np.asarray(c) for c in centers)
+    sub = np.empty(X.shape + (q ** 3,))
+    # one subsample per column: broadcasting all at once holds several arrays this size
+    for k, (ox, oy, ot) in enumerate(zip(OX.ravel(), OY.ravel(), OT.ravel())):
+        sub[..., k] = gauge_arr(X + ox, Y + oy, T + ot) ** exponent
+    return np.mean(sub, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class GridDomain:
         if near.any():
             X, Y, T = self.coords()
             w[near] = gauge_power_cell_averages(
-                self.spacing, zip(X[near], Y[near], T[near]), -a, _SUBSAMPLES)
+                self.spacing, (X[near], Y[near], T[near]), -a, _SUBSAMPLES)
         w[~self.mask] = 0.0
         self._cache[key] = w
         return w

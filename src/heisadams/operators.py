@@ -18,9 +18,15 @@ cells is B^T B, its diagonal diag(B^T B) is the squared column norms of B
 (cached with it), the form's gradient is B^T (L u), and the free rows of B
 are the L_ff that free_preconditioner factors.  The operator and L_ff^-2 are
 scipy LinearOperators, which every linear solve hands to scipy's cg or minres.
+grid_form bundles them, with the cell volume and the singular weights on the
+free cells, into the Form the variational drivers work on.
 """
 
 from __future__ import annotations
+
+import weakref
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -163,15 +169,47 @@ def free_preconditioner(domain: GridDomain) -> LinearOperator:
     return cache["free_precond"]
 
 
+@dataclass(frozen=True)
+class Form:
+    """The quadratic form ||L u||^2 on the vector of free-cell unknowns.
+
+    A is the operator B^T B, M the preconditioner L_ff^-2, volume the cell
+    volume; weight(a) is the singular weight of rho^-a on the unknowns, and
+    expand(x) the field equal to x on the free cells and zero elsewhere.
+    """
+
+    A: LinearOperator
+    M: LinearOperator
+    volume: float
+    weight: Callable[[float], np.ndarray]
+    expand: Callable[[np.ndarray], GridField]
+
+
+def grid_form(domain: GridDomain) -> Form:
+    """The Form of the domain's free cells, cached on the domain.  It holds the
+    domain weakly, as a cycle through the cache would keep a dropped domain's
+    factor alive until a full collection, so it serves while the domain does."""
+    cache = domain._cache
+    if "form" not in cache:
+        free = domain.free_mask()
+        ref = weakref.ref(domain)
+
+        def expand(x):
+            vals = np.zeros(free.shape)
+            vals[free] = x
+            return GridField(ref(), vals)
+
+        cache["form"] = Form(A=squared_sublaplacian(domain), M=free_preconditioner(domain),
+                             volume=domain.cell_volume,
+                             weight=lambda a: ref().singular_weight(a)[free],
+                             expand=expand)
+    return cache["form"]
+
+
 def dirichlet_energy(u: GridField) -> float:
     """||L u||_2^2 summed over the whole box with cell volume."""
     Lu = sublaplacian(u).values
     return float(np.sum(Lu * Lu)) * u.domain.cell_volume
-
-
-def d022_norm(u: GridField) -> float:
-    """The norm (int |L u|^2)^(1/2) of the zero-extended field."""
-    return float(np.sqrt(dirichlet_energy(u)))
 
 
 def inner(u: GridField, v: GridField) -> float:

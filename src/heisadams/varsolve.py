@@ -1,17 +1,18 @@
 """Variational core for the singular biharmonic problem.
 
-Energy functional on clamped grid fields:
+Energy functional on the free-cell unknowns x of a Form (see operators):
 
-    J(u) = 1/2 int |L u|^2 - int F(xi, u) / rho^a,
+    J(x) = volume * (1/2 x.Ax - w_a.F(x)),
 
-whose critical points solve  L^2 u = f(xi, u) / rho^a  with clamped boundary
+whose critical points solve  L^2 u = f(u) / rho^a  with clamped boundary
 values.  Because the discrete quadratic form is exactly the square of the
-symmetric sublaplacian matrix (see operators), the gradient representer
+symmetric sublaplacian matrix, the gradient representer
 
-    grad J(u) = L(L u) - w_a f(xi, u)
+    grad J(x) = A x - w_a f(x)
 
-pairs exactly with directional derivatives: <grad, v> * cellVolume matches
-central differences of J to quadrature rounding.
+pairs exactly with directional derivatives: <grad, v> * volume matches
+central differences of J to quadrature rounding.  The models are autonomous,
+f(u) alone; xi enters only through the weight w_a of rho^-a.
 
 The saddle search works on the Nehari manifold {u != 0 : J'(u) u = 0}, where
 the mountain-pass level is the minimum of J when f(u)/u increases in |u|
@@ -25,7 +26,7 @@ the reported level.
 The weighted Rayleigh constant lambda_1(a), the ceiling f must stay under,
 is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on free cells,
 found by block-one LOBPCG.  It, the descent step (scipy's cg) and the Newton
-steps (scipy's minres) share the domain's one factored L_ff^-2 preconditioner.
+steps (scipy's minres) share the form's one factored L_ff^-2 preconditioner.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import aslinearoperator, cg, minres
 
 from .constants import BIG_A
-from .grids import GridDomain, GridField, zeros
-from .operators import (
-    dirichlet_energy,
-    form_gradient,
-    free_preconditioner,
-    integrate_weighted,
-    squared_sublaplacian,
-)
+from .grids import GridDomain, GridField
+from .operators import Form, dirichlet_energy, grid_form, integrate_weighted
 
 Array = np.ndarray
 
@@ -54,11 +49,11 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """A nonlinearity f(xi, u), its u-primitive F, and growth metadata.
+    """A nonlinearity f(u), its primitive F, and growth metadata.
 
-    f, bigF, fprime are vectorized callables (X, Y, T, U) -> array; the
-    built-in models ignore the space arguments.  alpha0 is the exponent
-    scale of critical exponential growth, None for subcritical growth.
+    f, bigF, fprime are vectorized callables U -> array.  alpha0 is the
+    exponent scale of critical exponential growth, None for subcritical
+    growth.
     theta, bigM, r0 parametrize the superlinearity hypotheses.
     """
 
@@ -74,9 +69,9 @@ class NonlinearitySpec:
 def cubic_model() -> NonlinearitySpec:
     """f(u) = u^3, F = u^4/4: subcritical, superquadratic with theta = 4."""
     return NonlinearitySpec(
-        f=lambda X, Y, T, U: U ** 3,
-        bigF=lambda X, Y, T, U: 0.25 * U ** 4,
-        fprime=lambda X, Y, T, U: 3.0 * U ** 2,
+        f=lambda U: U ** 3,
+        bigF=lambda U: 0.25 * U ** 4,
+        fprime=lambda U: 3.0 * U ** 2,
         theta=4.0,
         bigM=25.0,   # primitive bound F <= M f holds up to u = 4 M on samples
         r0=1.0,
@@ -93,9 +88,9 @@ def critical_model(lam: float, alpha0: float = 1.0) -> NonlinearitySpec:
     if lam <= 0 or alpha0 <= 0:
         raise ValueError("critical model needs lam > 0 and alpha0 > 0")
     return NonlinearitySpec(
-        f=lambda X, Y, T, U: lam * U * np.exp(alpha0 * U ** 2),
-        bigF=lambda X, Y, T, U: lam / (2 * alpha0) * (np.exp(alpha0 * U ** 2) - 1.0),
-        fprime=lambda X, Y, T, U: lam * (1.0 + 2.0 * alpha0 * U ** 2) * np.exp(alpha0 * U ** 2),
+        f=lambda U: lam * U * np.exp(alpha0 * U ** 2),
+        bigF=lambda U: lam / (2 * alpha0) * (np.exp(alpha0 * U ** 2) - 1.0),
+        fprime=lambda U: lam * (1.0 + 2.0 * alpha0 * U ** 2) * np.exp(alpha0 * U ** 2),
         theta=3.0,
         bigM=1.0,
         r0=1.0,
@@ -110,31 +105,22 @@ def _check_a(a: float):
         raise ValueError(f"potential exponent a must lie in [0, 4), got {a}")
 
 
-def energy(u: GridField, nl: NonlinearitySpec, a: float) -> float:
-    """J(u) = 1/2 ||L u||^2 - int F(xi, u)/rho^a."""
+def energy(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> float:
+    """J(x) = volume (1/2 x.Ax - w_a.F(x)): 1/2 ||L u||^2 - int F(u)/rho^a."""
     _check_a(a)
-    X, Y, T = u.domain.coords()
-    Ffield = GridField(u.domain, nl.bigF(X, Y, T, u.values))
-    return 0.5 * dirichlet_energy(u) - integrate_weighted(Ffield, a)
+    return form.volume * (0.5 * float(x @ form.A(x)) - float(form.weight(a) @ nl.bigF(x)))
 
 
-def grad_energy(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
-    """Representer L(Lu) - w_a f(xi, u) on free cells (zero elsewhere).
-
-    <grad_energy(u), v> * cellVolume is the exact directional derivative of
-    energy at u along any free-supported v.
-    """
+def grad_energy(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
+    """Representer A x - w_a f(x): <grad_energy(x), v> * volume is the exact
+    directional derivative of energy at x along v."""
     _check_a(a)
-    dom = u.domain
-    X, Y, T = dom.coords()
-    free = dom.free_mask()
-    g = np.zeros(dom.shape)
-    g[free] = form_gradient(u) - (dom.singular_weight(a) * nl.f(X, Y, T, u.values))[free]
-    return GridField(dom, g)
+    return form.A(x) - form.weight(a) * nl.f(x)
 
 
-def grad_norm(g: GridField) -> float:
-    return float(np.sqrt(np.sum(g.values ** 2) * g.domain.cell_volume))
+def _norm(form: Form, x: Array) -> float:
+    """||L u|| of the unknowns x."""
+    return float(np.sqrt(float(x @ form.A(x)) * form.volume))
 
 
 # -- Rayleigh constant --------------------------------------------------------
@@ -153,7 +139,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
 
     The pencil is (L^2, diag(w_a)) on free cells; L^2 is SPD there.  Each
     iteration preconditions the residual r = L^2 x - lambda w x with the
-    domain's factored L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
+    form's factored L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
     over span{x, M r, p}, p the previous step (Knyazev 2001): one
     preconditioner apply and one L^2 apply, no inner solve.  It stops once
     lambda moves by at most tol relative and the residual
@@ -165,26 +151,24 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     against 50 and 28 ms here (2 CPUs), about 5% of a critical solve.
     """
     _check_a(a)
-    free = domain.free_mask()
-    w = domain.singular_weight(a)[free]
-    apply_A = squared_sublaplacian(domain)
-    M = free_preconditioner(domain)
+    form = grid_form(domain)
+    w = form.weight(a)
 
     def w_normalized(v, Av):
         s = 1.0 / np.sqrt(v @ (w * v))
         return v * s, Av * s
 
     rng = np.random.default_rng(7)
-    x = rng.standard_normal(int(free.sum()))
-    x, Ax = w_normalized(x, apply_A(x))
+    x = rng.standard_normal(w.size)
+    x, Ax = w_normalized(x, form.A(x))
     lam = float(x @ Ax)
     r = Ax - lam * w * x
     p = Ap = None
     res = np.inf
     it = 0
     for it in range(1, max_outer + 1):
-        z = M(r)
-        z, Az = w_normalized(z, apply_A(z))
+        z = form.M(r)
+        z, Az = w_normalized(z, form.A(z))
         S = np.column_stack([x, z] if p is None else [x, z, p])
         AS = np.column_stack([Ax, Az] if p is None else [Ax, Az, Ap])
         try:
@@ -247,21 +231,18 @@ class ValidationReport:
         return all(c.passed for c in self.checks if c.name in need)
 
 
-# validate_hypotheses samples u at _N_U points per sign, at _N_XI grid points
-# drawn with a fixed seed
+# validate_hypotheses samples u at _N_U points per sign
 _N_U = 400
-_N_XI = 64
 
 
-def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
-                        domain: GridDomain, u_max: float = 8.0,
+def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float, u_max: float = 8.0,
                         m_estimate: float | None = None) -> ValidationReport:
     """Sampled check of the structural conditions on f.
 
-    All statements are verified on u in [-u_max, u_max] at _N_XI sampled
-    grid points only; the report records that range and claims nothing beyond it.
+    All statements are verified on sampled u in [-u_max, u_max] only; the
+    report records that range and claims nothing beyond it.
 
-      sign             f(xi,u) >= 0 for u >= 0 and <= 0 for u <= 0
+      sign             f(u) >= 0 for u >= 0 and <= 0 for u <= 0
       primitive_bound  0 < F <= M f on [r0, u_max]
       superquadratic   theta F <= u f for |u| in [r0, u_max]
       origin_gap       2 F / u^2 < lam for 0 < |u| <= delta (delta reported)
@@ -269,24 +250,13 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
                        (critical class only; threshold needs an M estimate)
     """
     _check_a(a)
-    rng = np.random.default_rng(0)
-    X, Y, T = domain.coords()
-    m = domain.mask
-    idx = rng.choice(int(m.sum()), size=min(_N_XI, int(m.sum())), replace=False)
-    xs = X[m][idx]
-    ys = Y[m][idx]
-    ts = T[m][idx]
-
     checks: list[HypothesisCheck] = []
 
     u_pos = np.linspace(1e-9, u_max, _N_U)
     u_all = np.concatenate([-u_pos[::-1], u_pos])
 
-    def sample(fn, uu):
-        return fn(xs[:, None], ys[:, None], ts[:, None], uu[None, :])
-
-    fv = sample(nl.f, u_all)
-    ok = bool(np.all(fv[:, u_all >= 0] >= 0) and np.all(fv[:, u_all <= 0] <= 0))
+    fv = nl.f(u_all)
+    ok = bool(np.all(fv[u_all >= 0] >= 0) and np.all(fv[u_all <= 0] <= 0))
     checks.append(HypothesisCheck(
         "sign", ok,
         "f has the sign of u at all samples" if ok else "sign violation found",
@@ -295,8 +265,8 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
     big_u = u_pos[u_pos >= nl.r0]
     if big_u.size == 0:
         big_u = np.array([nl.r0])
-    Fv = sample(nl.bigF, big_u)
-    fv2 = sample(nl.f, big_u)
+    Fv = nl.bigF(big_u)
+    fv2 = nl.f(big_u)
     pos = bool(np.all(Fv > 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(fv2 > 0, Fv / fv2, np.inf)
@@ -308,10 +278,10 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
     ))
 
     u_abs = np.concatenate([-big_u[::-1], big_u])
-    Fv = sample(nl.bigF, u_abs)
-    fv3 = sample(nl.f, u_abs)
-    gap = u_abs[None, :] * fv3 - nl.theta * Fv
-    okT = bool(np.all(gap >= -1e-12 * np.maximum(1.0, np.abs(u_abs[None, :] * fv3))))
+    Fv = nl.bigF(u_abs)
+    fv3 = nl.f(u_abs)
+    gap = u_abs * fv3 - nl.theta * Fv
+    okT = bool(np.all(gap >= -1e-12 * np.maximum(1.0, np.abs(u_abs * fv3))))
     checks.append(HypothesisCheck(
         "superquadratic", okT,
         f"theta F <= u f for |u| >= r0 with theta = {nl.theta}",
@@ -319,9 +289,7 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
 
     delta = min(0.1, u_max / 10.0)
     u_small = np.linspace(1e-8, delta, 200)
-    Fs = sample(nl.bigF, u_small)
-    quot = 2.0 * Fs / u_small[None, :] ** 2
-    sup_q = float(np.max(quot))
+    sup_q = float(np.max(2.0 * nl.bigF(u_small) / u_small ** 2))
     okG = sup_q < lam
     checks.append(HypothesisCheck(
         "origin_gap", okG,
@@ -331,9 +299,7 @@ def validate_hypotheses(nl: NonlinearitySpec, a: float, lam: float,
 
     if nl.alpha0 is not None:
         alpha0 = nl.alpha0
-        tail = sample(lambda X_, Y_, T_, U: U * nl.f(X_, Y_, T_, U) * np.exp(-alpha0 * U ** 2),
-                      np.array([u_max]))
-        beta1_emp = float(np.min(tail))
+        beta1_emp = float(u_max * nl.f(u_max) * np.exp(-alpha0 * u_max ** 2))
         if m_estimate is not None and m_estimate > 0:
             thresh = (4.0 - a) * BIG_A / (4.0 * alpha0 * m_estimate)
             okH = beta1_emp > thresh
@@ -401,28 +367,26 @@ def default_bump(domain: GridDomain) -> GridField:
     return GridField(domain, vals)
 
 
-def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
-    """t u at the maximizer t > 0 of J(t u), which lies on the Nehari manifold.
+def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
+    """t x at the maximizer t > 0 of J(t x), which lies on the Nehari manifold.
 
-    phi(t) = J(t u) has phi'(t) = t ||u||^2 - int f(t u) u / rho^a, positive
+    phi(t) = J(t x) has phi'(t) = t ||x||^2 - volume w_a.(f(t x) x), positive
     for small t and with a single sign change when f(s)/s increases in |s|;
     the root is found by Newton steps kept inside a bisection bracket, and t
     doubles from 1 while the bracket is still open.  As in rtsafe, a Newton
     step longer than half the previous step bisects instead, so the search
     cannot creep along a steep exponential.  Raises GeometryFailure when
-    phi' is still positive once t ||u|| passes _RAY_T_MAX, and RuntimeError
+    phi' is still positive once t ||x|| passes _RAY_T_MAX, and RuntimeError
     when 200 steps do not pin the root down.
     """
-    dom = u.domain
-    X, Y, T = dom.coords()
-    wu = dom.singular_weight(a) * u.values * dom.cell_volume
-    unorm2 = dirichlet_energy(u)
+    wx = form.weight(a) * x * form.volume
+    unorm2 = float(x @ form.A(x)) * form.volume
     unorm = np.sqrt(unorm2)
     lo, hi, t, dt_prev = 0.0, np.inf, 1.0, np.inf
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(200):
-            tu = t * u.values
-            d1 = t * unorm2 - float(np.sum(wu * nl.f(X, Y, T, tu)))
+            tx = t * x
+            d1 = t * unorm2 - float(np.sum(wx * nl.f(tx)))
             if d1 > 0.0:
                 if t * unorm > _RAY_T_MAX:
                     raise GeometryFailure(
@@ -430,7 +394,7 @@ def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
                 lo = t
             else:
                 hi = t
-            d2 = unorm2 - float(np.sum(wu * u.values * nl.fprime(X, Y, T, tu)))
+            d2 = unorm2 - float(np.sum(wx * x * nl.fprime(tx)))
             t_new = t - d1 / d2 if d2 < 0.0 else np.nan
             if not lo < t_new < hi or abs(2.0 * d1) > abs(dt_prev * d2):
                 t_new = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
@@ -439,7 +403,7 @@ def _ray_max(u: GridField, nl: NonlinearitySpec, a: float) -> GridField:
             dt_prev, t = t_new - t, t_new
         else:
             raise RuntimeError(f"ray search unconverged after 200 steps, t in [{lo}, {hi}]")
-    return u * t_new
+    return x * t_new
 
 
 def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
@@ -447,7 +411,8 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
                         warm_start: GridField | None = None) -> tuple[GridField, MountainPassState]:
     """Saddle search by Nehari-projected descent, finished by damped Newton.
 
-    The seed ray (a positive bump, or the warm start) is scaled to the
+    The search runs on the free-cell unknowns of the domain's Form.  The
+    seed ray (a positive bump, or the warm start) is scaled to the
     maximum of J along it, which lies on the Nehari manifold J'(u) u = 0; a
     seed of zero norm, or a ray along which J has no maximum, returns the
     zero field with geometry_failure set.  Each descent step subtracts the
@@ -461,74 +426,70 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
     it equals J(u) when the search ends at the least-energy solution.
-    Raises ValueError when the warm start is nonzero off free_mask(): the
-    search only moves the free cells, so such values would survive into
-    the returned field.
+    Raises ValueError when the warm start lives on another domain object,
+    whose grid would be read as this one's, or is nonzero off free_mask():
+    the search only moves the free cells, so such values would survive
+    into the returned field.
     """
     opts = opts or SolveOptions()
-    dom = domain
-    if warm_start is not None and np.any(warm_start.values[~dom.free_mask()] != 0.0):
-        raise ValueError("warm start must vanish off the free cells (the clamped ring "
-                         "and outside the mask)")
-    seed = warm_start if warm_start is not None else default_bump(dom)
-    nrm = np.sqrt(dirichlet_energy(seed))
+    free = domain.free_mask()
+    if warm_start is not None:
+        if warm_start.domain is not domain:   # identity: the generated == raises on masks
+            raise ValueError("warm start lives on another domain")
+        if np.any(warm_start.values[~free] != 0.0):
+            raise ValueError("warm start must vanish off the free cells (the clamped ring "
+                             "and outside the mask)")
+    form = grid_form(domain)
+    seed = (warm_start if warm_start is not None else default_bump(domain)).values[free]
+    nrm = _norm(form, seed)
     try:
         if nrm == 0.0:
             raise GeometryFailure("seed direction has zero norm")
-        u = _ray_max(seed * (1.0 / nrm), nl, a)
+        x = _ray_max(form, seed * (1.0 / nrm), nl, a)
     except GeometryFailure as exc:
         state = MountainPassState(
             levelEstimate=np.nan, gradResidual=np.inf, history=[],
             converged=False, geometry_failure=True, message=str(exc),
         )
-        return zeros(dom), state
+        return form.expand(np.zeros_like(seed)), state
 
-    free = dom.free_mask()
-    X, Y, T = dom.coords()
-    w = dom.singular_weight(a)[free]
-    A = squared_sublaplacian(dom)
-    M = free_preconditioner(dom)
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
     while True:
-        level = min(level, energy(u, nl, a))
-        g = grad_energy(u, nl, a)
-        res = grad_norm(g)
-        unorm = np.sqrt(dirichlet_energy(u))
+        level = min(level, energy(form, x, nl, a))
+        g = grad_energy(form, x, nl, a)
+        res = float(np.sqrt(g @ g * form.volume))
+        unorm = _norm(form, x)
         history.append((len(history) + 1, level, res, unorm))
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
-        gf = g.values[free]
-        d, _ = cg(A, gf, rtol=_DESCENT_CG_TOL, atol=0.0, maxiter=_DESCENT_CG_MAX_ITER, M=M)
+        d, _ = cg(form.A, g, rtol=_DESCENT_CG_TOL, atol=0.0, maxiter=_DESCENT_CG_MAX_ITER,
+                  M=form.M)
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
-        if np.sqrt(float(d @ gf) * dom.cell_volume) <= _NEWTON_SWITCH * unorm:
+        if np.sqrt(float(d @ g) * form.volume) <= _NEWTON_SWITCH * unorm:
             break
-        step = u.values.copy()
-        step[free] -= d
-        u = _ray_max(GridField(dom, step), nl, a)
+        x = _ray_max(form, x - d, nl, a)
 
     newton_its = 0
     while res > opts.tol * max(1.0, unorm) and newton_its < _NEWTON_MAX_ITERS:
         newton_its += 1
-        hessian = A - aslinearoperator(diags(w * nl.fprime(X, Y, T, u.values)[free]))
-        delta, info = minres(hessian, -g.values[free], rtol=1e-10, maxiter=4000, M=M)
+        hessian = form.A - aslinearoperator(diags(form.weight(a) * nl.fprime(x)))
+        delta, info = minres(hessian, -g, rtol=1e-10, maxiter=4000, M=form.M)
         if info != 0 and not np.isfinite(delta).all():
             break
         s = 1.0
         improved = False
         for _ in range(30):
-            trial = u.values.copy()
-            trial[free] += s * delta
-            trial = GridField(dom, trial)
-            gt = grad_energy(trial, nl, a)
-            rt = grad_norm(gt)
+            trial = x + s * delta
+            gt = grad_energy(form, trial, nl, a)
+            rt = float(np.sqrt(gt @ gt * form.volume))
             if rt < res:
-                u, g, res = trial, gt, rt
+                x, g, res = trial, gt, rt
                 improved = True
                 break
             s *= 0.5
-        unorm = np.sqrt(dirichlet_energy(u))
-        level = min(level, energy(_ray_max(u, nl, a), nl, a))
+        unorm = _norm(form, x)
+        level = min(level, energy(form, _ray_max(form, x, nl, a), nl, a))
         history.append((len(history) + 1, level, res, unorm))
         if not improved:
             break
@@ -546,7 +507,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         state.message = "Newton stagnated; returning its last iterate"
     elif not nontrivial:
         state.message = "converged to the trivial state below the triviality floor"
-    return u, state
+    return form.expand(x), state
 
 
 # -- continuation --------------------------------------------------------------
@@ -559,8 +520,8 @@ class ContinuationStep:
     state: MountainPassState
     norm: float
     diff_from_previous: float
-    weighted_uf: float    # int f(xi,u) u / rho^a
-    weighted_F: float     # int F(xi,u) / rho^a
+    weighted_uf: float    # int f(u) u / rho^a
+    weighted_F: float     # int F(u) / rho^a
 
 
 def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
@@ -577,18 +538,15 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
     opts = opts or SolveOptions()
     steps: list[ContinuationStep] = []
     prev: GridField | None = None
-    X, Y, T = domain.coords()
     for n in range(1, nmax + 1):
         a_n = 4.0 - 1.0 / n
         u, state = mountain_pass_solve(nl, a_n, domain, opts, warm_start=prev)
-        fu = GridField(domain, nl.f(X, Y, T, u.values) * u.values)
-        Fu = GridField(domain, nl.bigF(X, Y, T, u.values))
         steps.append(ContinuationStep(
             n=n, a=a_n, solution=u, state=state,
             norm=np.sqrt(dirichlet_energy(u)),
             diff_from_previous=np.nan if prev is None else np.sqrt(dirichlet_energy(u - prev)),
-            weighted_uf=integrate_weighted(fu, a_n),
-            weighted_F=integrate_weighted(Fu, a_n),
+            weighted_uf=integrate_weighted(GridField(domain, nl.f(u.values) * u.values), a_n),
+            weighted_F=integrate_weighted(GridField(domain, nl.bigF(u.values)), a_n),
         ))
         if not state.converged:
             break

@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse.linalg import cg
 
 import heisadams as ha
+from heisadams.operators import grid_form
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,11 @@ def random_free_field(dom, rng, scale=1.0):
     v = np.zeros(dom.shape)
     v[free] = scale * rng.standard_normal(int(free.sum()))
     return ha.GridField(dom, v)
+
+
+def field_energy(u, nl, a):
+    """J of a clamped field, evaluated on the free-cell unknowns of its domain's form."""
+    return ha.energy(grid_form(u.domain), u.values[u.domain.free_mask()], nl, a)
 
 
 def counted_cg(A, b, tol, max_iter, M=None):

@@ -66,7 +66,7 @@ def test_right_translation_equivariance_exact():
         return np.rint((c - axis[0]) / (axis[1] - axis[0])).astype(int)
 
     for g in ((hx, 0.0, 0.0), (0.0, hy, 0.0), (0.0, 0.0, ht), (hx, -hy, ht)):
-        # f_g(eta) = f(eta * g), built by exact lattice index shifts
+        # the lattice index of eta * g; f_g(eta) = f(eta * g) by exact shifts
         ex, ey, et = group_mul_arr(X, Y, T, *g)
         fi, fj, fk = to_idx(ex, xs), to_idx(ey, ys), to_idx(et, ts)
         ok = (fi >= 0) & (fi < 9) & (fj >= 0) & (fj < 9) & (fk >= 0) & (fk < 9)
@@ -76,13 +76,10 @@ def test_right_translation_equivariance_exact():
         assert fg.sum() != 0.0
         Ug = ha.riesz_convolve(ha.GridField(dom, fg), 2.0)
 
-        gx, gy, gt = group_mul_arr(X, Y, T, *g)
-        gi, gj, gk = to_idx(gx, xs), to_idx(gy, ys), to_idx(gt, ts)
-        ok2 = (gi >= 0) & (gi < 9) & (gj >= 0) & (gj < 9) & (gk >= 0) & (gk < 9)
         sel = np.zeros(dom.shape, bool)
         sel[2:-2, 2:-2, 2:-2] = True
-        sel &= ok2
-        diff = np.abs(U.values[gi[sel], gj[sel], gk[sel]] - Ug.values[sel])
+        sel &= ok
+        diff = np.abs(U.values[fi[sel], fj[sel], fk[sel]] - Ug.values[sel])
         assert diff.max() <= 1e-12
 
 

@@ -270,7 +270,7 @@ def test_cell_average_helper_is_bit_identical(dom):
     f = ha.GridField(dom, np.random.default_rng(4).standard_normal(dom.shape))
     for alpha in (1.0, 2.0, 3.0):
         diag = _old_cell_average(dom, None, None, None, alpha - 4.0, 2)
-        assert gauge_power_cell_averages(dom.spacing, [(0.0, 0.0, 0.0)], alpha - 4.0, 2) == [diag]
+        assert gauge_power_cell_averages(dom.spacing, (0.0, 0.0, 0.0), alpha - 4.0, 2) == diag
         # the Riesz sum written out with the old diagonal kernel
         X, Y, T = dom.coords()
         want = np.zeros(dom.shape)

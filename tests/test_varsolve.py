@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import heisadams as ha
+from heisadams.operators import grid_form
 from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
 
-from conftest import random_free_field
+from conftest import field_energy, random_free_field
 
 A = 32.0 / 9.0
 
@@ -21,13 +22,13 @@ def lam9(box9m):
 
 def test_energy_trivial_cases(box9m):
     nl = ha.cubic_model()
-    assert ha.energy(ha.zeros(box9m), nl, 0.0) == 0.0
+    assert field_energy(ha.zeros(box9m), nl, 0.0) == 0.0
     free_nl = ha.NonlinearitySpec(
-        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
+        f=lambda U: 0.0 * U, bigF=lambda U: 0.0 * U,
+        fprime=lambda U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     rng = np.random.default_rng(0)
     u = random_free_field(box9m, rng)
-    assert ha.energy(u, free_nl, 1.0) == pytest.approx(
+    assert field_energy(u, free_nl, 1.0) == pytest.approx(
         0.5 * ha.dirichlet_energy(u), rel=1e-12)
 
 
@@ -37,7 +38,7 @@ def test_energy_direct_summation_oracle(box9m):
     rng = np.random.default_rng(7)
     u = random_free_field(box9m, rng, scale=0.3)
     a = 1.0
-    got = ha.energy(u, nl, a)
+    got = field_energy(u, nl, a)
     from heisadams.operators import sublaplacian
     Lu = sublaplacian(u).values
     w = box9m.singular_weight(a)
@@ -46,54 +47,81 @@ def test_energy_direct_summation_oracle(box9m):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+@pytest.mark.parametrize("model", ["cubic", "critical"])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_form_energy_is_the_field_energy(grid, model, a):
+    """J on the form's unknowns equals 1/2 ||L u||^2 - int F(u)/rho^a of the
+    field, the two representations the solver and the artifacts use."""
+    dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
+    nl = ha.cubic_model() if model == "cubic" else ha.critical_model(2.0, 1.0)
+    u = random_free_field(dom, np.random.default_rng(11), scale=0.4)
+    got = ha.energy(grid_form(dom), u.values[dom.free_mask()], nl, a)
+    want = (0.5 * ha.dirichlet_energy(u)
+            - ha.integrate_weighted(ha.GridField(dom, nl.bigF(u.values)), a))
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_grid_form_is_cached_on_the_domain(box9m):
+    assert grid_form(box9m) is grid_form(box9m)
+
+
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+def test_form_expand_is_zero_off_the_free_cells(grid):
+    dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
+    free = dom.free_mask()
+    x = np.random.default_rng(12).standard_normal(int(free.sum()))
+    u = grid_form(dom).expand(x)
+    assert u.domain is dom
+    assert np.array_equal(u.values[free], x)
+    assert np.all(u.values[~free] == 0.0)
+
+
 def test_energy_rejects_a_out_of_range(box9m):
     nl = ha.cubic_model()
     with pytest.raises(ValueError):
-        ha.energy(ha.zeros(box9m), nl, 4.0)
+        field_energy(ha.zeros(box9m), nl, 4.0)
     with pytest.raises(ValueError):
-        ha.energy(ha.zeros(box9m), nl, -0.5)
+        field_energy(ha.zeros(box9m), nl, -0.5)
 
 
 def test_grad_zero_at_origin_when_f_vanishes(box9m):
     nl = ha.cubic_model()
-    g = ha.grad_energy(ha.zeros(box9m), nl, 1.0)
-    assert np.all(g.values == 0.0)
+    g = ha.grad_energy(grid_form(box9m), np.zeros(int(box9m.free_mask().sum())), nl, 1.0)
+    assert np.all(g == 0.0)
 
 
 def test_grad_linear_model_exact(box9m):
     lam = 3.7
     nl = ha.NonlinearitySpec(
-        f=lambda X, Y, T, U: lam * U,
-        bigF=lambda X, Y, T, U: 0.5 * lam * U ** 2,
-        fprime=lambda X, Y, T, U: lam + 0.0 * U,
+        f=lambda U: lam * U,
+        bigF=lambda U: 0.5 * lam * U ** 2,
+        fprime=lambda U: lam + 0.0 * U,
         theta=2.5, bigM=1.0, r0=1.0)
     rng = np.random.default_rng(1)
     u = random_free_field(box9m, rng)
-    g = ha.grad_energy(u, nl, 1.0)
+    free = box9m.free_mask()
+    g = ha.grad_energy(grid_form(box9m), u.values[free], nl, 1.0)
     from heisadams.operators import sublaplacian
     w = box9m.singular_weight(1.0)
     want = sublaplacian(sublaplacian(u)).values - lam * w * u.values
-    want = np.where(box9m.free_mask(), want, 0.0)
-    assert np.allclose(g.values, want, rtol=1e-13, atol=1e-13)
+    assert np.allclose(g, want[free], rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("grid", ["box9", "ball13"])
 def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
-    """The representer's quadratic part B^T (L u) equals L(L u) on the free
-    cells for every field, also one with nonzero values on the clamped ring
-    and outside the free cells."""
-    from heisadams.operators import sublaplacian
+    """The form's gradient B^T (L u) equals L(L u) on the free cells for
+    every field, also one with nonzero values on the clamped ring and
+    outside the free cells."""
+    from heisadams.operators import form_gradient, sublaplacian
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
-    zero = ha.NonlinearitySpec(
-        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     u = ha.GridField(dom, np.random.default_rng(9).standard_normal(dom.shape))
     free = dom.free_mask()
     assert np.abs(u.values[~free]).min() > 0.0
-    g = ha.grad_energy(u, zero, 1.0).values
+    g = form_gradient(u)
     want = sublaplacian(sublaplacian(u)).values[free]
-    assert np.abs(g[free] - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.all(g[~free] == 0.0)
+    assert g.shape == want.shape
+    assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("model,a", [
@@ -102,12 +130,14 @@ def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
 def test_gradient_matches_central_differences(box9m, model, a):
     nl = ha.cubic_model() if model == "cubic" else ha.critical_model(2.0, 1.0)
     rng = np.random.default_rng(17)
+    form, free = grid_form(box9m), box9m.free_mask()
     eps = 1e-5
     for _ in range(5):
-        u = random_free_field(box9m, rng, scale=0.4)
-        v = random_free_field(box9m, rng, scale=1.0)
-        dd = ha.inner(ha.grad_energy(u, nl, a), v)
-        fd = (ha.energy(u + eps * v, nl, a) - ha.energy(u - eps * v, nl, a)) / (2 * eps)
+        x = random_free_field(box9m, rng, scale=0.4).values[free]
+        v = random_free_field(box9m, rng, scale=1.0).values[free]
+        dd = float(ha.grad_energy(form, x, nl, a) @ v) * form.volume
+        fd = (ha.energy(form, x + eps * v, nl, a)
+              - ha.energy(form, x - eps * v, nl, a)) / (2 * eps)
         assert abs(dd - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
@@ -154,7 +184,7 @@ def test_level_bound_values():
 
 def test_validate_hypotheses_cubic(box9m, lam9):
     nl = ha.cubic_model()
-    rep = ha.validate_hypotheses(nl, 1.0, lam9[1.0].value, box9m, u_max=8.0)
+    rep = ha.validate_hypotheses(nl, 1.0, lam9[1.0].value, u_max=8.0)
     names = {c.name: c for c in rep.checks}
     assert names["sign"].passed
     # theta F = u f exactly for the cubic: superquadraticity with equality
@@ -170,19 +200,18 @@ def test_validate_hypotheses_detects_bad_origin_gap(box9m):
     # f = lam*u with lam far above the Rayleigh floor violates the gap
     lam_big = 1e6
     nl = ha.NonlinearitySpec(
-        f=lambda X, Y, T, U: lam_big * U,
-        bigF=lambda X, Y, T, U: 0.5 * lam_big * U ** 2,
-        fprime=lambda X, Y, T, U: lam_big + 0.0 * U,
+        f=lambda U: lam_big * U,
+        bigF=lambda U: 0.5 * lam_big * U ** 2,
+        fprime=lambda U: lam_big + 0.0 * U,
         theta=2.1, bigM=1e9, r0=1.0)
-    rep = ha.validate_hypotheses(nl, 0.0, 100.0, box9m)
+    rep = ha.validate_hypotheses(nl, 0.0, 100.0)
     names = {c.name: c for c in rep.checks}
     assert not names["origin_gap"].passed
 
 
 def test_validate_hypotheses_critical_bound(box9m, lam9):
     nl = ha.critical_model(lam=5.0, alpha0=1.0)
-    rep = ha.validate_hypotheses(nl, 1.0, lam9[1.0].value, box9m, u_max=6.0,
-                                 m_estimate=8.0)
+    rep = ha.validate_hypotheses(nl, 1.0, lam9[1.0].value, u_max=6.0, m_estimate=8.0)
     names = {c.name: c for c in rep.checks}
     assert names["exp_lower_bound"].passed
     assert names["sign"].passed
@@ -190,23 +219,23 @@ def test_validate_hypotheses_critical_bound(box9m, lam9):
 
 def test_geometry_failure_for_zero_nonlinearity(box9m):
     free_nl = ha.NonlinearitySpec(
-        f=lambda X, Y, T, U: 0.0 * U, bigF=lambda X, Y, T, U: 0.0 * U,
-        fprime=lambda X, Y, T, U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
+        f=lambda U: 0.0 * U, bigF=lambda U: 0.0 * U,
+        fprime=lambda U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     u, st = ha.mountain_pass_solve(free_nl, 0.0, box9m)
     assert st.geometry_failure
     assert not st.converged
     assert np.all(u.values == 0.0)
     with pytest.raises(GeometryFailure):
-        _ray_max(default_bump(box9m), free_nl, 0.0)
+        _ray_max(grid_form(box9m), default_bump(box9m).values[box9m.free_mask()], free_nl, 0.0)
 
 
 def test_ray_energy_goes_negative(box9m):
     """J(t u0) is eventually negative and decreasing along the ray."""
     nl = ha.cubic_model()
     u0 = default_bump(box9m)
-    u0 = ha.GridField(box9m, u0.values / ha.d022_norm(u0))
+    u0 = ha.GridField(box9m, u0.values / np.sqrt(ha.dirichlet_energy(u0)))
     ts = [2.0 ** k for k in range(0, 14)]
-    js = [ha.energy(ha.GridField(box9m, t * u0.values), nl, 1.0) for t in ts]
+    js = [field_energy(ha.GridField(box9m, t * u0.values), nl, 1.0) for t in ts]
     assert any(j < 0 for j in js)
     kneg = next(i for i, j in enumerate(js) if j < 0)
     assert all(js[i + 1] < js[i] for i in range(kneg, len(js) - 1))
@@ -218,16 +247,17 @@ def test_ray_max_is_the_nehari_point_of_the_ray(box9m, lam9, model):
     at the maximum of J along the ray, whatever the seed's scale."""
     a = 1.0
     nl = ha.cubic_model() if model == "cubic" else ha.critical_model(0.9 * lam9[a].value)
-    seed = default_bump(box9m)
-    u = _ray_max(seed, nl, a)
-    X, Y, T = box9m.coords()
+    form = grid_form(box9m)
+    seed = default_bump(box9m).values[box9m.free_mask()]
+    x = _ray_max(form, seed, nl, a)
+    u = form.expand(x)
     norm2 = ha.dirichlet_energy(u)
-    uf = ha.integrate_weighted(ha.GridField(box9m, nl.f(X, Y, T, u.values) * u.values), a)
+    uf = ha.integrate_weighted(ha.GridField(box9m, nl.f(u.values) * u.values), a)
     assert abs(norm2 - uf) <= 1e-10 * norm2
-    J = ha.energy(u, nl, a)
-    assert J > ha.energy(0.99 * u, nl, a) and J > ha.energy(1.01 * u, nl, a)
-    u7 = _ray_max(7.0 * seed, nl, a)
-    assert np.abs(u7.values - u.values).max() <= 1e-12 * np.abs(u.values).max()
+    J = ha.energy(form, x, nl, a)
+    assert J > ha.energy(form, 0.99 * x, nl, a) and J > ha.energy(form, 1.01 * x, nl, a)
+    x7 = _ray_max(form, 7.0 * seed, nl, a)
+    assert np.abs(x7 - x).max() <= 1e-12 * np.abs(x).max()
 
 
 def test_mountain_pass_geometry_positive_ring(box9m, lam9):
@@ -237,26 +267,27 @@ def test_mountain_pass_geometry_positive_ring(box9m, lam9):
     rho_star = 0.1
     for _ in range(10):
         v = random_free_field(box9m, rng)
-        v = ha.GridField(box9m, v.values * (rho_star / ha.d022_norm(v)))
-        assert ha.energy(v, nl, 1.0) > 0.0
+        v = ha.GridField(box9m, v.values * (rho_star / np.sqrt(ha.dirichlet_energy(v))))
+        assert field_energy(v, nl, 1.0) > 0.0
 
 
 def test_mountain_pass_cubic_converges(box9m, lam9):
     nl = ha.cubic_model()
     u, st = ha.mountain_pass_solve(nl, 1.0, box9m, ha.SolveOptions(tol=1e-6))
-    unorm = ha.d022_norm(u)
+    unorm = np.sqrt(ha.dirichlet_energy(u))
     assert st.converged
     assert unorm > 1e-6
     assert st.gradResidual <= 1e-6 * max(1.0, unorm)
-    assert ha.energy(u, nl, 1.0) > 0.0
+    assert field_energy(u, nl, 1.0) > 0.0
     levels = [h[1] for h in st.history]
     assert all(levels[i + 1] <= levels[i] + 1e-12 * max(1, abs(levels[i]))
                for i in range(len(levels) - 1))
     # weighted Poincare-type inequality at the solution
     assert ha.rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
     # the first iterate is the maximum of J along the seed ray
-    seed = _ray_max(default_bump(box9m), nl, 1.0)
-    assert st.history[0][1] == pytest.approx(ha.energy(seed, nl, 1.0), rel=1e-12)
+    form = grid_form(box9m)
+    seed = _ray_max(form, default_bump(box9m).values[box9m.free_mask()], nl, 1.0)
+    assert st.history[0][1] == pytest.approx(ha.energy(form, seed, nl, 1.0), rel=1e-12)
     # Newton alone stagnates from the seed ray's Nehari point, so descent must
     # take a step: one history row per descent iterate, two rows per step
     assert len(st.history) - st.newton_iterations >= 2
@@ -270,6 +301,19 @@ def test_mountain_pass_rejects_unclamped_warm_start(box9m):
     bad = ha.GridField(box9m, seed.values + 0.05 * ring)
     with pytest.raises(ValueError, match="free cells"):
         ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, warm_start=bad)
+
+
+def test_mountain_pass_rejects_warm_start_from_another_domain(box9m):
+    """A warm start's values are read cell by cell, so one from another grid
+    (here extent 1 on extent 2) would seed a different problem and report
+    the other grid's level as converged."""
+    wide = ha.box_grid(9, extent=2.0)
+    with pytest.raises(ValueError, match="another domain"):
+        ha.mountain_pass_solve(ha.cubic_model(), 1.0, wide, warm_start=default_bump(box9m))
+    # equal grids built twice are still two domains
+    with pytest.raises(ValueError, match="another domain"):
+        ha.mountain_pass_solve(ha.cubic_model(), 1.0, ha.box_grid(9),
+                               warm_start=default_bump(box9m))
 
 
 @pytest.mark.parametrize("make_grid,n,model,a", [
@@ -289,7 +333,7 @@ def test_mountain_pass_level_is_the_critical_value(make_grid, n, model, a):
         nl = ha.critical_model(lam=0.9 * ha.lambda_estimate(dom, a, tol=1e-10).value)
     u, st = ha.mountain_pass_solve(nl, a, dom, ha.SolveOptions(tol=1e-6))
     assert st.converged
-    J = ha.energy(u, nl, a)
+    J = field_energy(u, nl, a)
     assert st.levelEstimate == pytest.approx(J, rel=1e-8)
     assert st.levelEstimate == st.history[-1][1]
 
@@ -299,10 +343,10 @@ def test_primitive_matches_quadrature_of_f(box9m):
     from scipy.integrate import quad
     for nl in (ha.cubic_model(), ha.critical_model(1.5, 0.7)):
         for u0 in (-2.0, -0.5, 0.3, 1.7):
-            got = float(nl.bigF(0.0, 0.0, 0.0, np.array([u0]))[0])
-            want, _ = quad(lambda s: float(nl.f(0.0, 0.0, 0.0, np.array([s]))[0]), 0.0, u0)
+            got = float(nl.bigF(np.array([u0]))[0])
+            want, _ = quad(lambda s: float(nl.f(np.array([s]))[0]), 0.0, u0)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-        assert float(nl.bigF(0.0, 0.0, 0.0, np.array([0.0]))[0]) == 0.0
+        assert float(nl.bigF(np.array([0.0]))[0]) == 0.0
 
 
 def test_continuation_schedule_and_diagnostics():
@@ -348,9 +392,8 @@ def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
     probes of B included) is one, every B^T B product of the operator that
     squared_sublaplacian returns is two."""
     import heisadams.operators as ops
-    import heisadams.varsolve as vs
     calls = []
-    sweep, squared = ops.sublaplacian, vs.squared_sublaplacian
+    sweep, squared = ops.sublaplacian, ops.squared_sublaplacian
 
     def counted_sweep(*args, **kwargs):
         calls.append(1)
@@ -365,7 +408,7 @@ def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
         return apply
 
     monkeypatch.setattr(ops, "sublaplacian", counted_sweep)
-    monkeypatch.setattr(vs, "squared_sublaplacian", counted_squared)
+    monkeypatch.setattr(ops, "squared_sublaplacian", counted_squared)
     value, iterations, applies = _LAMBDA_BOX13_UNPRECONDITIONED[a]
     res = ha.lambda_estimate(ha.box_grid(13), a, tol=1e-10)
     assert res.converged
