@@ -10,7 +10,6 @@ from .grids import (
     GridField,
     ball_grid,
     box_grid,
-    from_function,
     gauge_power_field,
     group_lattice_grid,
     load_field,

@@ -3,20 +3,25 @@
 The conductor-capacity profile U_ell on the unit gauge ball B minimizes
 ||L u||_2^2 subject to u = 1 on B_ell and u = 0 on and outside the boundary
 of B.  Discretely this is an equality-constrained least-squares problem; we
-eliminate the constrained cells and run scipy's cg on the reduced normal
-operator B^T B (B = L[:, free], the domain's assembled form; see operators)
-on the free cells off the plateau, where it is symmetric positive definite.
-The CG is diagonally (Jacobi) preconditioned by diag(B^T B) on those cells,
-read from the domain's cached form_diagonal; it stops on the unpreconditioned
-residual.  Each profile reports the true residual ||b - A x|| / ||b|| (one
-extra apply) and whether it is within the tolerance.
+eliminate the constrained cells, leaving the normal operator B^T B
+(B = L[:, free], the domain's assembled form; see operators) on the free
+cells off the plateau, where it is symmetric positive definite.  The ball,
+the plateau and so the right-hand side are invariant under the order-8
+symmetry group of L (the quarter turn in z and (x, y, t) -> (x, -y, -t)),
+so the minimizer is invariant too, and the solve runs on the invariant
+fields only: scipy's cg on C^T C = P^T B^T B P, P the orthonormal orbit
+basis of those cells (operators.orbit_reduction), about an eighth of the
+unknowns and nonzeros.  The CG is diagonally (Jacobi) preconditioned by the
+squared column norms of C and stops on the unpreconditioned residual, whose
+norm P keeps.  Each profile reports the true residual ||b - A x|| / ||b||
+(one extra apply, in the reduced unknowns) and whether it is within the
+tolerance.  A grid whose mask is not invariant raises ValueError.
 
 The profile depends on ell only through the plateau cells, so the CG result
 (free values, iterations, residual) is cached on the domain keyed by those
 cells, tol and max_iter, the way singular_weight is cached per a: a probe
 over several a, or over several ell below the grid resolution, solves each
-distinct plateau once.  The reduced operator applies the columns of B at the
-free cells off the plateau, sliced out once per solve.
+distinct plateau once.  P and C are built once per solve and not kept.
 
 The Adams function with inner radius r inside gauge radius R is
 
@@ -42,19 +47,13 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
 from .group import Q
 from .io import write_csv
-from .operators import (
-    dirichlet_energy,
-    form_diagonal,
-    form_gradient,
-    integrate_weighted,
-    squared_sublaplacian,
-)
+from .operators import dirichlet_energy, form_gradient, integrate_weighted, orbit_reduction
 
 
 @dataclass
@@ -86,7 +85,8 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
 
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
     every in-ball cell with gauge <= ell; if no cell lies inside B_ell the
-    constraints are infeasible and ValueError is raised.
+    constraints are infeasible and ValueError is raised; so it is when the
+    mask is not invariant under the symmetry group of L.
     The CG result is cached on the grid per (plateau cells, tol, max_iter),
     so every ell with the same plateau shares one solve; each call returns
     its own field.
@@ -113,13 +113,15 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     cache = grid._cache
     key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
     if key not in cache:
-        off = free_dofs[free]
-        b = -form_gradient(GridField(grid, u))[off]
-        A = squared_sublaplacian(grid, free_dofs)
+        P, C = orbit_reduction(grid, free_dofs)
+        b = P.T @ -form_gradient(GridField(grid, u))[free_dofs[free]]
+        CT = C.T
+        A = LinearOperator((C.shape[1],) * 2, matvec=lambda y: CT @ (C @ y), dtype=float)
+        colnorm2 = np.bincount(C.indices, C.data ** 2, minlength=C.shape[1])
         steps = []                       # cg calls back once per iteration
-        x, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
-                  M=diags(1.0 / form_diagonal(grid)[off]), callback=steps.append)
-        cache[key] = (x, len(steps), float(np.linalg.norm(b - A @ x) / np.linalg.norm(b)))
+        y, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
+                  M=diags(1.0 / colnorm2), callback=steps.append)
+        cache[key] = (P @ y, len(steps), float(np.linalg.norm(b - A @ y) / np.linalg.norm(b)))
     x, iters, res = cache[key]
     u[free_dofs] = x
     u = GridField(grid, u)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .group import gauge_arr
-from .io import atomic_write_bytes, write_csv
+from .io import atomic_write_bytes
 
 _MAGIC = b"HGRD0001"
 
@@ -205,6 +205,29 @@ def group_lattice_grid(n: int) -> GridDomain:
     return GridDomain(shape=(n, n, n), extents=(1.0, 1.0, n * ht / 2.0))
 
 
+def orbit_images(domain: GridDomain, cells: np.ndarray) -> np.ndarray:
+    """Flat indices of the 8 images of each cell under the symmetry group of L.
+
+    The group is generated by the quarter turn (x, y, t) -> (-y, x, t) and
+    the reflection (x, y, t) -> (x, -y, -t); on indices these are
+    R: (i, j, k) -> (n-1-j, i, k) and S: (i, j, k) -> (i, n-1-j, nt-1-k).
+    Returns an (8, len(cells)) int32 array whose row 0 is cells itself;
+    row r is R^r and row 4 + r is S R^r.  The quarter turn maps the grid to
+    itself only when the x and y axes agree; otherwise ValueError.
+    """
+    nx, ny, nt = domain.shape
+    if nx != ny or domain.extents[0] != domain.extents[1]:
+        raise ValueError(f"the x and y axes differ ({domain.shape}, {domain.extents}): "
+                         "the quarter turn is not a symmetry of the grid")
+    i, j, k = (c.astype(np.int32) for c in np.unravel_index(cells, domain.shape))
+    out = np.empty((8, len(i)), dtype=np.int32)
+    for r in range(4):
+        out[r] = (i * ny + j) * nt + k
+        out[4 + r] = (i * ny + (ny - 1 - j)) * nt + (nt - 1 - k)
+        i, j = nx - 1 - j, i
+    return out
+
+
 @dataclass
 class GridField:
     """Real values at the cell centers of a GridDomain."""
@@ -241,14 +264,6 @@ class GridField:
 
 def zeros(domain: GridDomain) -> GridField:
     return GridField(domain, np.zeros(domain.shape))
-
-
-def from_function(domain: GridDomain, fn) -> GridField:
-    """Sample fn(X, Y, T) at cell centers; zero outside the mask."""
-    X, Y, T = domain.coords()
-    vals = np.asarray(fn(X, Y, T), dtype=float)
-    vals = np.where(domain.mask, vals, 0.0)
-    return GridField(domain, vals)
 
 
 def gauge_power_field(domain: GridDomain, a: float) -> GridField:
@@ -302,10 +317,3 @@ def load_field(path: str | Path) -> GridField:
         mask = bits.astype(bool).reshape(shape, order="F")
     dom = GridDomain(shape=shape, extents=(geom[0], geom[1], geom[2]), mask=mask)
     return GridField(dom, vals.reshape(shape, order="F").copy())
-
-
-def field_to_csv(f: GridField, path: str | Path) -> None:
-    """x,y,t,value rows for small grids."""
-    X, Y, T = f.domain.coords()
-    write_csv(path, ["x", "y", "t", "value"],
-              zip(X.ravel(), Y.ravel(), T.ravel(), f.values.ravel()))

@@ -13,13 +13,19 @@ zero, matching the zero-extension reading of the clamped boundary).
 
 The quadratic form u -> ||L u||^2 on clamped fields has one representation:
 B = L[:, free], the columns of L at the free cells, read off sublaplacian by
-27-colour probing and cached on the domain.  Its operator on any set of free
-cells is B^T B, its diagonal diag(B^T B) is the squared column norms of B
-(cached with it), the form's gradient is B^T (L u), and the free rows of B
-are the L_ff that free_preconditioner factors.  The operator and L_ff^-2 are
-scipy LinearOperators, which every linear solve hands to scipy's cg or minres.
+27-colour probing and cached on the domain.  Its operator on the free cells
+is B^T B, the form's gradient is B^T (L u), and the free rows of B are the
+L_ff that free_preconditioner factors.  The operator and L_ff^-2 are scipy
+LinearOperators, which every linear solve hands to scipy's cg or minres.
 grid_form bundles them, with the cell volume and the singular weights on the
 free cells, into the Form the variational drivers work on.
+
+The stencil commutes, to rounding, with the order-8 group generated by the
+quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
+(x, -y, -t) (grids.orbit_images; t -> -t alone is not a symmetry, as the
+mixed terms show).  orbit_reduction restricts the form to the invariant
+fields on a set of cells the group maps to itself, in an orthonormal orbit
+basis; the capacity solve runs there.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, splu
 
-from .grids import GridDomain, GridField
+from .grids import GridDomain, GridField, orbit_images
 
 _C = (slice(1, -1),) * 3
 
@@ -110,37 +116,54 @@ def free_columns(domain: GridDomain) -> csc_matrix:
     return cache["free_columns"]
 
 
-def form_diagonal(domain: GridDomain) -> np.ndarray:
-    """diag(B^T B), the squared column norms of B, one per free cell.
-
-    The diagonal of the form's operator on any set of free cells is this
-    vector restricted to them, a Jacobi preconditioner for its CG.  Every
-    column of B holds its cell's own nonzero L entry, so none is empty and
-    one reduceat over the CSC column starts sums them.  Cached on the domain.
-    """
-    cache = domain._cache
-    if "form_diagonal" not in cache:
-        B = free_columns(domain)
-        cache["form_diagonal"] = np.add.reduceat(B.data ** 2, B.indptr[:-1])
-    return cache["form_diagonal"]
-
-
-def squared_sublaplacian(domain: GridDomain, cells: np.ndarray | None = None) -> LinearOperator:
-    """x -> (B^T B y)[cells], y equal to x on cells and zero elsewhere.
-
-    This is L^2, the quadratic form's operator, on the degrees of freedom in
-    cells (a boolean mask within the free cells, all of them by default); it
-    is symmetric positive definite.  For a subset the columns of B at cells
-    are sliced out once, so each apply is Bc^T (Bc x) (Bc^T is CSR);
-    the products add the same nonzero terms in the same order as the full
-    B^T B on the zero-filled vector, so the result is bit for bit the same.
-    """
+def squared_sublaplacian(domain: GridDomain) -> LinearOperator:
+    """x -> B^T (B x), L^2 on the free cells: the quadratic form's operator,
+    symmetric positive definite.  B^T is CSR, so each apply is two sparse
+    products."""
     B = free_columns(domain)
-    if cells is not None:
-        B = B[:, np.flatnonzero(cells[domain.free_mask()])]
     BT = B.T
     n = B.shape[1]
     return LinearOperator((n, n), matvec=lambda x: BT @ (B @ x), dtype=float)
+
+
+def _orbits(domain: GridDomain, cells: np.ndarray):
+    """The orbits met by cells (flat indices, sorted): their representatives
+    (least flat index), the orbit of each cell, and the orbit sizes.  Raises
+    ValueError unless cells holds the whole orbit of each of its cells."""
+    images = orbit_images(domain, cells)
+    if not np.isin(images, cells).all():
+        raise ValueError("the cells are not invariant under the symmetry group of L")
+    return np.unique(images.min(axis=0), return_inverse=True, return_counts=True)
+
+
+def orbit_reduction(domain: GridDomain, cells: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
+    """(P, C) with C^T C = P^T B^T B P: the form on the invariant fields of cells.
+
+    cells is a boolean mask within the free cells that the symmetry group of
+    L (grids.orbit_images) maps to itself.  L commutes with the group, so
+    B^T B maps invariant fields on cells to invariant fields, and a Krylov
+    solve from an invariant right-hand side never leaves them.  P, one
+    column per orbit of cells with entries 1/sqrt|orbit|, is their
+    orthonormal basis: ||P^T r|| = ||r|| for invariant r, so residual norms
+    mean the same in the reduced unknowns.  The columns of B P are invariant
+    too, so the rows of B P in one orbit R of rows are equal, and
+    (B P)^T (B P) counts its representative row |R| times:
+    C = diag(sqrt|R|) B[representatives, cells] P.  Only the rows the
+    stencil reaches from cells (within one cell of them, an invariant set)
+    are classified, and the representative rows are picked out of B before
+    its columns are, so no slice of B larger than C is made.  Raises
+    ValueError when cells is not invariant or the grid has no quarter turn.
+    """
+    idx = np.flatnonzero(cells)
+    _, orbit, sizes = _orbits(domain, idx)
+    P = csr_matrix((1.0 / np.sqrt(sizes[orbit]), (np.arange(idx.size), orbit)),
+                   shape=(idx.size, sizes.size))
+    near = cells.copy()         # free cells are off the box faces, so no roll wraps
+    for axis in range(3):
+        near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
+    reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
+    rows = free_columns(domain)[reps][:, np.flatnonzero(cells[domain.free_mask()])]
+    return P, csr_matrix(diags(np.sqrt(row_sizes)) @ rows @ P)
 
 
 def form_gradient(u: GridField) -> np.ndarray:

@@ -230,11 +230,12 @@ def test_probe_threshold_arithmetic():
 
 
 # capacity profiles on ball 17, k = 2..16, as solved by Jacobi-preconditioned
-# CG on the assembled form B^T B
+# CG on the orbit-reduced form C^T C = P^T B^T B P (the energies are those of
+# the unreduced solve on B^T B)
 _CAPACITY_BALL17 = {
-    2: (137, 275.4674562080536), 3: (170, 75.70118383386544), 4: (171, 49.69618618488979),
-    5: (175, 32.94887092642909), 6: (175, 32.94887092642909), 7: (174, 26.971341713397713),
-    8: (174, 26.971341713397713), **{k: (178, 17.061299961570732) for k in range(9, 17)},
+    2: (135, 275.4674562080536), 3: (166, 75.70118383386544), 4: (169, 49.69618618488979),
+    5: (174, 32.94887092642909), 6: (174, 32.94887092642909), 7: (171, 26.971341713397713),
+    8: (171, 26.971341713397713), **{k: (175, 17.061299961570732) for k in range(9, 17)},
 }
 
 
@@ -247,11 +248,32 @@ def test_capacity_iterations_and_energies_unchanged():
         assert prof.converged
 
 
+def _unreduced_capacity_form(ball, plateau):
+    """Bc^T Bc on the free cells off the plateau, Bc the columns of B there,
+    and the capacity right-hand side: the solve without the symmetry."""
+    from scipy.sparse.linalg import LinearOperator
+    from heisadams.operators import form_gradient, free_columns
+    free = ball.free_mask()
+    off = ~plateau[free]
+    Bc = free_columns(ball)[:, np.flatnonzero(off)]
+    A = LinearOperator((Bc.shape[1],) * 2, matvec=lambda x: Bc.T @ (Bc @ x), dtype=float)
+    return A, -form_gradient(ha.GridField(ball, np.where(plateau, 1.0, 0.0)))[off]
+
+
+def test_capacity_ball49_scale_pin():
+    """Ball 49, affordable with the reduced solve, against the energy of the
+    unreduced Jacobi CG on B^T B."""
+    prof = ha.capacity_profile(0.5, ha.ball_grid(49))
+    assert prof.converged
+    assert prof.energy == pytest.approx(364.83059839304747, rel=1e-12)
+
+
 def test_capacity_jacobi_matches_plain_cg():
-    """The diagonal preconditioner changes the iteration count and nothing
-    else: the same minimizer and energy as plain CG, in fewer steps."""
+    """The diagonal preconditioner and the reduction to invariant fields
+    change the iteration count and nothing else: the same minimizer and
+    energy as plain CG on all the free cells off the plateau, in fewer steps."""
     from conftest import counted_cg
-    from heisadams.operators import dirichlet_energy, form_gradient, squared_sublaplacian
+    from heisadams.operators import dirichlet_energy
     ball = ha.ball_grid(17)
     free = ball.free_mask()
     rho = ball.gauge()
@@ -260,8 +282,8 @@ def test_capacity_jacobi_matches_plain_cg():
         plateau = (rho <= 1.0 / k) & ball.mask
         free_dofs = free & ~plateau
         u = np.where(plateau, 1.0, 0.0)
-        rhs = -form_gradient(ha.GridField(ball, u))[free_dofs[free]]
-        x, iters, res = counted_cg(squared_sublaplacian(ball, free_dofs), rhs, 1e-8, 20000)
+        A, rhs = _unreduced_capacity_form(ball, plateau)
+        x, iters, res = counted_cg(A, rhs, 1e-8, 20000)
         assert res <= 1e-8
         u[free_dofs] = x
         plain = ha.GridField(ball, u)
@@ -273,12 +295,9 @@ def test_capacity_jacobi_matches_plain_cg():
 def test_cg_residual_is_the_true_residual(cap21, ball21):
     """cg_residual is ||b - A x|| / ||b|| of the returned field, recomputed
     here, not the residual the CG updates by recursion."""
-    from heisadams.operators import form_gradient, squared_sublaplacian
-    free = ball21.free_mask()
     plateau = (ball21.gauge() <= 0.5) & ball21.mask
-    free_dofs = free & ~plateau
-    b = -form_gradient(ha.GridField(ball21, np.where(plateau, 1.0, 0.0)))[free_dofs[free]]
-    A = squared_sublaplacian(ball21, free_dofs)
+    A, b = _unreduced_capacity_form(ball21, plateau)
+    free_dofs = ball21.free_mask() & ~plateau
     want = np.linalg.norm(b - A @ cap21.field.values[free_dofs]) / np.linalg.norm(b)
     assert cap21.cg_residual == pytest.approx(want, rel=1e-12)
 

@@ -221,17 +221,6 @@ def test_field_binary_layout_is_x_fastest(tmp_path):
     assert payload[1] == vals[1, 0, 0]  # x varies fastest
 
 
-def test_field_csv(tmp_path):
-    dom = ha.box_grid(3)
-    f = ha.from_function(dom, lambda X, Y, T: X + 2 * Y + 3 * T)
-    p = tmp_path / "f.csv"
-    from heisadams.grids import field_to_csv
-    field_to_csv(f, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "x,y,t,value"
-    assert len(lines) == 28
-
-
 def test_gauge_power_field_is_finite(ball33):
     f = ha.gauge_power_field(ball33, 2.0)
     assert np.isfinite(f.values).all()
@@ -286,14 +275,12 @@ def test_cell_average_helper_is_bit_identical(dom):
 
 def _writers():
     from heisadams.extremals import ProbeRow, probe_to_csv
-    from heisadams.grids import field_to_csv
     dom = ha.ball_grid(5)
     f = ha.GridField(dom, np.where(dom.mask, 1.5, 0.0))
     rows = [ProbeRow(k=2, beta=1.0, a=0.0, value=2.0, normEstimate=3.0, converged=True,
                      plateau_cells=1, resolved_rings=0)]
     return {
         "save_field": lambda p: ha.save_field(f, p),
-        "field_to_csv": lambda p: field_to_csv(f, p),
         "probe_to_csv": lambda p: probe_to_csv(rows, p),
         "profile_to_csv": lambda p: ha.decreasing_rearrangement(f).to_csv(p),
     }
@@ -302,9 +289,6 @@ def _writers():
 # (leading bytes, sha256) of each writer's output for the _writers() inputs:
 # floats as %.17g, ints as digits, one header line, "\n" line ends
 _WRITER_BYTES = {
-    "field_to_csv": (b"x,y,t,value\n-0.80000000000000004,-0.80000000000000004,"
-                     b"-0.80000000000000004,0\n",
-                     "96c1e44836d10aeae6504bce6a3d782e219907f8dd94607dcdd953e3047fcb75"),
     "probe_to_csv": (b"k,beta,a,value,normEstimate\n2,1,0,2,3\n",
                      "d302e451e225b4bd0d9c504ee6ed1a84b4ce17c42bffdc313349535e3eab9be9"),
     "profile_to_csv": (b"measure,value\n0.064000000000000015,1.5\n",

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from heisadams.operators import apply_fields, free_columns, squared_sublaplacian, sublaplacian
+from scipy.sparse import identity
+
+from heisadams.grids import orbit_images
+from heisadams.operators import (
+    apply_fields,
+    free_columns,
+    orbit_reduction,
+    squared_sublaplacian,
+    sublaplacian,
+)
 
 from conftest import counted_cg, random_free_field
 
@@ -208,57 +217,64 @@ def test_probed_free_sublaplacian_matches_stencil(dom):
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
 def test_squared_sublaplacian_is_the_stencil_applied_twice(dom):
-    """(B^T B y)[S] equals L(L u)[S] for u supported on a subset S of the
-    free cells (here the free cells off a central plateau, as in capacity)."""
+    """B^T B y equals L(L u) on the free cells for the clamped field u with
+    free values y."""
     free = dom.free_mask()
-    cells = free & (dom.gauge() > 0.3)
-    x = np.random.default_rng(12).standard_normal(int(cells.sum()))
-    u = np.zeros(dom.shape)
-    u[cells] = x
-    ref = sublaplacian(sublaplacian(ha.GridField(dom, u))).values[cells]
-    got = squared_sublaplacian(dom, cells)(x)
+    u = random_free_field(dom, np.random.default_rng(12))
+    ref = sublaplacian(sublaplacian(u)).values[free]
+    got = squared_sublaplacian(dom)(u.values[free])
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
-    xf = u[free]
-    ref = sublaplacian(sublaplacian(ha.GridField(dom, u))).values[free]
-    assert np.linalg.norm(squared_sublaplacian(dom)(xf) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-def _subset_cells(name):
-    if name == "box9-random":
-        dom = ha.box_grid(9)
-        pick = np.random.default_rng(13).random(dom.shape) < 0.6
-        return dom, dom.free_mask() & pick
-    dom = ha.ball_grid(17)
-    return dom, dom.free_mask() & ~((dom.gauge() <= 0.5) & dom.mask)
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
+def test_sublaplacian_is_equivariant_under_the_order_8_group(dom):
+    """L(g u) = g(L u) for the 8 elements g of the group that orbit_images
+    enumerates, on a field that is random on the whole box."""
+    images = orbit_images(dom, np.arange(dom.mask.size))
+    assert images.dtype == np.int32
+    assert np.array_equal(images[0], np.arange(dom.mask.size))
+    assert all(np.array_equal(np.sort(g), images[0]) for g in images)   # permutations
+    assert len({g.tobytes() for g in images}) == 8
+    for g in images:
+        assert np.array_equal(dom.mask.ravel()[g], dom.mask.ravel())
+    u = np.random.default_rng(15).standard_normal(dom.shape)
+    Lu = sublaplacian(ha.GridField(dom, u)).values.ravel()
+    for g in images:
+        gu = np.empty(dom.shape)
+        gu.flat[g] = u.ravel()
+        L_gu = sublaplacian(ha.GridField(dom, gu)).values.ravel()
+        assert np.linalg.norm(L_gu[g] - Lu) <= 1e-15 * np.linalg.norm(Lu)
 
 
-@pytest.mark.parametrize("name", ["box9-random", "ball17-off-plateau"])
-def test_sliced_squared_sublaplacian_equals_zero_filled_product(name):
-    """The sliced columns give bit for bit what zero-filling x into all free
-    cells, applying B^T B and gathering the subset gives."""
-    dom, cells = _subset_cells(name)
-    B = free_columns(dom)
-    sel = cells[dom.free_mask()]
-    op = squared_sublaplacian(dom, cells)
-    rng = np.random.default_rng(14)
-    for _ in range(3):
-        x = rng.standard_normal(int(sel.sum()))
-        y = np.zeros(B.shape[1])
-        y[sel] = x
-        assert np.array_equal(op(x), (B.T @ (B @ y))[sel])
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_orbit_reduction_is_the_form_on_invariant_fields(dom, k):
+    """P is orthonormal and C^T C is P^T B^T B P on the free cells off the
+    capacity plateau of ell = 1/k."""
+    cells = dom.free_mask() & ~((dom.gauge() <= 1.0 / k) & dom.mask)
+    P, C = orbit_reduction(dom, cells)
+    assert P.shape == (int(cells.sum()), C.shape[1])
+    assert abs(P.T @ P - identity(P.shape[1])).max() <= 1e-15
+    Bc = free_columns(dom)[:, np.flatnonzero(cells[dom.free_mask()])]
+    want = (P.T @ (Bc.T @ Bc) @ P).toarray()
+    got = (C.T @ C).toarray()
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert C.nnz < Bc.nnz / 6
 
 
-def test_form_diagonal_is_diag_of_BtB():
-    """The cached diagonal is diag(B^T B), positive everywhere, read once."""
-    from heisadams.operators import form_diagonal
-    for dom in (ha.box_grid(9), ha.ball_grid(17)):
-        d = form_diagonal(dom)
-        assert form_diagonal(dom) is d   # cached on the domain
-        B = free_columns(dom)
-        want = (B.T @ B).diagonal()
-        assert d.shape == want.shape
-        assert np.all(d > 0)
-        assert np.all(np.abs(d - want) <= 1e-15 * want)
+def test_orbit_reduction_rejects_cells_that_are_not_invariant():
+    ball = ha.ball_grid(17)
+    mask = ball.mask.copy()
+    mask[10, 11, 9] = False                 # off every axis: its orbit has 8 cells
+    assert ball.free_mask()[10, 11, 9]
+    holed = ha.GridDomain(shape=ball.shape, extents=ball.extents, mask=mask)
+    with pytest.raises(ValueError, match="not invariant"):
+        orbit_reduction(holed, holed.free_mask())
+    with pytest.raises(ValueError, match="not invariant"):
+        ha.capacity_profile(0.5, holed)
+    box = ha.GridDomain(shape=(17, 19, 17), extents=(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="quarter turn"):
+        orbit_reduction(box, box.free_mask())
 
 
 def test_free_preconditioner_inverts_lff_squared():
