@@ -40,7 +40,6 @@ from .extremals import (
     CapacityProfile,
     adams_function,
     capacity_profile,
-    m_constant,
     sharpness_probe,
     singular_mt_functional,
 )

@@ -124,7 +124,7 @@ _KEYS = {
     "nl": (str, "cubic", "nonlinearity: cubic | critical"),
     "lam": (float, 1.0, "critical-model coefficient"),
     "alpha0": (float, 1.0, "critical-model exponent scale"),
-    "tol": (float, 1e-6, "solver tolerance"),
+    "tol": (float, 1e-6, "saddle-search tolerance"),
     "seed": (int, 0, "seed of the randomized checks"),
     "betas": (str, "0.75*,1.0*,1.25*", "beta list, e.g. 0.75*,1.25* or 0.9A,1.1A"),
     "ks": (str, "2..32", "k list, e.g. 2..32 or 2,4,8"),
@@ -265,8 +265,10 @@ def cmd_sharpness(cfg: SimpleNamespace, out: Path) -> int:
     betas = _parse_betas(cfg.betas, a)
     ks = _parse_ks(cfg.ks)
     dom = ball_grid(cfg.grid)
-    cfg.tol = min(cfg.tol, 1e-8)   # the manifest records the CG's tol
-    rows = sharpness_probe(a, betas, ks, grid=dom, tol=cfg.tol)
+    try:
+        rows = sharpness_probe(a, betas, ks, grid=dom)
+    except ValueError as exc:    # an ell the grid cannot resolve
+        raise ConfigError(str(exc)) from exc
     probe_to_csv(rows, out / "sharpness.csv")
     plateaus = {r.k: {"plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
                 for r in rows}
@@ -287,8 +289,10 @@ def cmd_sharpness(cfg: SimpleNamespace, out: Path) -> int:
 
 def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
     dom = ball_grid(cfg.grid)
-    cfg.tol = min(cfg.tol, 1e-8)   # the manifest records the CG's tol
-    prof = capacity_profile(cfg.ell, dom, tol=cfg.tol)
+    try:
+        prof = capacity_profile(cfg.ell, dom)
+    except ValueError as exc:    # an ell the grid cannot resolve
+        raise ConfigError(str(exc)) from exc
     adams = adams_function(cfg.ell, 1.0, dom, profile=prof)
     save_field(prof.field, out / "capacity_field.bin")
     write_json(out / "capacity.json", {
@@ -390,8 +394,7 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
 
 def cmd_lambda(cfg: SimpleNamespace, out: Path) -> int:
     dom = box_grid(cfg.grid, extent=cfg.extent)
-    cfg.tol = min(cfg.tol, 1e-10)   # the manifest records the LOBPCG's tol
-    res = lambda_estimate(dom, cfg.a, tol=cfg.tol)
+    res = lambda_estimate(dom, cfg.a)
     write_json(out / "lambda.json", {
         "a": cfg.a,
         "value": res.value,
@@ -452,11 +455,11 @@ def cmd_plot_data(cfg: SimpleNamespace, out: Path) -> int:
 _COMMANDS = {
     "constants": (cmd_constants, ("tail_radius", "mc_samples", "seed")),
     "rearrange-check": (cmd_rearrange_check, ("grid", "seed")),
-    "sharpness": (cmd_sharpness, ("grid", "a", "tol", "betas", "ks")),
-    "capacity": (cmd_capacity, ("grid", "tol", "ell")),
+    "sharpness": (cmd_sharpness, ("grid", "a", "betas", "ks")),
+    "capacity": (cmd_capacity, ("grid", "ell")),
     "solve": (cmd_solve, ("grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol")),
     "continuation": (cmd_continuation, ("grid", "extent", "nl", "lam", "alpha0", "tol", "nmax")),
-    "lambda": (cmd_lambda, ("grid", "extent", "a", "tol")),
+    "lambda": (cmd_lambda, ("grid", "extent", "a")),
     "plot-data": (cmd_plot_data, ("artifact",)),
 }
 

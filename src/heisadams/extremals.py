@@ -30,14 +30,7 @@ The Adams function with inner radius r inside gauge radius R is
 The plateau amplitude is exact arithmetic; the norm estimate inherits the
 discrete capacity energy, which approaches the log-capacity bound
 A / (Q log(1/ell)) only as ell -> 0 (the measured slack at moderate ell is
-reported, not hidden).
-
-The plateau-growth constant is estimated by
-
-    M_k = int_{1/k <= |xi| <= 1} exp(Q log k * U_{1/k}(xi)^2) d xi,
-
-whose k -> infinity limit is positive.  The sharp exponent A is
-constants.BIG_A.
+reported, not hidden).  The sharp exponent A is constants.BIG_A.
 """
 
 from __future__ import annotations
@@ -159,35 +152,6 @@ def adams_function(r: float, bigR: float, grid: GridDomain, tol: float = 1e-8,
     field = GridField(grid, amplitude * prof.field.values)
     norm = float(np.sqrt(amplitude ** 2 * prof.energy))
     return AdamsFunction(r=r, bigR=bigR, field=field, normEstimate=norm, plateau=amplitude)
-
-
-@dataclass
-class PlateauGrowthEstimate:
-    k: int
-    value: float
-    capacity_energy: float
-
-
-def m_constant(kmax: int, grid: GridDomain, tol: float = 1e-8) -> list[PlateauGrowthEstimate]:
-    """Annulus integrals whose limit is the plateau-growth constant.
-
-    For each k = 2..kmax computes
-
-        int_{1/k <= |xi| <= 1} exp(Q log k * U_{1/k}^2) d xi
-
-    on grid.  All estimates are positive by construction.
-    """
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
-    rho = grid.gauge()
-    out = []
-    for k in range(2, kmax + 1):
-        prof = capacity_profile(1.0 / k, grid, tol=tol)
-        ann = grid.mask & (rho >= 1.0 / k)
-        integrand = np.exp(Q * np.log(k) * prof.field.values[ann] ** 2)
-        out.append(PlateauGrowthEstimate(k=k, value=float(np.sum(integrand)) * grid.cell_volume,
-                                         capacity_energy=prof.energy))
-    return out
 
 
 def singular_mt_functional(u: GridField, beta: float, a: float) -> float:

@@ -245,11 +245,6 @@ class GridField:
     def masked(self) -> np.ndarray:
         return self.values[self.domain.mask]
 
-    def project_free(self) -> "GridField":
-        """Zero everything but the free cells (boundary-condition projection)."""
-        out = np.where(self.domain.free_mask(), self.values, 0.0)
-        return GridField(self.domain, out)
-
     def __add__(self, other):
         return GridField(self.domain, self.values + other.values)
 

@@ -17,8 +17,9 @@ B = L[:, free], the columns of L at the free cells, read off sublaplacian by
 is B^T B, the form's gradient is B^T (L u), and the free rows of B are the
 L_ff that free_preconditioner factors.  The operator and L_ff^-2 are scipy
 LinearOperators, which every linear solve hands to scipy's cg or minres.
-grid_form bundles them, with the cell volume and the singular weights on the
-free cells, into the Form the variational drivers work on.
+grid_form wraps them, with the cell volume and the singular weights on the
+free cells, in the Form the variational drivers work on; it caches nothing
+itself.
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
@@ -30,7 +31,6 @@ basis; the capacity solve runs there.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -209,24 +209,18 @@ class Form:
 
 
 def grid_form(domain: GridDomain) -> Form:
-    """The Form of the domain's free cells, cached on the domain.  It holds the
-    domain weakly, as a cycle through the cache would keep a dropped domain's
-    factor alive until a full collection, so it serves while the domain does."""
-    cache = domain._cache
-    if "form" not in cache:
-        free = domain.free_mask()
-        ref = weakref.ref(domain)
+    """The Form of the domain's free cells.  B and the factor of L_ff are
+    cached on the domain, so each call only wraps them (tens of microseconds)."""
+    free = domain.free_mask()
 
-        def expand(x):
-            vals = np.zeros(free.shape)
-            vals[free] = x
-            return GridField(ref(), vals)
+    def expand(x):
+        vals = np.zeros(free.shape)
+        vals[free] = x
+        return GridField(domain, vals)
 
-        cache["form"] = Form(A=squared_sublaplacian(domain), M=free_preconditioner(domain),
-                             volume=domain.cell_volume,
-                             weight=lambda a: ref().singular_weight(a)[free],
-                             expand=expand)
-    return cache["form"]
+    return Form(A=squared_sublaplacian(domain), M=free_preconditioner(domain),
+                volume=domain.cell_volume,
+                weight=lambda a: domain.singular_weight(a)[free], expand=expand)
 
 
 def dirichlet_energy(u: GridField) -> float:

@@ -354,7 +354,8 @@ class MountainPassState:
 
 
 class GeometryFailure(RuntimeError):
-    """J has no maximum along the seed ray: it still rises past t ||u|| = _RAY_T_MAX."""
+    """J has no maximum along a ray: it still rises past t ||u|| = _RAY_T_MAX,
+    or it falls from the origin down to t ||u|| = _TRIVIALITY_FLOOR."""
 
 
 def default_bump(domain: GridDomain) -> GridField:
@@ -376,8 +377,9 @@ def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
     doubles from 1 while the bracket is still open.  As in rtsafe, a Newton
     step longer than half the previous step bisects instead, so the search
     cannot creep along a steep exponential.  Raises GeometryFailure when
-    phi' is still positive once t ||x|| passes _RAY_T_MAX, and RuntimeError
-    when 200 steps do not pin the root down.
+    phi' is still positive once t ||x|| passes _RAY_T_MAX, or has been
+    nonpositive at every t tried down to t ||x|| <= _TRIVIALITY_FLOOR (J falls
+    from the origin), and RuntimeError when 200 steps do not pin the root down.
     """
     wx = form.weight(a) * x * form.volume
     unorm2 = float(x @ form.A(x)) * form.volume
@@ -393,6 +395,8 @@ def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
                         f"energy still rises along the ray at t ||u|| = {t * unorm:.3g}")
                 lo = t
             else:
+                if lo == 0.0 and t * unorm <= _TRIVIALITY_FLOOR:
+                    raise GeometryFailure("energy falls along the ray from the origin")
                 hi = t
             d2 = unorm2 - float(np.sum(wx * x * nl.fprime(tx)))
             t_new = t - d1 / d2 if d2 < 0.0 else np.nan
@@ -414,8 +418,9 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     The search runs on the free-cell unknowns of the domain's Form.  The
     seed ray (a positive bump, or the warm start) is scaled to the
     maximum of J along it, which lies on the Nehari manifold J'(u) u = 0; a
-    seed of zero norm, or a ray along which J has no maximum, returns the
-    zero field with geometry_failure set.  Each descent step subtracts the
+    seed of zero norm, or a ray (of the seed, a descent step or a Newton
+    iterate) along which J has no maximum, returns the zero field with
+    geometry_failure set.  Each descent step subtracts the
     Sobolev gradient d = (L^2)^-1 grad J(u), one preconditioned
     conjugate-gradient solve on the free cells, and scales the result back
     to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, damped Newton
@@ -445,14 +450,20 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     try:
         if nrm == 0.0:
             raise GeometryFailure("seed direction has zero norm")
-        x = _ray_max(form, seed * (1.0 / nrm), nl, a)
+        x, state = _saddle_search(form, _ray_max(form, seed * (1.0 / nrm), nl, a), nl, a, opts)
     except GeometryFailure as exc:
+        x = np.zeros_like(seed)
         state = MountainPassState(
             levelEstimate=np.nan, gradResidual=np.inf, history=[],
             converged=False, geometry_failure=True, message=str(exc),
         )
-        return form.expand(np.zeros_like(seed)), state
+    return form.expand(x), state
 
+
+def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
+                   opts: SolveOptions) -> tuple[Array, MountainPassState]:
+    """The descent and Newton phases of mountain_pass_solve from the ray
+    maximum x; raises GeometryFailure from any ray search."""
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
     while True:
@@ -507,7 +518,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         state.message = "Newton stagnated; returning its last iterate"
     elif not nontrivial:
         state.message = "converged to the trivial state below the triviality floor"
-    return form.expand(x), state
+    return x, state
 
 
 # -- continuation --------------------------------------------------------------

@@ -93,37 +93,15 @@ def test_sharpness_manifest_records_plateaus_and_warns(tmp_path, capsys):
     assert (out / "sharpness.csv").read_text().splitlines()[0] == "k,beta,a,value,normEstimate"
 
 
-@pytest.mark.parametrize("tol, want", [("1e-6", 1e-8), ("1e-10", 1e-10)])
-def test_capacity_manifests_record_the_cg_tolerance(tmp_path, tol, want):
-    """capacity and sharpness run their CG at min(tol, 1e-8); the manifest
-    records that tolerance, not the one given."""
-    out = tmp_path / "c"
-    assert run_cli(["capacity", "--grid", "9", "--tol", tol, "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
-    out = tmp_path / "s"
-    assert run_cli(["sharpness", "--grid", "9", "--betas", "1*", "--ks", "2",
-                    "--tol", tol, "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
-
-
-@pytest.mark.parametrize("tol, want", [("1e-6", 1e-10), ("1e-12", 1e-12)])
-def test_lambda_manifest_records_the_lobpcg_tolerance(tmp_path, tol, want):
-    """lambda runs LOBPCG at min(tol, 1e-10); the manifest records that
-    tolerance, not the one given."""
-    out = tmp_path / "l"
-    assert run_cli(["lambda", "--grid", "7", "--tol", tol, "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["resolved"]["tol"] == want
-
-
 # each subcommand's keys besides out; the spec the parser is built from
 COMMAND_KEYS = {
     "constants": {"tail_radius", "mc_samples", "seed"},
     "rearrange-check": {"grid", "seed"},
-    "sharpness": {"grid", "a", "tol", "betas", "ks"},
-    "capacity": {"grid", "tol", "ell"},
+    "sharpness": {"grid", "a", "betas", "ks"},
+    "capacity": {"grid", "ell"},
     "solve": {"grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol"},
     "continuation": {"grid", "extent", "nl", "lam", "alpha0", "tol", "nmax"},
-    "lambda": {"grid", "extent", "a", "tol"},
+    "lambda": {"grid", "extent", "a"},
     "plot-data": {"artifact"},
 }
 
@@ -134,12 +112,15 @@ COMMAND_KEYS = {
     ("rearrange-check", "extent", "1.0"),
     ("sharpness", "seed", "1"),
     ("sharpness", "extent", "1.0"),
+    ("sharpness", "tol", "1e-6"),
     ("capacity", "nl", "critical"),
     ("capacity", "extent", "1.0"),
     ("capacity", "ks", "2"),
+    ("capacity", "tol", "1e-6"),
     ("solve", "seed", "1"),
     ("continuation", "a", "1"),       # not an abbreviation of --alpha0
     ("lambda", "nl", "critical"),
+    ("lambda", "tol", "1e-10"),
     ("plot-data", "grid", "9"),
 ])
 def test_commands_reject_keys_they_do_not_read(tmp_path, capsys, command, key, value):
@@ -224,9 +205,9 @@ def test_invalid_ranges_exit_2(tmp_path):
                  ["constants", "--mc-samples", "0"],
                  ["constants", "--mc-samples", "1"],
                  ["constants", "--tail-radius", "-1"],
-                 ["capacity", "--tol", "nan"],
-                 ["capacity", "--tol", "-1"],
-                 ["sharpness", "--tol", "inf"],
+                 ["solve", "--tol", "nan"],
+                 ["continuation", "--tol", "-1"],
+                 ["continuation", "--tol", "inf"],
                  ["solve", "--tol", "0"]):
         out = tmp_path / "range"
         assert run_cli(args + ["--out", str(out)]) == 2, args
@@ -360,6 +341,31 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
         lines = (out / "sharpness.csv").read_text().splitlines()
         assert lines[0] == "k,beta,a,value,normEstimate"
         assert len(lines) == 4
+
+
+@pytest.mark.parametrize("args", [["sharpness", "--grid", "6"],
+                                  ["capacity", "--grid", "6", "--ell", "0.9"]])
+def test_unresolvable_ell_exits_2(tmp_path, capsys, args):
+    """An ell whose plateau holds no cell (ball 6 at the default ks reaches
+    ell = 1/4), or leaves no free cell outside it, is a configuration error:
+    exit 2, with no artifact written."""
+    out = tmp_path / "out"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_continuation_falling_ray_exits_3(tmp_path, capsys):
+    """lam far above lambda_1 makes J fall from the origin along a ray of
+    the saddle search: the stage is a geometry failure and the command
+    exits 3."""
+    out = tmp_path / "cont"
+    rc = run_cli(["continuation", "--nl", "critical", "--lam", "1000", "--grid", "7",
+                  "--nmax", "1", "--out", str(out)])
+    assert rc == 3
+    assert "continuation aborted early" in capsys.readouterr().err
+    doc = json.loads((out / "continuation.json").read_text())
+    assert doc == {"stages": 1, "all_converged": False, "tail_differences_decreasing": False}
 
 
 def test_rearrange_check_command(tmp_path):

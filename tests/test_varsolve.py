@@ -62,8 +62,23 @@ def test_form_energy_is_the_field_energy(grid, model, a):
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_grid_form_is_cached_on_the_domain(box9m):
-    assert grid_form(box9m) is grid_form(box9m)
+def test_grid_forms_share_the_domain_factor(box9m):
+    """Each call wraps the domain's cached B and L_ff factor anew and caches
+    nothing more."""
+    f1 = grid_form(box9m)
+    keys = set(box9m._cache)
+    f2 = grid_form(box9m)
+    assert f1 is not f2 and f1.M is f2.M
+    assert set(box9m._cache) == keys
+    x = np.random.default_rng(3).standard_normal(f1.A.shape[0])
+    assert np.array_equal(f1.A(x), f2.A(x))
+
+
+def test_form_keeps_its_domain():
+    """A Form outlives every other reference to its domain."""
+    form = grid_form(ha.box_grid(7))
+    u = form.expand(np.ones(form.A.shape[0]))
+    assert u.domain.shape == (7, 7, 7) and u.values.sum() == form.A.shape[0]
 
 
 @pytest.mark.parametrize("grid", ["box9", "ball13"])
@@ -227,6 +242,41 @@ def test_geometry_failure_for_zero_nonlinearity(box9m):
     assert np.all(u.values == 0.0)
     with pytest.raises(GeometryFailure):
         _ray_max(grid_form(box9m), default_bump(box9m).values[box9m.free_mask()], free_nl, 0.0)
+
+
+def test_geometry_failure_for_a_ray_falling_from_the_origin(box9m, lam9):
+    """Above the Rayleigh quotient of a direction (71.1 for the bump at
+    a = 1), the critical model makes J fall along its ray from the origin,
+    and the ray search raises.  Just above lambda_1 (57.5) the bump's ray
+    has a maximum, but the descent steps turn toward the first eigenvector
+    until one does not; the solve reports that as a geometry failure."""
+    seed = default_bump(box9m).values[box9m.free_mask()]
+    with pytest.raises(GeometryFailure, match="falls along the ray"):
+        _ray_max(grid_form(box9m), seed, ha.critical_model(80.0), 1.0)
+    u, st = ha.mountain_pass_solve(ha.critical_model(1.01 * lam9[1.0].value), 1.0, box9m)
+    assert st.geometry_failure and not st.converged
+    assert "falls along the ray" in st.message
+    assert np.all(u.values == 0.0)
+
+
+def test_geometry_failure_after_the_seed_ray(box9m, monkeypatch):
+    """A ray search that fails after the seed's (a descent step or a Newton
+    level) ends the solve as a geometry failure too, not as an exception."""
+    import heisadams.varsolve as vs
+    calls = []
+
+    def fail_after_the_seed(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise GeometryFailure("injected")
+        return ray_max(*args)
+
+    ray_max = vs._ray_max
+    monkeypatch.setattr(vs, "_ray_max", fail_after_the_seed)
+    u, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m)
+    assert len(calls) == 2
+    assert st.geometry_failure and not st.converged and st.message == "injected"
+    assert np.all(u.values == 0.0)
 
 
 def test_ray_energy_goes_negative(box9m):
