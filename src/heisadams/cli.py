@@ -34,7 +34,7 @@ from .constants import BIG_A, QuadratureOptions, compute_constants
 from .extremals import adams_function, capacity_profile, probe_to_csv, sharpness_probe
 from .grids import GridField, ball_grid, box_grid, gauge_power_field, save_field
 from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
-from .operators import dirichlet_energy, grid_form
+from .operators import dirichlet_energy, orbit_form
 from .rearrange import (
     decreasing_rearrangement,
     double_star,
@@ -322,7 +322,10 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
 
     lam = lambda_estimate(dom, a, tol=1e-10)
     report = validate_hypotheses(nl, a, lam.value)
+    form = orbit_form(dom)
     write_json(out / "hypotheses.json", {
+        "free_cells": int(form.count.sum()),
+        "unknowns": form.count.size,
         "lambda": lam.value,
         "lambda_converged": lam.converged,
         "lambda_iterations": lam.iterations,
@@ -352,7 +355,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
         "level": state.levelEstimate,
         "gradResidual": state.gradResidual,
         "norm": unorm,
-        "energy": energy(grid_form(dom), u.values[dom.free_mask()], nl, a),
+        "energy": energy(form, form.restrict(u), nl, a),
         "rayleigh_bound_ok": bool(
             unorm == 0.0 or rayleigh_quotient(u, a) >= lam.value * (1 - 1e-6)),
         "newton_iterations": state.newton_iterations,
@@ -360,6 +363,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     }
     if nl.alpha0 is not None:
         summary["level_bound"] = level_bound(a, nl.alpha0)
+        summary["level_below_bound"] = bool(state.levelEstimate < summary["level_bound"])
     write_json(out / "solve.json", summary)
     write_json(out / "manifest.json", _manifest(cfg, {"lambda": lam.value}))
     if state.geometry_failure or not state.converged:
@@ -378,10 +382,16 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
     write_csv(out / "continuation.csv",
               ["n", "a", "norm", "diff", "weighted_uf", "weighted_F", "level", "gradResidual"],
               rows)
-    if steps:
-        save_field(steps[-1].solution, out / "final_solution.bin")
+    # the last converged stage's solution; none when no stage converged
+    converged = [s for s in steps if s.state.converged]
+    final = out / "final_solution.bin"
+    if converged:
+        save_field(converged[-1].solution, final)
+    else:
+        final.unlink(missing_ok=True)
     write_json(out / "continuation.json", {
         "stages": len(steps),
+        "final_stage": converged[-1].n if converged else None,
         "all_converged": bool(all(s.state.converged for s in steps)),
         "tail_differences_decreasing": tail_differences_decreasing(steps),
     })

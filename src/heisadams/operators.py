@@ -14,19 +14,22 @@ zero, matching the zero-extension reading of the clamped boundary).
 The quadratic form u -> ||L u||^2 on clamped fields has one representation:
 B = L[:, free], the columns of L at the free cells, read off sublaplacian by
 27-colour probing and cached on the domain.  Its operator on the free cells
-is B^T B, the form's gradient is B^T (L u), and the free rows of B are the
-L_ff that free_preconditioner factors.  The operator and L_ff^-2 are scipy
-LinearOperators, which every linear solve hands to scipy's cg or minres.
-grid_form wraps them, with the cell volume and the singular weights on the
-free cells, in the Form the variational drivers work on; it caches nothing
-itself.
+is B^T B, and the form's gradient is B^T (L u).
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
 (x, -y, -t) (grids.orbit_images; t -> -t alone is not a symmetry, as the
-mixed terms show).  orbit_reduction restricts the form to the invariant
-fields on a set of cells the group maps to itself, in an orthonormal orbit
-basis; the capacity solve runs there.
+mixed terms show), so B^T B maps fields invariant under it to invariant
+fields, and every solve runs on the invariant fields of a cell set the
+group maps to itself.  orbit_reduction gives the form there in an
+orthonormal orbit basis, for the capacity solve.  orbit_form gives the Form
+the variational drivers work on, in orbit-indicator unknowns (one value per
+orbit of free cells): the operator, an L_ff^-2 preconditioner factored on
+the orbits (L_ff the free rows of B), the cell volume, the orbit sizes and
+weights, and the maps between unknowns and fields.  The operators are scipy
+LinearOperators, which every linear solve hands to scipy's cg or minres.
+A domain whose free cells are not invariant raises ValueError; there is no
+unreduced path.
 """
 
 from __future__ import annotations
@@ -116,16 +119,6 @@ def free_columns(domain: GridDomain) -> csc_matrix:
     return cache["free_columns"]
 
 
-def squared_sublaplacian(domain: GridDomain) -> LinearOperator:
-    """x -> B^T (B x), L^2 on the free cells: the quadratic form's operator,
-    symmetric positive definite.  B^T is CSR, so each apply is two sparse
-    products."""
-    B = free_columns(domain)
-    BT = B.T
-    n = B.shape[1]
-    return LinearOperator((n, n), matvec=lambda x: BT @ (B @ x), dtype=float)
-
-
 def _orbits(domain: GridDomain, cells: np.ndarray):
     """The orbits met by cells (flat indices, sorted): their representatives
     (least flat index), the orbit of each cell, and the orbit sizes.  Raises
@@ -134,6 +127,25 @@ def _orbits(domain: GridDomain, cells: np.ndarray):
     if not np.isin(images, cells).all():
         raise ValueError("the cells are not invariant under the symmetry group of L")
     return np.unique(images.min(axis=0), return_inverse=True, return_counts=True)
+
+
+def _orbit_rows(domain: GridDomain, cells: np.ndarray, E: csr_matrix) -> csr_matrix:
+    """diag(sqrt|R|) B[representatives, cells] E, for E a matrix of invariant
+    columns on cells (a boolean mask within the free cells).
+
+    L commutes with the group, so the columns of B E are invariant too, the
+    rows of B E in one orbit R of rows are equal, and (B E)^T (B E) counts
+    its representative row |R| times: the result C has C^T C = E^T B^T B E.
+    Only the rows the stencil reaches from cells (within one cell of them,
+    an invariant set) are classified, and the representative rows are picked
+    out of B before its columns are, so no slice of B larger than C is made.
+    """
+    near = cells.copy()         # free cells are off the box faces, so no roll wraps
+    for axis in range(3):
+        near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
+    reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
+    rows = free_columns(domain)[reps][:, np.flatnonzero(cells[domain.free_mask()])]
+    return csr_matrix(diags(np.sqrt(row_sizes)) @ rows @ E)
 
 
 def orbit_reduction(domain: GridDomain, cells: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
@@ -145,25 +157,15 @@ def orbit_reduction(domain: GridDomain, cells: np.ndarray) -> tuple[csr_matrix, 
     solve from an invariant right-hand side never leaves them.  P, one
     column per orbit of cells with entries 1/sqrt|orbit|, is their
     orthonormal basis: ||P^T r|| = ||r|| for invariant r, so residual norms
-    mean the same in the reduced unknowns.  The columns of B P are invariant
-    too, so the rows of B P in one orbit R of rows are equal, and
-    (B P)^T (B P) counts its representative row |R| times:
-    C = diag(sqrt|R|) B[representatives, cells] P.  Only the rows the
-    stencil reaches from cells (within one cell of them, an invariant set)
-    are classified, and the representative rows are picked out of B before
-    its columns are, so no slice of B larger than C is made.  Raises
-    ValueError when cells is not invariant or the grid has no quarter turn.
+    mean the same in the reduced unknowns.  C comes from _orbit_rows.
+    Raises ValueError when cells is not invariant or the grid has no
+    quarter turn.
     """
     idx = np.flatnonzero(cells)
     _, orbit, sizes = _orbits(domain, idx)
     P = csr_matrix((1.0 / np.sqrt(sizes[orbit]), (np.arange(idx.size), orbit)),
                    shape=(idx.size, sizes.size))
-    near = cells.copy()         # free cells are off the box faces, so no roll wraps
-    for axis in range(3):
-        near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
-    rows = free_columns(domain)[reps][:, np.flatnonzero(cells[domain.free_mask()])]
-    return P, csr_matrix(diags(np.sqrt(row_sizes)) @ rows @ P)
+    return P, _orbit_rows(domain, cells, P)
 
 
 def form_gradient(u: GridField) -> np.ndarray:
@@ -172,55 +174,82 @@ def form_gradient(u: GridField) -> np.ndarray:
     return free_columns(u.domain).T @ sublaplacian(u).values.ravel()
 
 
-def free_preconditioner(domain: GridDomain) -> LinearOperator:
-    """r -> L_ff^-1 (L_ff^-1 r), the inverse of L_ff^2, cached on the domain.
-
-    L_ff, the free rows of B, is the sublaplacian from free cells to free
-    cells.  L_ff^2 differs from B^T B only by the rows of L that land on the
-    clamped ring, so it is a close SPD preconditioner for every free-cell
-    Krylov solve.  L_ff is factored once by sparse LU with the
-    minimum-degree ordering of L_ff + L_ff^T, which fills far less than the
-    default column ordering on this stencil; symmetric mode, which prefers
-    diagonal pivots, halves the factor and solve times.
-    """
-    cache = domain._cache
-    if "free_precond" not in cache:
-        Lff = free_columns(domain)[np.flatnonzero(domain.free_mask()), :]
-        lu = splu(Lff, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        cache["free_precond"] = LinearOperator(
-            Lff.shape, matvec=lambda r: lu.solve(lu.solve(r)), dtype=float)
-    return cache["free_precond"]
-
-
 @dataclass(frozen=True)
 class Form:
-    """The quadratic form ||L u||^2 on the vector of free-cell unknowns.
+    """The quadratic form ||L u||^2 on the orbit-indicator unknowns of the free
+    cells: unknown y_o is the value of the field at every free cell of orbit o.
 
-    A is the operator B^T B, M the preconditioner L_ff^-2, volume the cell
-    volume; weight(a) is the singular weight of rho^-a on the unknowns, and
-    expand(x) the field equal to x on the free cells and zero elsewhere.
+    With E the indicator matrix of the orbits (x = E y on the free cells), A
+    is the operator E^T B^T B E, M its preconditioner, volume the cell
+    volume and count the orbit sizes.  Coordinates of a gradient are orbit
+    sums, so the Euclidean norm of the invariant free-cell vector g_full
+    with E^T g_full = g is sqrt(g.(g / count)).  weight(a) is E^T w_a, the
+    orbit sums of the singular weight of rho^-a; expand(y) is the field
+    equal to E y on the free cells and zero elsewhere, and restrict(u) the
+    unknowns of a field whose free values are exactly invariant (ValueError
+    otherwise).
     """
 
     A: LinearOperator
     M: LinearOperator
     volume: float
+    count: np.ndarray
     weight: Callable[[float], np.ndarray]
     expand: Callable[[np.ndarray], GridField]
+    restrict: Callable[[GridField], np.ndarray]
 
 
-def grid_form(domain: GridDomain) -> Form:
-    """The Form of the domain's free cells.  B and the factor of L_ff are
-    cached on the domain, so each call only wraps them (tens of microseconds)."""
-    free = domain.free_mask()
+def orbit_form(domain: GridDomain) -> Form:
+    """The Form of the domain's free cells in orbit-indicator unknowns, built
+    once and cached on the domain.
 
-    def expand(x):
-        vals = np.zeros(free.shape)
-        vals[free] = x
-        return GridField(domain, vals)
+    A = C^T C with C = _orbit_rows(domain, free, E).  M(r) = G^-1 G^-1 (r /
+    count) with G = L_ff[representative rows] E, where L_ff, the free rows
+    of B, is the sublaplacian from free cells to free cells.  With
+    K = E^T L_ff E = diag(count) G, M = K^-1 diag(count) K^-1 is symmetric
+    positive definite, and it is L_ff^-2 on invariant fields:
+    M(E^T L_ff^2 E y) = y.  L_ff^2 differs from B^T B only by the rows of L
+    that land on the clamped ring, so M is a close preconditioner for every
+    Krylov solve on A.  G (one row and column per orbit) is factored once by
+    sparse LU with the minimum-degree ordering of G + G^T; symmetric mode,
+    which prefers diagonal pivots, halves the factor and solve times.
+    Raises ValueError when the free cells are not invariant under the
+    symmetry group of L or the grid has no quarter turn.
+    """
+    cache = domain._cache
+    if "orbit_form" not in cache:
+        free = domain.free_mask()
+        idx = np.flatnonzero(free)
+        reps, orbit, count = _orbits(domain, idx)
+        E = csr_matrix((np.ones(idx.size), (np.arange(idx.size), orbit)),
+                       shape=(idx.size, count.size))
+        C = _orbit_rows(domain, free, E)
+        CT = C.T
+        lu = splu(csc_matrix(free_columns(domain)[reps] @ E), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+        first = np.searchsorted(idx, reps)
+        m = (count.size,) * 2
 
-    return Form(A=squared_sublaplacian(domain), M=free_preconditioner(domain),
-                volume=domain.cell_volume,
-                weight=lambda a: domain.singular_weight(a)[free], expand=expand)
+        def expand(y):
+            vals = np.zeros(free.shape)
+            vals[free] = y[orbit]
+            return GridField(domain, vals)
+
+        def restrict(u):
+            x = u.values[free]
+            y = x[first]
+            if not np.array_equal(x, y[orbit]):
+                raise ValueError("the field is not invariant under the symmetry group of L")
+            return y
+
+        cache["orbit_form"] = Form(
+            A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float),
+            M=LinearOperator(m, matvec=lambda r: lu.solve(lu.solve(r / count)), dtype=float),
+            volume=domain.cell_volume, count=count,
+            weight=lambda a: np.bincount(orbit, domain.singular_weight(a)[free],
+                                         minlength=count.size),
+            expand=expand, restrict=restrict)
+    return cache["orbit_form"]
 
 
 def dirichlet_energy(u: GridField) -> float:

@@ -1,6 +1,7 @@
 """Variational core for the singular biharmonic problem.
 
-Energy functional on the free-cell unknowns x of a Form (see operators):
+Energy functional on the unknowns x of a Form (see operators), one value per
+orbit of free cells under the symmetry group of L:
 
     J(x) = volume * (1/2 x.Ax - w_a.F(x)),
 
@@ -24,9 +25,14 @@ bounds the mountain-pass level from above, and their running minimum is
 the reported level.
 
 The weighted Rayleigh constant lambda_1(a), the ceiling f must stay under,
-is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on free cells,
-found by block-one LOBPCG.  It, the descent step (scipy's cg) and the Newton
-steps (scipy's minres) share the form's one factored L_ff^-2 preconditioner.
+is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on invariant
+fields, found by block-one LOBPCG.  It, the descent step (scipy's cg) and
+the Newton steps (scipy's minres) share the form's preconditioner, L_ff^-2
+factored on the orbits.  Every solve runs on the domain's orbit_form, so it
+never leaves the invariant fields; the seeds (the default bump, a warm
+start) must be exactly invariant, and a domain whose free cells are not
+raises ValueError.  Residual norms are those of the free-cell vectors, so
+gradResidual and the stopping rules mean what they would on all free cells.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from scipy.sparse.linalg import aslinearoperator, cg, minres
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
-from .operators import Form, dirichlet_energy, grid_form, integrate_weighted
+from .operators import Form, dirichlet_energy, integrate_weighted, orbit_form
 
 Array = np.ndarray
 
@@ -123,6 +129,12 @@ def _norm(form: Form, x: Array) -> float:
     return float(np.sqrt(float(x @ form.A(x)) * form.volume))
 
 
+def _residual_norm(form: Form, g: Array) -> float:
+    """sqrt(volume * sum g_full^2) of the invariant free-cell vector g_full
+    whose orbit sums are g: the norm a residual has on all the free cells."""
+    return float(np.sqrt(g @ (g / form.count) * form.volume))
+
+
 # -- Rayleigh constant --------------------------------------------------------
 
 @dataclass
@@ -137,21 +149,27 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
                     max_outer: int = 200) -> LambdaResult:
     """Smallest Rayleigh quotient ||u||^2 / int u^2/rho^a by block-one LOBPCG.
 
-    The pencil is (L^2, diag(w_a)) on free cells; L^2 is SPD there.  Each
-    iteration preconditions the residual r = L^2 x - lambda w x with the
-    form's factored L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
+    The pencil is (L^2, diag(w_a)) on the invariant fields of the free
+    cells, in the unknowns of orbit_form(domain); L^2 is SPD there.  The
+    minimum over the invariant fields is lambda_1 when, as on the grids
+    here, the first eigenvector is invariant.  Each iteration
+    preconditions the residual r = L^2 x - lambda w x with the form's
+    L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
     over span{x, M r, p}, p the previous step (Knyazev 2001): one
     preconditioner apply and one L^2 apply, no inner solve.  It stops once
     lambda moves by at most tol relative and the residual
-    ||L^2 x - lambda w x|| / ||w x|| is at most sqrt(tol); after max_outer
-    iterations it returns the last iterate with converged=False.
+    ||L^2 x - lambda w x|| / ||w x|| (norms of the free-cell vectors) is at
+    most sqrt(tol); after max_outer iterations it returns the last iterate
+    with converged=False.  Raises ValueError when the free cells are not
+    invariant under the symmetry group of L.
 
-    scipy's lobpcg on the same LinearOperators gives the same lambda_1 but is
-    slower: at box 17 a median 58 and 43 ms per estimate for a = 1 and 3,
-    against 50 and 28 ms here (2 CPUs), about 5% of a critical solve.
+    scipy's lobpcg on the same LinearOperators gives the same lambda_1 but
+    was slower when they acted on all the free cells: at box 17 a median 58
+    and 43 ms per estimate for a = 1 and 3, against 50 and 28 ms here (2
+    CPUs).
     """
     _check_a(a)
-    form = grid_form(domain)
+    form = orbit_form(domain)
     w = form.weight(a)
 
     def w_normalized(v, Av):
@@ -180,7 +198,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
         x, Ax = w_normalized(S @ c, AS @ c)
         lam_prev, lam = lam, float(x @ Ax)
         r = Ax - lam * w * x
-        res = float(np.sqrt(r @ r)) / float(np.sqrt((w * x) @ (w * x)))
+        res = _residual_norm(form, r) / _residual_norm(form, w * x)
         if abs(lam - lam_prev) <= tol * abs(lam) and res <= np.sqrt(tol):
             return LambdaResult(value=lam, residual=res, iterations=it, converged=True)
     return LambdaResult(value=lam, residual=res, iterations=it, converged=False)
@@ -415,26 +433,27 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
                         warm_start: GridField | None = None) -> tuple[GridField, MountainPassState]:
     """Saddle search by Nehari-projected descent, finished by damped Newton.
 
-    The search runs on the free-cell unknowns of the domain's Form.  The
+    The search runs on the unknowns of orbit_form(domain).  The
     seed ray (a positive bump, or the warm start) is scaled to the
     maximum of J along it, which lies on the Nehari manifold J'(u) u = 0; a
     seed of zero norm, or a ray (of the seed, a descent step or a Newton
     iterate) along which J has no maximum, returns the zero field with
     geometry_failure set.  Each descent step subtracts the
     Sobolev gradient d = (L^2)^-1 grad J(u), one preconditioned
-    conjugate-gradient solve on the free cells, and scales the result back
+    conjugate-gradient solve, and scales the result back
     to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, damped Newton
     drives the residual below tol: the linearization L^2 - w f'(u) is
-    symmetric but indefinite at a saddle, so each step is a MINRES solve
-    on the free cells, halved until the residual decreases.  Both phases
+    symmetric but indefinite at a saddle, so each step is a MINRES solve,
+    halved until the residual decreases.  Both phases
     share the L_ff^-2 preconditioner.  Every ray maximum max_t J(t u) bounds
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
     it equals J(u) when the search ends at the least-energy solution.
     Raises ValueError when the warm start lives on another domain object,
-    whose grid would be read as this one's, or is nonzero off free_mask():
-    the search only moves the free cells, so such values would survive
-    into the returned field.
+    whose grid would be read as this one's, is nonzero off free_mask() (the
+    search only moves the free cells, so such values would survive into the
+    returned field) or is not exactly invariant, and when the free cells
+    are not invariant.
     """
     opts = opts or SolveOptions()
     free = domain.free_mask()
@@ -444,8 +463,8 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
         if np.any(warm_start.values[~free] != 0.0):
             raise ValueError("warm start must vanish off the free cells (the clamped ring "
                              "and outside the mask)")
-    form = grid_form(domain)
-    seed = (warm_start if warm_start is not None else default_bump(domain)).values[free]
+    form = orbit_form(domain)
+    seed = form.restrict(warm_start if warm_start is not None else default_bump(domain))
     nrm = _norm(form, seed)
     try:
         if nrm == 0.0:
@@ -469,7 +488,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
     while True:
         level = min(level, energy(form, x, nl, a))
         g = grad_energy(form, x, nl, a)
-        res = float(np.sqrt(g @ g * form.volume))
+        res = _residual_norm(form, g)
         unorm = _norm(form, x)
         history.append((len(history) + 1, level, res, unorm))
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
@@ -493,7 +512,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         for _ in range(30):
             trial = x + s * delta
             gt = grad_energy(form, trial, nl, a)
-            rt = float(np.sqrt(gt @ gt * form.volume))
+            rt = _residual_norm(form, gt)
             if rt < res:
                 x, g, res = trial, gt, rt
                 improved = True

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse.linalg import cg
 
 import heisadams as ha
-from heisadams.operators import grid_form
+from heisadams.operators import _orbits
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +29,27 @@ def random_free_field(dom, rng, scale=1.0):
 
 
 def field_energy(u, nl, a):
-    """J of a clamped field, evaluated on the free-cell unknowns of its domain's form."""
-    return ha.energy(grid_form(u.domain), u.values[u.domain.free_mask()], nl, a)
+    """J(u) = 1/2 ||L u||^2 - int F(u)/rho^a of a clamped field, summed over the
+    whole box: the full-space oracle of varsolve.energy, for any field."""
+    return (0.5 * ha.dirichlet_energy(u)
+            - ha.integrate_weighted(ha.GridField(u.domain, nl.bigF(u.values)), a))
+
+
+def orbit_sums(dom, v):
+    """E^T v: the sums of the free-cell vector v over each orbit of free cells,
+    in the order of the orbit form's unknowns."""
+    _, orbit, count = _orbits(dom, np.flatnonzero(dom.free_mask()))
+    return np.bincount(orbit, v, minlength=count.size)
+
+
+def holed_ball17():
+    """Ball 17 with one free cell off every axis cleared: its orbit has 8
+    cells, so the free cells are not invariant under the symmetry group of L."""
+    ball = ha.ball_grid(17)
+    mask = ball.mask.copy()
+    assert ball.free_mask()[10, 11, 9]
+    mask[10, 11, 9] = False
+    return ha.GridDomain(shape=ball.shape, extents=ball.extents, mask=mask)
 
 
 def counted_cg(A, b, tol, max_iter, M=None):

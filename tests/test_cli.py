@@ -225,6 +225,7 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert rc == 0
     doc = json.loads((out / "solve.json").read_text())
     assert doc["converged"]
+    assert "level_below_bound" not in doc      # the cubic model has no ceiling
     assert doc["energy"] > 0
     assert doc["gradResidual"] <= 1e-6 * max(1.0, doc["norm"])
     assert doc["rayleigh_bound_ok"]
@@ -238,6 +239,23 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert hyp["lambda_converged"] is True
     assert 0 < hyp["lambda_iterations"] <= 200
     assert 0 < hyp["lambda_residual"] <= 1e-5
+
+
+@pytest.mark.parametrize("frac,below", [(0.9, True), (0.5, False)])
+def test_solve_records_whether_the_level_is_below_its_bound(tmp_path, frac, below):
+    """At lam = 0.5 lambda_1 the box-9 level (5.91) sits above
+    (4-a)A/(8 alpha0) = 4/3; solve.json says so, and the exit code stays 0.
+    hypotheses.json records the free cells and the orbit unknowns."""
+    lam = ha.lambda_estimate(ha.box_grid(9), 1.0).value
+    out = tmp_path / "lb"
+    rc = run_cli(["solve", "--nl", "critical", "--a", "1", "--grid", "9",
+                  "--lam", repr(frac * lam), "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["converged"] and doc["level_below_bound"] is below
+    assert (doc["level"] < doc["level_bound"]) is below
+    hyp = json.loads((out / "hypotheses.json").read_text())
+    assert hyp["free_cells"] == 7 ** 3 and hyp["unknowns"] == 49
 
 
 def test_solve_on_the_gauge_ball(tmp_path):
@@ -365,7 +383,47 @@ def test_continuation_falling_ray_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "continuation aborted early" in capsys.readouterr().err
     doc = json.loads((out / "continuation.json").read_text())
-    assert doc == {"stages": 1, "all_converged": False, "tail_differences_decreasing": False}
+    assert doc == {"stages": 1, "all_converged": False, "final_stage": None,
+                   "tail_differences_decreasing": False}
+
+
+def test_continuation_writes_no_solution_when_no_stage_converged(tmp_path):
+    """The first stage is a geometry failure, whose field is zero: no
+    final_solution.bin, also none left from an earlier run in the directory."""
+    out = tmp_path / "cont"
+    out.mkdir()
+    (out / "final_solution.bin").write_bytes(b"stale")
+    rc = run_cli(["continuation", "--nl", "critical", "--lam", "1000", "--grid", "7",
+                  "--nmax", "2", "--out", str(out)])
+    assert rc == 3
+    assert json.loads((out / "continuation.json").read_text())["final_stage"] is None
+    assert not (out / "final_solution.bin").exists()
+
+
+def test_continuation_writes_the_last_converged_stage(tmp_path, monkeypatch):
+    """A stage that fails after a converged one leaves that one's solution in
+    final_solution.bin, and continuation.json names its stage."""
+    import heisadams.varsolve as vs
+    solved = []
+    solve = vs.mountain_pass_solve
+
+    def second_stage_fails(*args, **kwargs):
+        u, state = solve(*args, **kwargs)
+        solved.append(u)
+        if len(solved) == 2:
+            state.converged = False
+            state.message = "injected"
+        return u, state
+
+    monkeypatch.setattr(vs, "mountain_pass_solve", second_stage_fails)
+    out = tmp_path / "cont"
+    rc = run_cli(["continuation", "--nl", "cubic", "--grid", "7", "--nmax", "3",
+                  "--out", str(out)])
+    assert rc == 3
+    doc = json.loads((out / "continuation.json").read_text())
+    assert doc["stages"] == 2 and doc["final_stage"] == 1
+    assert np.array_equal(ha.load_field(out / "final_solution.bin").values, solved[0].values)
+    assert not np.array_equal(solved[0].values, solved[1].values)
 
 
 def test_rearrange_check_command(tmp_path):

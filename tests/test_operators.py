@@ -8,12 +8,12 @@ from heisadams.grids import orbit_images
 from heisadams.operators import (
     apply_fields,
     free_columns,
+    orbit_form,
     orbit_reduction,
-    squared_sublaplacian,
     sublaplacian,
 )
 
-from conftest import counted_cg, random_free_field
+from conftest import counted_cg, holed_ball17, orbit_sums, random_free_field
 
 
 def _interior(n, pad=2):
@@ -72,7 +72,8 @@ def test_bilaplacian_of_t_squared():
 def test_bilaplacian_zero():
     dom = ha.box_grid(9)
     assert np.all(sublaplacian(sublaplacian(ha.zeros(dom))).values == 0.0)
-    assert np.all(squared_sublaplacian(dom)(np.zeros(free_columns(dom).shape[1])) == 0.0)
+    form = orbit_form(dom)
+    assert np.all(form.A(np.zeros(form.count.size)) == 0.0)
 
 
 def test_commutator_order_two():
@@ -152,7 +153,8 @@ def test_adjointness_and_symmetry(box9):
     u = random_free_field(box9, rng)
     v = random_free_field(box9, rng)
     free = box9.free_mask()
-    lhs = float(squared_sublaplacian(box9)(u.values[free]) @ v.values[free]) * box9.cell_volume
+    B = free_columns(box9)
+    lhs = float((B.T @ (B @ u.values[free])) @ v.values[free]) * box9.cell_volume
     rhs = ha.inner(sublaplacian(u), sublaplacian(v))
     assert lhs == pytest.approx(rhs, rel=1e-12)
     assert ha.inner(sublaplacian(sublaplacian(u)), v) == pytest.approx(rhs, rel=1e-12)
@@ -220,8 +222,41 @@ def test_squared_sublaplacian_is_the_stencil_applied_twice(dom):
     free = dom.free_mask()
     u = random_free_field(dom, np.random.default_rng(12))
     ref = sublaplacian(sublaplacian(u)).values[free]
-    got = squared_sublaplacian(dom)(u.values[free])
+    B = free_columns(dom)
+    got = B.T @ (B @ u.values[free])
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
+def test_orbit_form_operator_is_the_form_on_invariant_fields(dom):
+    """The orbit form's A is E^T (B^T B) E, E the indicator matrix of the
+    orbits of free cells: A y is the orbit sums of B^T B applied to the
+    field that takes the value y_o on orbit o."""
+    form = orbit_form(dom)
+    free = dom.free_mask()
+    B = free_columns(dom)
+    assert form.count.sum() == free.sum()
+    for seed in range(3):
+        y = np.random.default_rng(seed).standard_normal(form.count.size)
+        x = form.expand(y).values[free]
+        want = orbit_sums(dom, B.T @ (B @ x))
+        assert np.abs(form.A(y) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
+def test_orbit_form_preconditioner_is_lff_inverse_squared(dom):
+    """On invariant fields the orbit form's M is L_ff^-2, L_ff the free rows
+    of B: for invariant r, expand(M(E^T r)) is L_ff^-2 r at every free cell."""
+    from scipy.sparse.linalg import splu
+    form = orbit_form(dom)
+    free = dom.free_mask()
+    Lff = free_columns(dom)[np.flatnonzero(free), :].tocsc()
+    lu = splu(Lff)
+    for seed in range(3):
+        r = form.expand(np.random.default_rng(seed).standard_normal(form.count.size))
+        want = lu.solve(lu.solve(r.values[free]))
+        got = form.expand(form.M(orbit_sums(dom, r.values[free]))).values[free]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
@@ -261,13 +296,11 @@ def test_orbit_reduction_is_the_form_on_invariant_fields(dom, k):
 
 
 def test_orbit_reduction_rejects_cells_that_are_not_invariant():
-    ball = ha.ball_grid(17)
-    mask = ball.mask.copy()
-    mask[10, 11, 9] = False                 # off every axis: its orbit has 8 cells
-    assert ball.free_mask()[10, 11, 9]
-    holed = ha.GridDomain(shape=ball.shape, extents=ball.extents, mask=mask)
+    holed = holed_ball17()
     with pytest.raises(ValueError, match="not invariant"):
         orbit_reduction(holed, holed.free_mask())
+    with pytest.raises(ValueError, match="not invariant"):
+        orbit_form(holed)
     with pytest.raises(ValueError, match="not invariant"):
         ha.capacity_profile(0.5, holed)
     box = ha.GridDomain(shape=(17, 19, 17), extents=(1.0, 1.0, 1.0))
@@ -275,26 +308,13 @@ def test_orbit_reduction_rejects_cells_that_are_not_invariant():
         orbit_reduction(box, box.free_mask())
 
 
-def test_free_preconditioner_inverts_lff_squared():
-    from heisadams.operators import free_preconditioner
-    dom = ha.ball_grid(13)
-    M = free_preconditioner(dom)
-    assert free_preconditioner(dom) is M     # factored once per domain
-    Lff = free_columns(dom)[np.flatnonzero(dom.free_mask()), :]
-    x = np.random.default_rng(2).standard_normal(Lff.shape[0])
-    assert np.linalg.norm(M(Lff @ (Lff @ x)) - x) <= 1e-10 * np.linalg.norm(x)
-
-
 def test_preconditioned_cg_solves_in_few_iterations():
-    from heisadams.operators import free_preconditioner
-    dom = ha.box_grid(13)
-    free = dom.free_mask()
-    apply_A = squared_sublaplacian(dom)
-    b = np.random.default_rng(8).standard_normal(int(free.sum()))
-    _, it0, _ = counted_cg(apply_A, b, 1e-10, 5000)
-    x, it, res = counted_cg(apply_A, b, 1e-10, 5000, M=free_preconditioner(dom))
+    form = orbit_form(ha.box_grid(13))
+    b = np.random.default_rng(8).standard_normal(form.count.size)
+    _, it0, _ = counted_cg(form.A, b, 1e-10, 5000)
+    x, it, res = counted_cg(form.A, b, 1e-10, 5000, M=form.M)
     assert res <= 1e-10
-    assert np.linalg.norm(apply_A(x) - b) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(form.A(x) - b) <= 1e-9 * np.linalg.norm(b)
     assert it <= it0 / 5
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from heisadams.operators import grid_form
+from heisadams.grids import orbit_images
+from heisadams.operators import orbit_form
 from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
 
-from conftest import field_energy, random_free_field
+from conftest import field_energy, holed_ball17, orbit_sums, random_free_field
 
 A = 32.0 / 9.0
 
@@ -22,23 +23,24 @@ def lam9(box9m):
 
 def test_energy_trivial_cases(box9m):
     nl = ha.cubic_model()
-    assert field_energy(ha.zeros(box9m), nl, 0.0) == 0.0
+    form = orbit_form(box9m)
+    assert ha.energy(form, np.zeros(form.count.size), nl, 0.0) == 0.0
     free_nl = ha.NonlinearitySpec(
         f=lambda U: 0.0 * U, bigF=lambda U: 0.0 * U,
         fprime=lambda U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
-    rng = np.random.default_rng(0)
-    u = random_free_field(box9m, rng)
-    assert field_energy(u, free_nl, 1.0) == pytest.approx(
-        0.5 * ha.dirichlet_energy(u), rel=1e-12)
+    y = np.random.default_rng(0).standard_normal(form.count.size)
+    assert ha.energy(form, y, free_nl, 1.0) == pytest.approx(
+        0.5 * ha.dirichlet_energy(form.expand(y)), rel=1e-12)
 
 
 def test_energy_direct_summation_oracle(box9m):
     """Cubic model energy against an independent direct sum."""
     nl = ha.cubic_model()
-    rng = np.random.default_rng(7)
-    u = random_free_field(box9m, rng, scale=0.3)
+    form = orbit_form(box9m)
+    y = 0.3 * np.random.default_rng(7).standard_normal(form.count.size)
+    u = form.expand(y)
     a = 1.0
-    got = field_energy(u, nl, a)
+    got = ha.energy(form, y, nl, a)
     from heisadams.operators import sublaplacian
     Lu = sublaplacian(u).values
     w = box9m.singular_weight(a)
@@ -55,54 +57,79 @@ def test_form_energy_is_the_field_energy(grid, model, a):
     field, the two representations the solver and the artifacts use."""
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
     nl = ha.cubic_model() if model == "cubic" else ha.critical_model(2.0, 1.0)
-    u = random_free_field(dom, np.random.default_rng(11), scale=0.4)
-    got = ha.energy(grid_form(dom), u.values[dom.free_mask()], nl, a)
-    want = (0.5 * ha.dirichlet_energy(u)
-            - ha.integrate_weighted(ha.GridField(dom, nl.bigF(u.values)), a))
+    form = orbit_form(dom)
+    y = 0.4 * np.random.default_rng(11).standard_normal(form.count.size)
+    got = ha.energy(form, y, nl, a)
+    want = field_energy(form.expand(y), nl, a)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_grid_forms_share_the_domain_factor(box9m):
-    """Each call wraps the domain's cached B and L_ff factor anew and caches
-    nothing more."""
-    f1 = grid_form(box9m)
+def test_orbit_form_is_built_once_per_domain(box9m):
+    """The form, and with it the factor of its preconditioner, is cached on
+    the domain: a second call returns it and caches nothing more."""
+    form = orbit_form(box9m)
     keys = set(box9m._cache)
-    f2 = grid_form(box9m)
-    assert f1 is not f2 and f1.M is f2.M
+    assert orbit_form(box9m) is form
     assert set(box9m._cache) == keys
-    x = np.random.default_rng(3).standard_normal(f1.A.shape[0])
-    assert np.array_equal(f1.A(x), f2.A(x))
 
 
 def test_form_keeps_its_domain():
     """A Form outlives every other reference to its domain."""
-    form = grid_form(ha.box_grid(7))
-    u = form.expand(np.ones(form.A.shape[0]))
-    assert u.domain.shape == (7, 7, 7) and u.values.sum() == form.A.shape[0]
+    form = orbit_form(ha.box_grid(7))
+    u = form.expand(np.ones(form.count.size))
+    assert u.domain.shape == (7, 7, 7) and u.values.sum() == form.count.sum()
 
 
 @pytest.mark.parametrize("grid", ["box9", "ball13"])
 def test_form_expand_is_zero_off_the_free_cells(grid):
+    """expand(y) is exactly invariant, takes the values y on the free cells
+    (orbit o on count[o] of them) and is zero elsewhere; restrict undoes it."""
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
     free = dom.free_mask()
-    x = np.random.default_rng(12).standard_normal(int(free.sum()))
-    u = grid_form(dom).expand(x)
+    form = orbit_form(dom)
+    y = np.random.default_rng(12).standard_normal(form.count.size)
+    u = form.expand(y)
     assert u.domain is dom
-    assert np.array_equal(u.values[free], x)
     assert np.all(u.values[~free] == 0.0)
+    images = u.values.ravel()[orbit_images(dom, np.flatnonzero(free))]
+    assert np.all(images == images[0])
+    vals, counts = np.unique(u.values[free], return_counts=True)
+    assert np.array_equal(vals, np.sort(y)) and np.array_equal(counts, form.count[np.argsort(y)])
+    assert np.array_equal(form.restrict(u), y)
+
+
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+def test_restrict_rejects_a_field_that_is_not_invariant(grid):
+    dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
+    form = orbit_form(dom)
+    u = form.expand(np.random.default_rng(13).standard_normal(form.count.size))
+    cell = np.flatnonzero(dom.free_mask())[-1]
+    u.values.flat[cell] = np.nextafter(u.values.flat[cell], np.inf)
+    with pytest.raises(ValueError, match="not invariant"):
+        form.restrict(u)
+
+
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+@pytest.mark.parametrize("a", [0.0, 1.0, 3.0])
+def test_form_weight_is_the_orbit_sum(grid, a):
+    dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
+    want = orbit_sums(dom, dom.singular_weight(a)[dom.free_mask()])
+    assert np.array_equal(orbit_form(dom).weight(a), want)
 
 
 def test_energy_rejects_a_out_of_range(box9m):
     nl = ha.cubic_model()
+    form = orbit_form(box9m)
     with pytest.raises(ValueError):
-        field_energy(ha.zeros(box9m), nl, 4.0)
+        ha.energy(form, np.zeros(form.count.size), nl, 4.0)
     with pytest.raises(ValueError):
-        field_energy(ha.zeros(box9m), nl, -0.5)
+        ha.energy(form, np.zeros(form.count.size), nl, -0.5)
 
 
 def test_grad_zero_at_origin_when_f_vanishes(box9m):
     nl = ha.cubic_model()
-    g = ha.grad_energy(grid_form(box9m), np.zeros(int(box9m.free_mask().sum())), nl, 1.0)
+    form = orbit_form(box9m)
+    g = ha.grad_energy(form, np.zeros(form.count.size), nl, 1.0)
     assert np.all(g == 0.0)
 
 
@@ -113,14 +140,15 @@ def test_grad_linear_model_exact(box9m):
         bigF=lambda U: 0.5 * lam * U ** 2,
         fprime=lambda U: lam + 0.0 * U,
         theta=2.5, bigM=1.0, r0=1.0)
-    rng = np.random.default_rng(1)
-    u = random_free_field(box9m, rng)
+    form = orbit_form(box9m)
+    y = np.random.default_rng(1).standard_normal(form.count.size)
+    u = form.expand(y)
     free = box9m.free_mask()
-    g = ha.grad_energy(grid_form(box9m), u.values[free], nl, 1.0)
+    g = ha.grad_energy(form, y, nl, 1.0)
     from heisadams.operators import sublaplacian
     w = box9m.singular_weight(1.0)
-    want = sublaplacian(sublaplacian(u)).values - lam * w * u.values
-    assert np.allclose(g, want[free], rtol=1e-13, atol=1e-13)
+    want = orbit_sums(box9m, (sublaplacian(sublaplacian(u)).values - lam * w * u.values)[free])
+    assert np.allclose(g, want, rtol=1e-13, atol=1e-13)
 
 
 @pytest.mark.parametrize("grid", ["box9", "ball13"])
@@ -145,11 +173,11 @@ def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
 def test_gradient_matches_central_differences(box9m, model, a):
     nl = ha.cubic_model() if model == "cubic" else ha.critical_model(2.0, 1.0)
     rng = np.random.default_rng(17)
-    form, free = grid_form(box9m), box9m.free_mask()
+    form = orbit_form(box9m)
     eps = 1e-5
     for _ in range(5):
-        x = random_free_field(box9m, rng, scale=0.4).values[free]
-        v = random_free_field(box9m, rng, scale=1.0).values[free]
+        x = 0.4 * rng.standard_normal(form.count.size)
+        v = rng.standard_normal(form.count.size)
         dd = float(ha.grad_energy(form, x, nl, a) @ v) * form.volume
         fd = (ha.energy(form, x + eps * v, nl, a)
               - ha.energy(form, x - eps * v, nl, a)) / (2 * eps)
@@ -241,7 +269,8 @@ def test_geometry_failure_for_zero_nonlinearity(box9m):
     assert not st.converged
     assert np.all(u.values == 0.0)
     with pytest.raises(GeometryFailure):
-        _ray_max(grid_form(box9m), default_bump(box9m).values[box9m.free_mask()], free_nl, 0.0)
+        form = orbit_form(box9m)
+        _ray_max(form, form.restrict(default_bump(box9m)), free_nl, 0.0)
 
 
 def test_geometry_failure_for_a_ray_falling_from_the_origin(box9m, lam9):
@@ -250,9 +279,10 @@ def test_geometry_failure_for_a_ray_falling_from_the_origin(box9m, lam9):
     and the ray search raises.  Just above lambda_1 (57.5) the bump's ray
     has a maximum, but the descent steps turn toward the first eigenvector
     until one does not; the solve reports that as a geometry failure."""
-    seed = default_bump(box9m).values[box9m.free_mask()]
+    form = orbit_form(box9m)
+    seed = form.restrict(default_bump(box9m))
     with pytest.raises(GeometryFailure, match="falls along the ray"):
-        _ray_max(grid_form(box9m), seed, ha.critical_model(80.0), 1.0)
+        _ray_max(form, seed, ha.critical_model(80.0), 1.0)
     u, st = ha.mountain_pass_solve(ha.critical_model(1.01 * lam9[1.0].value), 1.0, box9m)
     assert st.geometry_failure and not st.converged
     assert "falls along the ray" in st.message
@@ -297,8 +327,8 @@ def test_ray_max_is_the_nehari_point_of_the_ray(box9m, lam9, model):
     at the maximum of J along the ray, whatever the seed's scale."""
     a = 1.0
     nl = ha.cubic_model() if model == "cubic" else ha.critical_model(0.9 * lam9[a].value)
-    form = grid_form(box9m)
-    seed = default_bump(box9m).values[box9m.free_mask()]
+    form = orbit_form(box9m)
+    seed = form.restrict(default_bump(box9m))
     x = _ray_max(form, seed, nl, a)
     u = form.expand(x)
     norm2 = ha.dirichlet_energy(u)
@@ -335,8 +365,8 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
     # weighted Poincare-type inequality at the solution
     assert ha.rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
     # the first iterate is the maximum of J along the seed ray
-    form = grid_form(box9m)
-    seed = _ray_max(form, default_bump(box9m).values[box9m.free_mask()], nl, 1.0)
+    form = orbit_form(box9m)
+    seed = _ray_max(form, form.restrict(default_bump(box9m)), nl, 1.0)
     assert st.history[0][1] == pytest.approx(ha.energy(form, seed, nl, 1.0), rel=1e-12)
     # Newton alone stagnates from the seed ray's Nehari point, so descent must
     # take a step: one history row per descent iterate, two rows per step
@@ -430,35 +460,47 @@ def test_continuation_rejects_bad_nmax(box9m):
 # unpreconditioned inverse iteration it replaced (each L^2 apply was two
 # stencil sweeps), and LOBPCG iterations of the current estimate
 _LAMBDA_BOX13_UNPRECONDITIONED = {
-    0.0: (120.51051478127278, 19, 12698),
-    1.0: (56.23572329595739, 17, 13386),
-    3.0: (5.436961463070182, 13, 8218),
+    0.0: (120.51051478127278, 15, 12698),
+    1.0: (56.23572329595739, 14, 13386),
+    3.0: (5.436961463070182, 11, 8218),
 }
+
+
+def _count_form_applies(monkeypatch, part, calls, unit=1):
+    """Make the orbit form that varsolve builds append unit to calls at each
+    apply of its operator part ("A" or "M")."""
+    import dataclasses
+    from scipy.sparse.linalg import LinearOperator
+    import heisadams.varsolve as vs
+
+    def counted_form(domain):
+        form = orbit_form(domain)
+        op = getattr(form, part)
+
+        def apply(x):
+            calls.append(unit)
+            return op(x)
+        return dataclasses.replace(
+            form, **{part: LinearOperator(op.shape, matvec=apply, dtype=float)})
+
+    monkeypatch.setattr(vs, "orbit_form", counted_form)
 
 
 @pytest.mark.parametrize("a", sorted(_LAMBDA_BOX13_UNPRECONDITIONED))
 def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
     """Applies counted in the parent's units: every stencil sweep (the 27
-    probes of B included) is one, every B^T B product of the operator that
-    squared_sublaplacian returns is two."""
+    probes of B included) is one, every product with the orbit form's
+    operator C^T C is two."""
     import heisadams.operators as ops
     calls = []
-    sweep, squared = ops.sublaplacian, ops.squared_sublaplacian
+    sweep = ops.sublaplacian
 
     def counted_sweep(*args, **kwargs):
         calls.append(1)
         return sweep(*args, **kwargs)
 
-    def counted_squared(*args, **kwargs):
-        op = squared(*args, **kwargs)
-
-        def apply(x):
-            calls.append(2)
-            return op(x)
-        return apply
-
     monkeypatch.setattr(ops, "sublaplacian", counted_sweep)
-    monkeypatch.setattr(ops, "squared_sublaplacian", counted_squared)
+    _count_form_applies(monkeypatch, "A", calls, unit=2)
     value, iterations, applies = _LAMBDA_BOX13_UNPRECONDITIONED[a]
     res = ha.lambda_estimate(ha.box_grid(13), a, tol=1e-10)
     assert res.converged
@@ -497,17 +539,40 @@ def test_lambda_matches_shift_invert_eigsh(grid, ball, a):
 
 
 @pytest.mark.parametrize("a", [1.0, 3.0])
-def test_lambda_box17_at_most_30_preconditioner_applies(a):
-    from heisadams.operators import free_preconditioner
-    dom = ha.box_grid(17)
-    precond = free_preconditioner(dom)
+def test_lambda_box17_at_most_30_preconditioner_applies(monkeypatch, a):
     calls = []
-
-    def counted(r):
-        calls.append(1)
-        return precond(r)
-
-    dom._cache["free_precond"] = counted
-    res = ha.lambda_estimate(dom, a, tol=1e-10)
+    _count_form_applies(monkeypatch, "M", calls)
+    res = ha.lambda_estimate(ha.box_grid(17), a, tol=1e-10)
     assert res.converged
     assert len(calls) == res.iterations <= 30
+
+
+def test_saddle_and_lambda_reject_a_domain_that_is_not_invariant():
+    """Both solve on the invariant fields alone, so a domain whose free cells
+    the symmetry group of L does not map to itself raises; there is no
+    unreduced path."""
+    holed = holed_ball17()
+    with pytest.raises(ValueError, match="not invariant"):
+        ha.lambda_estimate(holed, 1.0)
+    with pytest.raises(ValueError, match="not invariant"):
+        ha.mountain_pass_solve(ha.cubic_model(), 1.0, holed)
+
+
+def test_mountain_pass_rejects_a_warm_start_that_is_not_invariant(box9m):
+    """The solve would otherwise run from the invariant part of the seed and
+    report it as the solution from that seed; it raises instead of projecting."""
+    seed = default_bump(box9m)
+    cell = (2, 3, 5)
+    assert box9m.free_mask()[cell]
+    seed.values[cell] *= 1.01
+    with pytest.raises(ValueError, match="not invariant"):
+        ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, warm_start=seed)
+
+
+def test_mountain_pass_box33_cubic_pin():
+    """heisadams solve --nl cubic --a 1 --grid 33: the level of the unreduced
+    solve over all 29,791 free cells, reached in 3 Newton steps."""
+    u, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, ha.box_grid(33))
+    assert st.converged
+    assert st.newton_iterations == 3
+    assert st.levelEstimate == pytest.approx(1036.0887288921874, rel=1e-10)
