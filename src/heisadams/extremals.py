@@ -4,24 +4,28 @@ The conductor-capacity profile U_ell on the unit gauge ball B minimizes
 ||L u||_2^2 subject to u = 1 on B_ell and u = 0 on and outside the boundary
 of B.  Discretely this is an equality-constrained least-squares problem; we
 eliminate the constrained cells, leaving the normal operator B^T B
-(B = L[:, free], the domain's assembled form; see operators) on the free
-cells off the plateau, where it is symmetric positive definite.  The ball,
-the plateau and so the right-hand side are invariant under the order-8
-symmetry group of L (the quarter turn in z and (x, y, t) -> (x, -y, -t)),
-so the minimizer is invariant too, and the solve runs on the invariant
-fields only: scipy's cg on C^T C = P^T B^T B P, P the orthonormal orbit
-basis of those cells (operators.orbit_reduction), about an eighth of the
-unknowns and nonzeros.  The CG is diagonally (Jacobi) preconditioned by the
-squared column norms of C and stops on the unpreconditioned residual, whose
-norm P keeps.  Each profile reports the true residual ||b - A x|| / ||b||
-(one extra apply, in the reduced unknowns) and whether it is within the
-tolerance.  A grid whose mask is not invariant raises ValueError.
+(B = L[:, free]; see operators) on the free cells off the plateau, where it
+is symmetric positive definite.  The ball, the plateau and so the
+right-hand side are invariant under the order-8 symmetry group of L (the
+quarter turn in z and (x, y, t) -> (x, -y, -t)), so the minimizer is
+invariant too, and the solve runs on the invariant fields only, in the
+unknowns of the domain's one reduced form, operators.orbit_form: with y_p
+the plateau's indicator unknowns and Cf = C[:, off] diag(count[off]^-1/2)
+the scaled column block of the orbits off the plateau, scipy's cg solves
+Cf^T Cf z = -Cf^T C y_p, about an eighth of the unknowns and nonzeros.
+The scaling makes the orbit basis orthonormal, so residual norms mean what
+they mean on all the free cells.  The CG is diagonally (Jacobi)
+preconditioned by the squared column norms of Cf and stops on the
+unpreconditioned residual.  Each profile reports the true residual
+||b - A x|| / ||b|| (one extra apply, in the reduced unknowns) and whether
+it is within the tolerance.  A grid whose mask is not invariant, or an ell
+whose plateau reaches the clamped ring, raises ValueError.
 
 The profile depends on ell only through the plateau cells, so the CG result
-(free values, iterations, residual) is cached on the domain keyed by those
+(unknowns, iterations, residual) is cached on the domain keyed by those
 cells, tol and max_iter, the way singular_weight is cached per a: a probe
 over several a, or over several ell below the grid resolution, solves each
-distinct plateau once.  P and C are built once per solve and not kept.
+distinct plateau once.
 
 The Adams function with inner radius r inside gauge radius R is
 
@@ -39,14 +43,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
 from .group import Q
 from .io import write_csv
-from .operators import dirichlet_energy, form_gradient, integrate_weighted, orbit_reduction
+from .operators import dirichlet_energy, integrate_weighted, orbit_form
 
 
 @dataclass
@@ -78,8 +82,9 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
 
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
     every in-ball cell with gauge <= ell; if no cell lies inside B_ell the
-    constraints are infeasible and ValueError is raised; so it is when the
-    mask is not invariant under the symmetry group of L.
+    constraints are infeasible and ValueError is raised; so it is when a
+    plateau cell lies on the clamped ring and when the mask is not
+    invariant under the symmetry group of L.
     The CG result is cached on the grid per (plateau cells, tol, max_iter),
     so every ell with the same plateau shares one solve; each call returns
     its own field.
@@ -89,35 +94,38 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     rho = grid.gauge()
     free = grid.free_mask()
     hmax = max(grid.spacing)
+    form = orbit_form(grid)
 
     plateau = (rho <= ell) & grid.mask
     if not plateau.any():
         raise ValueError(
             f"ell = {ell} unresolved: smallest in-ball cell gauge is {rho[grid.mask].min():.3g}"
         )
+    if (plateau & ~free).any():
+        raise ValueError(f"ell = {ell} unresolved: the plateau reaches the clamped ring")
     rings = int(np.floor(ell / hmax))
 
-    free_dofs = free & ~plateau
-    nfree = int(free_dofs.sum())
-    if nfree == 0:
+    y = form.restrict(GridField(grid, plateau.astype(float)))
+    off = y == 0.0
+    if not off.any():
         raise ValueError("no free cells between B_ell and the ball boundary")
 
-    u = np.where(plateau, 1.0, 0.0)
     cache = grid._cache
     key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
     if key not in cache:
-        P, C = orbit_reduction(grid, free_dofs)
-        b = P.T @ -form_gradient(GridField(grid, u))[free_dofs[free]]
-        CT = C.T
-        A = LinearOperator((C.shape[1],) * 2, matvec=lambda y: CT @ (C @ y), dtype=float)
-        colnorm2 = np.bincount(C.indices, C.data ** 2, minlength=C.shape[1])
+        scale = form.count[off] ** -0.5
+        Cf = csr_matrix(form.C[:, off].multiply(scale))
+        CfT = Cf.T
+        b = -(CfT @ (form.C @ y))
+        A = LinearOperator((Cf.shape[1],) * 2, matvec=lambda z: CfT @ (Cf @ z), dtype=float)
+        colnorm2 = np.bincount(Cf.indices, Cf.data ** 2, minlength=Cf.shape[1])
         steps = []                       # cg calls back once per iteration
-        y, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
+        z, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
                   M=diags(1.0 / colnorm2), callback=steps.append)
-        cache[key] = (P @ y, len(steps), float(np.linalg.norm(b - A @ y) / np.linalg.norm(b)))
-    x, iters, res = cache[key]
-    u[free_dofs] = x
-    u = GridField(grid, u)
+        y[off] = scale * z
+        cache[key] = (y, len(steps), float(np.linalg.norm(b - A @ z) / np.linalg.norm(b)))
+    y, iters, res = cache[key]
+    u = form.expand(y)
     energy = dirichlet_energy(u)
     bound = BIG_A / (Q * np.log(1.0 / ell))
     return CapacityProfile(

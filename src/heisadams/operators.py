@@ -11,29 +11,30 @@ orthogonal to its differencing directions.  That last property makes the
 assembled matrix exactly symmetric on zero-extended fields (ghost layers are
 zero, matching the zero-extension reading of the clamped boundary).
 
-The quadratic form u -> ||L u||^2 on clamped fields has one representation:
-B = L[:, free], the columns of L at the free cells, read off sublaplacian by
-27-colour probing and cached on the domain.  Its operator on the free cells
-is B^T B, and the form's gradient is B^T (L u).
+The quadratic form u -> ||L u||^2 on clamped fields is read off B = L[:,
+free], the columns of L at the free cells, by 27-colour probing of
+sublaplacian, and cached on the domain.  Its operator on the free cells is
+B^T B.
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
 (x, -y, -t) (grids.orbit_images; t -> -t alone is not a symmetry, as the
 mixed terms show), so B^T B maps fields invariant under it to invariant
 fields, and every solve runs on the invariant fields of a cell set the
-group maps to itself.  orbit_reduction gives the form there in an
-orthonormal orbit basis, for the capacity solve.  orbit_form gives the Form
-the variational drivers work on, in orbit-indicator unknowns (one value per
-orbit of free cells): the operator, an L_ff^-2 preconditioner factored on
-the orbits (L_ff the free rows of B), the cell volume, the orbit sizes and
-weights, and the maps between unknowns and fields.  The operators are scipy
-LinearOperators, which every linear solve hands to scipy's cg or minres.
-A domain whose free cells are not invariant raises ValueError; there is no
-unreduced path.
+group maps to itself.  orbit_form gives the one reduced representation of
+the form, the Form that the capacity solve and the variational drivers
+work on, in orbit-indicator unknowns (one value per orbit of free cells):
+its factor C with A = C^T C, an L_ff^-2 preconditioner factored on the
+orbits (L_ff the free rows of B) at its first apply, the cell volume, the
+orbit sizes and weights, and the maps between unknowns and fields.  The
+operators are scipy LinearOperators, which every linear solve hands to
+scipy's cg or minres.  A domain whose free cells are not invariant raises
+ValueError; there is no unreduced path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,68 +130,24 @@ def _orbits(domain: GridDomain, cells: np.ndarray):
     return np.unique(images.min(axis=0), return_inverse=True, return_counts=True)
 
 
-def _orbit_rows(domain: GridDomain, cells: np.ndarray, E: csr_matrix) -> csr_matrix:
-    """diag(sqrt|R|) B[representatives, cells] E, for E a matrix of invariant
-    columns on cells (a boolean mask within the free cells).
-
-    L commutes with the group, so the columns of B E are invariant too, the
-    rows of B E in one orbit R of rows are equal, and (B E)^T (B E) counts
-    its representative row |R| times: the result C has C^T C = E^T B^T B E.
-    Only the rows the stencil reaches from cells (within one cell of them,
-    an invariant set) are classified, and the representative rows are picked
-    out of B before its columns are, so no slice of B larger than C is made.
-    """
-    near = cells.copy()         # free cells are off the box faces, so no roll wraps
-    for axis in range(3):
-        near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
-    reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
-    rows = free_columns(domain)[reps][:, np.flatnonzero(cells[domain.free_mask()])]
-    return csr_matrix(diags(np.sqrt(row_sizes)) @ rows @ E)
-
-
-def orbit_reduction(domain: GridDomain, cells: np.ndarray) -> tuple[csr_matrix, csr_matrix]:
-    """(P, C) with C^T C = P^T B^T B P: the form on the invariant fields of cells.
-
-    cells is a boolean mask within the free cells that the symmetry group of
-    L (grids.orbit_images) maps to itself.  L commutes with the group, so
-    B^T B maps invariant fields on cells to invariant fields, and a Krylov
-    solve from an invariant right-hand side never leaves them.  P, one
-    column per orbit of cells with entries 1/sqrt|orbit|, is their
-    orthonormal basis: ||P^T r|| = ||r|| for invariant r, so residual norms
-    mean the same in the reduced unknowns.  C comes from _orbit_rows.
-    Raises ValueError when cells is not invariant or the grid has no
-    quarter turn.
-    """
-    idx = np.flatnonzero(cells)
-    _, orbit, sizes = _orbits(domain, idx)
-    P = csr_matrix((1.0 / np.sqrt(sizes[orbit]), (np.arange(idx.size), orbit)),
-                   shape=(idx.size, sizes.size))
-    return P, _orbit_rows(domain, cells, P)
-
-
-def form_gradient(u: GridField) -> np.ndarray:
-    """L(L u) on the free cells as B^T (L u), for any field u: by the symmetry
-    of L, the gradient of 1/2 ||L u||^2 in the free values (volume aside)."""
-    return free_columns(u.domain).T @ sublaplacian(u).values.ravel()
-
-
 @dataclass(frozen=True)
 class Form:
     """The quadratic form ||L u||^2 on the orbit-indicator unknowns of the free
     cells: unknown y_o is the value of the field at every free cell of orbit o.
 
     With E the indicator matrix of the orbits (x = E y on the free cells), A
-    is the operator E^T B^T B E, M its preconditioner, volume the cell
-    volume and count the orbit sizes.  Coordinates of a gradient are orbit
-    sums, so the Euclidean norm of the invariant free-cell vector g_full
-    with E^T g_full = g is sqrt(g.(g / count)).  weight(a) is E^T w_a, the
-    orbit sums of the singular weight of rho^-a; expand(y) is the field
-    equal to E y on the free cells and zero elsewhere, and restrict(u) the
-    unknowns of a field whose free values are exactly invariant (ValueError
-    otherwise).
+    is the operator E^T B^T B E = C^T C, C its sparse factor, M its
+    preconditioner, volume the cell volume and count the orbit sizes.
+    Coordinates of a gradient are orbit sums, so the Euclidean norm of the
+    invariant free-cell vector g_full with E^T g_full = g is
+    sqrt(g.(g / count)).  weight(a) is E^T w_a, the orbit sums of the
+    singular weight of rho^-a; expand(y) is the field equal to E y on the
+    free cells and zero elsewhere, and restrict(u) the unknowns of a field
+    whose free values are exactly invariant (ValueError otherwise).
     """
 
     A: LinearOperator
+    C: csr_matrix
     M: LinearOperator
     volume: float
     count: np.ndarray
@@ -203,18 +160,24 @@ def orbit_form(domain: GridDomain) -> Form:
     """The Form of the domain's free cells in orbit-indicator unknowns, built
     once and cached on the domain.
 
-    A = C^T C with C = _orbit_rows(domain, free, E).  M(r) = G^-1 G^-1 (r /
-    count) with G = L_ff[representative rows] E, where L_ff, the free rows
-    of B, is the sublaplacian from free cells to free cells.  With
-    K = E^T L_ff E = diag(count) G, M = K^-1 diag(count) K^-1 is symmetric
-    positive definite, and it is L_ff^-2 on invariant fields:
-    M(E^T L_ff^2 E y) = y.  L_ff^2 differs from B^T B only by the rows of L
-    that land on the clamped ring, so M is a close preconditioner for every
-    Krylov solve on A.  G (one row and column per orbit) is factored once by
-    sparse LU with the minimum-degree ordering of G + G^T; symmetric mode,
-    which prefers diagonal pivots, halves the factor and solve times.
-    Raises ValueError when the free cells are not invariant under the
-    symmetry group of L or the grid has no quarter turn.
+    L commutes with the group, so the columns of B E are invariant, the rows
+    of B E in one orbit R of rows are equal, and (B E)^T (B E) counts its
+    representative row |R| times: C = diag(sqrt|R|) B[row representatives] E
+    has C^T C = E^T B^T B E.  Only the rows the stencil reaches from the free
+    cells (within one cell of them, an invariant set) are classified.
+
+    M(r) = G^-1 G^-1 (r / count) with G = L_ff[representative rows] E,
+    where L_ff, the free rows of B, is the sublaplacian from free cells to
+    free cells.  With K = E^T L_ff E = diag(count) G, M = K^-1 diag(count)
+    K^-1 is symmetric positive definite, and it is L_ff^-2 on invariant
+    fields: M(E^T L_ff^2 E y) = y.  L_ff^2 differs from B^T B only by the
+    rows of L that land on the clamped ring, so M is a close preconditioner
+    for every Krylov solve on A.  G (one row and column per orbit) is
+    factored by sparse LU with the minimum-degree ordering of G + G^T at the
+    first apply of M, so a domain that only the capacity solve uses never
+    holds the factor; symmetric mode, which prefers diagonal pivots, halves
+    the factor and solve times.  Raises ValueError when the free cells are not
+    invariant under the symmetry group of L or the grid has no quarter turn.
     """
     cache = domain._cache
     if "orbit_form" not in cache:
@@ -223,12 +186,20 @@ def orbit_form(domain: GridDomain) -> Form:
         reps, orbit, count = _orbits(domain, idx)
         E = csr_matrix((np.ones(idx.size), (np.arange(idx.size), orbit)),
                        shape=(idx.size, count.size))
-        C = _orbit_rows(domain, free, E)
+        near = free.copy()          # free cells are off the box faces, so no roll wraps
+        for axis in range(3):
+            near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
+        row_reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
+        B = free_columns(domain)
+        C = csr_matrix(diags(np.sqrt(row_sizes)) @ B[row_reps] @ E)
         CT = C.T
-        lu = splu(csc_matrix(free_columns(domain)[reps] @ E), permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
         first = np.searchsorted(idx, reps)
         m = (count.size,) * 2
+
+        @functools.cache
+        def factor():
+            return splu(csc_matrix(B[reps] @ E), permc_spec="MMD_AT_PLUS_A",
+                        options={"SymmetricMode": True})
 
         def expand(y):
             vals = np.zeros(free.shape)
@@ -243,8 +214,9 @@ def orbit_form(domain: GridDomain) -> Form:
             return y
 
         cache["orbit_form"] = Form(
-            A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float),
-            M=LinearOperator(m, matvec=lambda r: lu.solve(lu.solve(r / count)), dtype=float),
+            A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float), C=C,
+            M=LinearOperator(m, matvec=lambda r: factor().solve(factor().solve(r / count)),
+                             dtype=float),
             volume=domain.cell_volume, count=count,
             weight=lambda a: np.bincount(orbit, domain.singular_weight(a)[free],
                                          minlength=count.size),

@@ -362,11 +362,12 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize("args", [["sharpness", "--grid", "6"],
-                                  ["capacity", "--grid", "6", "--ell", "0.9"]])
+                                  ["capacity", "--grid", "6", "--ell", "0.9"],
+                                  ["capacity", "--grid", "17", "--ell", "0.9"]])
 def test_unresolvable_ell_exits_2(tmp_path, capsys, args):
     """An ell whose plateau holds no cell (ball 6 at the default ks reaches
-    ell = 1/4), or leaves no free cell outside it, is a configuration error:
-    exit 2, with no artifact written."""
+    ell = 1/4), or reaches the clamped ring, is a configuration error: exit
+    2, with no artifact written."""
     out = tmp_path / "out"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err

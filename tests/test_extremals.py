@@ -88,6 +88,13 @@ def test_capacity_rejects_bad_ell(ball21):
             ha.capacity_profile(ell, ball21)
 
 
+def test_capacity_rejects_plateau_on_the_clamped_ring():
+    """ell = 0.9 on ball 17 puts cells of the clamped ring (gauge 0.896 and
+    up) in the plateau, where u = 1 would break the boundary condition."""
+    with pytest.raises(ValueError, match="reaches the clamped ring"):
+        ha.capacity_profile(0.9, ha.ball_grid(17))
+
+
 def test_capacity_rejects_unresolved_plateau():
     # an even cell count has no cell at the origin, so a tiny inner ball
     # contains no cell center at all
@@ -201,11 +208,12 @@ def test_probe_threshold_arithmetic():
 
 
 # capacity profiles on ball 17, k = 2..16, as solved by Jacobi-preconditioned
-# CG on the orbit-reduced form C^T C = P^T B^T B P (the energies are those of
-# the unreduced solve on B^T B)
+# CG on the orbit-reduced form P^T B^T B P, P the orthonormal orbit basis of
+# the free cells off the plateau (the energies are those of the unreduced
+# solve on B^T B)
 _CAPACITY_BALL17 = {
     2: (135, 275.4674562080536), 3: (166, 75.70118383386544), 4: (169, 49.69618618488979),
-    5: (174, 32.94887092642909), 6: (174, 32.94887092642909), 7: (171, 26.971341713397713),
+    5: (173, 32.94887092642909), 6: (173, 32.94887092642909), 7: (171, 26.971341713397713),
     8: (171, 26.971341713397713), **{k: (175, 17.061299961570732) for k in range(9, 17)},
 }
 
@@ -223,12 +231,14 @@ def _unreduced_capacity_form(ball, plateau):
     """Bc^T Bc on the free cells off the plateau, Bc the columns of B there,
     and the capacity right-hand side: the solve without the symmetry."""
     from scipy.sparse.linalg import LinearOperator
-    from heisadams.operators import form_gradient, free_columns
+    from heisadams.operators import free_columns, sublaplacian
     free = ball.free_mask()
     off = ~plateau[free]
-    Bc = free_columns(ball)[:, np.flatnonzero(off)]
+    B = free_columns(ball)
+    Bc = B[:, np.flatnonzero(off)]
     A = LinearOperator((Bc.shape[1],) * 2, matvec=lambda x: Bc.T @ (Bc @ x), dtype=float)
-    return A, -form_gradient(ha.GridField(ball, np.where(plateau, 1.0, 0.0)))[off]
+    Lu = sublaplacian(ha.GridField(ball, np.where(plateau, 1.0, 0.0))).values.ravel()
+    return A, -(B.T @ Lu)[off]
 
 
 def test_capacity_ball49_scale_pin():

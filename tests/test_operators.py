@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from scipy.sparse import identity
+from scipy.sparse import csr_matrix, diags, identity
 
 from heisadams.grids import orbit_images
 from heisadams.operators import (
     apply_fields,
     free_columns,
     orbit_form,
-    orbit_reduction,
     sublaplacian,
 )
 
@@ -281,31 +280,63 @@ def test_sublaplacian_is_equivariant_under_the_order_8_group(dom):
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
 @pytest.mark.parametrize("k", [2, 4])
-def test_orbit_reduction_is_the_form_on_invariant_fields(dom, k):
-    """P is orthonormal and C^T C is P^T B^T B P on the free cells off the
-    capacity plateau of ell = 1/k."""
-    cells = dom.free_mask() & ~((dom.gauge() <= 1.0 / k) & dom.mask)
-    P, C = orbit_reduction(dom, cells)
-    assert P.shape == (int(cells.sum()), C.shape[1])
+def test_orbit_form_column_block_is_the_form_on_invariant_fields(dom, k):
+    """The columns of orbit_form's C at the orbits off the capacity plateau of
+    ell = 1/k, scaled by count^-1/2, have the Gram matrix P^T Bc^T Bc P: Bc
+    the columns of B at the free cells off the plateau and P their
+    orthonormal orbit basis."""
+    form = orbit_form(dom)
+    free = dom.free_mask()
+    plateau = (dom.gauge() <= 1.0 / k) & dom.mask
+    off = form.restrict(ha.GridField(dom, plateau.astype(float))) == 0.0
+    Cf = form.C[:, off] @ diags(form.count[off] ** -0.5)
+    cells = np.flatnonzero(free & ~plateau)
+    _, orbit, sizes = np.unique(orbit_images(dom, cells).min(axis=0),
+                                return_inverse=True, return_counts=True)
+    P = csr_matrix((1.0 / np.sqrt(sizes[orbit]), (np.arange(cells.size), orbit)),
+                   shape=(cells.size, sizes.size))
+    assert P.shape[1] == Cf.shape[1]
     assert abs(P.T @ P - identity(P.shape[1])).max() <= 1e-15
-    Bc = free_columns(dom)[:, np.flatnonzero(cells[dom.free_mask()])]
+    Bc = free_columns(dom)[:, np.flatnonzero(~plateau[free])]
     want = (P.T @ (Bc.T @ Bc) @ P).toarray()
-    got = (C.T @ C).toarray()
+    got = (Cf.T @ Cf).toarray()
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert C.nnz < Bc.nnz / 6
+    assert Cf.nnz < Bc.nnz / 6
 
 
-def test_orbit_reduction_rejects_cells_that_are_not_invariant():
+def test_orbit_form_rejects_cells_that_are_not_invariant():
     holed = holed_ball17()
-    with pytest.raises(ValueError, match="not invariant"):
-        orbit_reduction(holed, holed.free_mask())
     with pytest.raises(ValueError, match="not invariant"):
         orbit_form(holed)
     with pytest.raises(ValueError, match="not invariant"):
         ha.capacity_profile(0.5, holed)
     box = ha.GridDomain(shape=(17, 19, 17), extents=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="quarter turn"):
-        orbit_reduction(box, box.free_mask())
+        orbit_form(box)
+
+
+def test_one_orbit_build_per_domain_and_no_factor_for_capacity(monkeypatch):
+    """Capacity profiles at four plateaus classify the orbits of one domain
+    once (cells and rows) and never factor the preconditioner; the first
+    lambda_estimate factors it once, on the same Form."""
+    import heisadams.operators as ops
+    calls = {"_orbits": 0, "splu": 0}
+    for name in calls:
+        plain = getattr(ops, name)
+
+        def counted(*args, _name=name, _plain=plain, **kwargs):
+            calls[_name] += 1
+            return _plain(*args, **kwargs)
+
+        monkeypatch.setattr(ops, name, counted)
+    ball = ha.ball_grid(17)
+    for k in (2, 4, 8, 16):
+        assert ha.capacity_profile(1.0 / k, ball).converged
+    assert calls == {"_orbits": 2, "splu": 0}
+    form = orbit_form(ball)
+    assert ha.lambda_estimate(ball, 1.0).converged
+    assert calls == {"_orbits": 2, "splu": 1}
+    assert orbit_form(ball) is form
 
 
 def test_preconditioned_cg_solves_in_few_iterations():

@@ -156,12 +156,12 @@ def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
     """The form's gradient B^T (L u) equals L(L u) on the free cells for
     every field, also one with nonzero values on the clamped ring and
     outside the free cells."""
-    from heisadams.operators import form_gradient, sublaplacian
+    from heisadams.operators import free_columns, sublaplacian
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
     u = ha.GridField(dom, np.random.default_rng(9).standard_normal(dom.shape))
     free = dom.free_mask()
     assert np.abs(u.values[~free]).min() > 0.0
-    g = form_gradient(u)
+    g = free_columns(dom).T @ sublaplacian(u).values.ravel()
     want = sublaplacian(sublaplacian(u)).values[free]
     assert g.shape == want.shape
     assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
