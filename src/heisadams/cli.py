@@ -33,8 +33,8 @@ from . import __version__
 from .constants import BIG_A, QuadratureOptions, compute_constants
 from .extremals import adams_function, capacity_profile, probe_to_csv, sharpness_probe
 from .grids import GridField, ball_grid, box_grid, gauge_power_field, save_field
-from .io import atomic_write_text, fmt, read_csv, write_csv, write_json
-from .operators import dirichlet_energy, orbit_form
+from .io import write_csv, write_json
+from .operators import orbit_form
 from .rearrange import (
     decreasing_rearrangement,
     double_star,
@@ -51,7 +51,6 @@ from .varsolve import (
     lambda_estimate,
     level_bound,
     mountain_pass_solve,
-    rayleigh_quotient,
     tail_differences_decreasing,
     validate_hypotheses,
 )
@@ -132,7 +131,6 @@ _KEYS = {
     "nmax": (int, 6, "number of continuation stages"),
     "tail_radius": (float, 50.0, "gauge truncation radius"),
     "mc_samples": (int, 200000, "Monte Carlo sample count"),
-    "artifact": (str, "", "path of the CSV artifact to reshape"),
 }
 
 # key -> (valid, message) for the keys with a restricted range
@@ -320,7 +318,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     nl = _make_nl(cfg)
     a = cfg.a
 
-    lam = lambda_estimate(dom, a, tol=1e-10)
+    lam = lambda_estimate(dom, a)
     report = validate_hypotheses(nl, a, lam.value)
     form = orbit_form(dom)
     write_json(out / "hypotheses.json", {
@@ -348,16 +346,18 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     save_field(u, out / "solution.bin")
     write_csv(out / "trace.csv", ["iteration", "level", "gradResidual", "norm"],
               state.history)
-    unorm = float(np.sqrt(dirichlet_energy(u)))
+    x = form.restrict(u)
+    xAx = float(x @ form.A(x))
     summary = {
         "converged": state.converged,
         "geometry_failure": state.geometry_failure,
         "level": state.levelEstimate,
         "gradResidual": state.gradResidual,
-        "norm": unorm,
-        "energy": energy(form, form.restrict(u), nl, a),
+        "norm": float(np.sqrt(form.volume * xAx)),
+        "energy": energy(form, x, nl, a),
+        # the Rayleigh quotient ||L u||^2 / int u^2 / rho^a on the unknowns
         "rayleigh_bound_ok": bool(
-            unorm == 0.0 or rayleigh_quotient(u, a) >= lam.value * (1 - 1e-6)),
+            xAx == 0.0 or xAx / float(form.weight(a) @ x ** 2) >= lam.value * (1 - 1e-6)),
         "newton_iterations": state.newton_iterations,
         "message": state.message,
     }
@@ -416,51 +416,6 @@ def cmd_lambda(cfg: SimpleNamespace, out: Path) -> int:
     return EXIT_OK if res.converged else EXIT_CONVERGENCE
 
 
-def emit_plot_data(artifact: str | Path, out: Path) -> list[Path]:
-    """Reshape a CSV artifact into plain columnar series files.
-
-    sharpness.csv -> one (k, value) series per beta; trace.csv -> (iteration,
-    level); continuation.csv -> (a, norm, diff).  Byte-stable given identical
-    inputs.
-    """
-    artifact = Path(artifact)
-    if not artifact.is_file():
-        raise ConfigError(f"artifact {artifact} does not exist or is not a file")
-    header, rows = read_csv(artifact)
-    written: list[Path] = []
-    if header[:3] == ["k", "beta", "a"]:
-        betas = sorted({r[1] for r in rows}, key=float)
-        for b in betas:
-            series = [(int(r[0]), float(r[3])) for r in rows if r[1] == b]
-            series.sort()
-            path = out / f"series_beta_{b}.dat"
-            text = "\n".join(f"{k} {fmt(v)}" for k, v in series) + "\n"
-            atomic_write_text(path, text)
-            written.append(path)
-    elif header[:2] == ["iteration", "level"]:
-        path = out / "series_level.dat"
-        text = "\n".join(f"{r[0]} {fmt(float(r[1]))}" for r in rows) + "\n"
-        atomic_write_text(path, text)
-        written.append(path)
-    elif header[:2] == ["n", "a"]:
-        path = out / "series_continuation.dat"
-        text = "\n".join(
-            f"{fmt(float(r[1]))} {fmt(float(r[2]))} {fmt(float(r[3]))}" for r in rows
-        ) + "\n"
-        atomic_write_text(path, text)
-        written.append(path)
-    else:
-        raise ConfigError(f"unrecognized artifact header: {header}")
-    return written
-
-
-def cmd_plot_data(cfg: SimpleNamespace, out: Path) -> int:
-    if not cfg.artifact:
-        raise ConfigError("plot-data requires --artifact")
-    emit_plot_data(cfg.artifact, out)
-    return EXIT_OK
-
-
 # subcommand -> (runner, the config keys it reads besides out)
 _COMMANDS = {
     "constants": (cmd_constants, ("tail_radius", "mc_samples", "seed")),
@@ -470,7 +425,6 @@ _COMMANDS = {
     "solve": (cmd_solve, ("grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol")),
     "continuation": (cmd_continuation, ("grid", "extent", "nl", "lam", "alpha0", "tol", "nmax")),
     "lambda": (cmd_lambda, ("grid", "extent", "a")),
-    "plot-data": (cmd_plot_data, ("artifact",)),
 }
 
 

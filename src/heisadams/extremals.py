@@ -21,8 +21,10 @@ unpreconditioned residual.  Each profile reports the true residual
 it is within the tolerance.  A grid whose mask is not invariant, or an ell
 whose plateau reaches the clamped ring, raises ValueError.
 
-The profile depends on ell only through the plateau cells, so the CG result
-(unknowns, iterations, residual) is cached on the domain keyed by those
+The energy ||L u||^2 of the minimizer is read off the form as
+volume ||C y||^2, y its unknowns, with no stencil sweep.  The profile
+depends on ell only through the plateau cells, so the CG result (unknowns,
+iterations, residual, energy) is cached on the domain keyed by those
 cells, tol and max_iter, the way singular_weight is cached per a: a probe
 over several a, or over several ell below the grid resolution, solves each
 distinct plateau once.
@@ -50,7 +52,7 @@ from .constants import BIG_A
 from .grids import GridDomain, GridField
 from .group import Q
 from .io import write_csv
-from .operators import dirichlet_energy, integrate_weighted, orbit_form
+from .operators import integrate_weighted, orbit_form
 
 
 @dataclass
@@ -123,10 +125,11 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
         z, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
                   M=diags(1.0 / colnorm2), callback=steps.append)
         y[off] = scale * z
-        cache[key] = (y, len(steps), float(np.linalg.norm(b - A @ z) / np.linalg.norm(b)))
-    y, iters, res = cache[key]
+        Cy = form.C @ y
+        cache[key] = (y, len(steps), float(np.linalg.norm(b - A @ z) / np.linalg.norm(b)),
+                      form.volume * float(Cy @ Cy))
+    y, iters, res, energy = cache[key]
     u = form.expand(y)
-    energy = dirichlet_energy(u)
     bound = BIG_A / (Q * np.log(1.0 / ell))
     return CapacityProfile(
         ell=ell,

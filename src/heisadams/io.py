@@ -48,9 +48,3 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> Non
 def write_json(path: str | Path, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-
-def read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",") if lines else []
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows

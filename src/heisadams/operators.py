@@ -29,7 +29,15 @@ orbits (L_ff the free rows of B) at its first apply, the cell volume, the
 orbit sizes and weights, and the maps between unknowns and fields.  The
 operators are scipy LinearOperators, which every linear solve hands to
 scipy's cg or minres.  A domain whose free cells are not invariant raises
-ValueError; there is no unreduced path.
+ValueError; there is no unreduced path.  Form.restrict is the one gate from
+a field into the unknowns: it raises ValueError for a field on another
+domain object, one that is nonzero off the free cells, or one that is not
+exactly invariant, so nothing is projected or dropped on the way in.  The
+numbers reported after a solve (norms, Rayleigh quotients, weighted
+integrals, capacity energies) are read off the Form too.  dirichlet_energy,
+inner and apply_fields below stay as the stencil-side oracles that check
+them, and integrate_weighted serves integrands such as exp(beta u^2) that do
+not vanish off the free cells.
 """
 
 from __future__ import annotations
@@ -142,8 +150,11 @@ class Form:
     invariant free-cell vector g_full with E^T g_full = g is
     sqrt(g.(g / count)).  weight(a) is E^T w_a, the orbit sums of the
     singular weight of rho^-a; expand(y) is the field equal to E y on the
-    free cells and zero elsewhere, and restrict(u) the unknowns of a field
-    whose free values are exactly invariant (ValueError otherwise).
+    free cells and zero elsewhere, and restrict(u) its inverse, the unknowns
+    of a field of this domain object that vanishes off the free cells and is
+    exactly invariant on them (ValueError otherwise).  On those unknowns
+    ||L u||^2 = volume x.Ax and int g(u) / rho^a = volume w_a.g(x) for any
+    g with g(0) = 0.
     """
 
     A: LinearOperator
@@ -207,6 +218,11 @@ def orbit_form(domain: GridDomain) -> Form:
             return GridField(domain, vals)
 
         def restrict(u):
+            if u.domain is not domain:   # identity: the generated == raises on masks
+                raise ValueError("the field lives on another domain")
+            if np.any(u.values[~free] != 0.0):
+                raise ValueError("the field must vanish off the free cells (the clamped "
+                                 "ring and outside the mask)")
             x = u.values[free]
             y = x[first]
             if not np.array_equal(x, y[orbit]):

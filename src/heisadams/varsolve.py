@@ -30,9 +30,14 @@ fields, found by block-one LOBPCG.  It, the descent step (scipy's cg) and
 the Newton steps (scipy's minres) share the form's preconditioner, L_ff^-2
 factored on the orbits.  Every solve runs on the domain's orbit_form, so it
 never leaves the invariant fields; the seeds (the default bump, a warm
-start) must be exactly invariant, and a domain whose free cells are not
-raises ValueError.  Residual norms are those of the free-cell vectors, so
-gradResidual and the stopping rules mean what they would on all free cells.
+start) enter through Form.restrict, which raises ValueError for a field on
+another domain object, nonzero off the free cells or not exactly invariant,
+and a domain whose free cells are not invariant raises ValueError too.
+Residual norms are those of the free-cell vectors, so gradResidual and the
+stopping rules mean what they would on all free cells.  The continuation's
+diagnostics (||L u||, the stage drift and the weighted integrals of f(u) u
+and F(u)) are read off the same form, with no stencil sweep; the stencil-side
+rayleigh_quotient stays as an independent check.
 """
 
 from __future__ import annotations
@@ -163,10 +168,11 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     with converged=False.  Raises ValueError when the free cells are not
     invariant under the symmetry group of L.
 
-    scipy's lobpcg on the same LinearOperators gives the same lambda_1 but
-    was slower when they acted on all the free cells: at box 17 a median 58
-    and 43 ms per estimate for a = 1 and 3, against 50 and 28 ms here (2
-    CPUs).
+    scipy's lobpcg on the same orbit-form operators (residual tolerance
+    1e-5) gives the same lambda_1, to 1.1e-14, but is slower: at box 17,
+    with the factor of M built, a median of 7 estimates took 13.2-13.8 and
+    6.7-11.3 ms for a = 1 and 3 over three runs, against 6.3-6.6 and
+    2.6-4.4 ms here (2-CPU Xeon, one BLAS thread).
     """
     _check_a(a)
     form = orbit_form(domain)
@@ -449,20 +455,13 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
     it equals J(u) when the search ends at the least-energy solution.
-    Raises ValueError when the warm start lives on another domain object,
-    whose grid would be read as this one's, is nonzero off free_mask() (the
-    search only moves the free cells, so such values would survive into the
-    returned field) or is not exactly invariant, and when the free cells
-    are not invariant.
+    Raises ValueError, from Form.restrict, when the warm start lives on
+    another domain object, whose grid would be read as this one's, is
+    nonzero off free_mask() (the search only moves the free cells, so such
+    values would survive into the returned field) or is not exactly
+    invariant, and, from orbit_form, when the free cells are not invariant.
     """
     opts = opts or SolveOptions()
-    free = domain.free_mask()
-    if warm_start is not None:
-        if warm_start.domain is not domain:   # identity: the generated == raises on masks
-            raise ValueError("warm start lives on another domain")
-        if np.any(warm_start.values[~free] != 0.0):
-            raise ValueError("warm start must vanish off the free cells (the clamped ring "
-                             "and outside the mask)")
     form = orbit_form(domain)
     seed = form.restrict(warm_start if warm_start is not None else default_bump(domain))
     nrm = _norm(form, seed)
@@ -561,26 +560,34 @@ def critical_continuation(nl: NonlinearitySpec, nmax: int, domain: GridDomain,
     Each stage solves the subcritical problem at a_n, taking the previous
     solution as the seed ray; diagnostics record the solution drift and the
     weighted superlinearity integrals, which stay bounded along the family.
-    Any stage failure aborts with the steps obtained so far.
+    They are read off the domain's orbit_form at the stage's unknowns
+    x = restrict(u): norm = ||L u|| = sqrt(volume x.Ax), diff_from_previous
+    the same norm of x - x_prev, weighted_uf = volume w_a.(f(x) x) and
+    weighted_F = volume w_a.F(x).  Any stage failure aborts with the steps
+    obtained so far.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     opts = opts or SolveOptions()
+    form = orbit_form(domain)
     steps: list[ContinuationStep] = []
     prev: GridField | None = None
+    x_prev = None
     for n in range(1, nmax + 1):
         a_n = 4.0 - 1.0 / n
         u, state = mountain_pass_solve(nl, a_n, domain, opts, warm_start=prev)
+        x = form.restrict(u)
+        w = form.weight(a_n) * form.volume
         steps.append(ContinuationStep(
             n=n, a=a_n, solution=u, state=state,
-            norm=np.sqrt(dirichlet_energy(u)),
-            diff_from_previous=np.nan if prev is None else np.sqrt(dirichlet_energy(u - prev)),
-            weighted_uf=integrate_weighted(GridField(domain, nl.f(u.values) * u.values), a_n),
-            weighted_F=integrate_weighted(GridField(domain, nl.bigF(u.values)), a_n),
+            norm=_norm(form, x),
+            diff_from_previous=np.nan if prev is None else _norm(form, x - x_prev),
+            weighted_uf=float(w @ (nl.f(x) * x)),
+            weighted_F=float(w @ nl.bigF(x)),
         ))
         if not state.converged:
             break
-        prev = u
+        prev, x_prev = u, x
     return steps
 
 

@@ -52,6 +52,20 @@ def holed_ball17():
     return ha.GridDomain(shape=ball.shape, extents=ball.extents, mask=mask)
 
 
+def count_sweeps(monkeypatch):
+    """A list that gains an entry at each operators.sublaplacian sweep."""
+    import heisadams.operators as ops
+    calls = []
+    sweep = ops.sublaplacian
+
+    def counted_sweep(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "sublaplacian", counted_sweep)
+    return calls
+
+
 def counted_cg(A, b, tol, max_iter, M=None):
     """scipy's cg from zero: the iterate, its iteration count and its true
     relative residual."""

@@ -102,7 +102,6 @@ COMMAND_KEYS = {
     "solve": {"grid", "extent", "domain", "a", "nl", "lam", "alpha0", "tol"},
     "continuation": {"grid", "extent", "nl", "lam", "alpha0", "tol", "nmax"},
     "lambda": {"grid", "extent", "a"},
-    "plot-data": {"artifact"},
 }
 
 
@@ -121,7 +120,6 @@ COMMAND_KEYS = {
     ("continuation", "a", "1"),       # not an abbreviation of --alpha0
     ("lambda", "nl", "critical"),
     ("lambda", "tol", "1e-10"),
-    ("plot-data", "grid", "9"),
 ])
 def test_commands_reject_keys_they_do_not_read(tmp_path, capsys, command, key, value):
     """A key outside the command's entry exits 2, as a flag and from a
@@ -152,9 +150,6 @@ def test_manifests_resolve_exactly_the_keys_each_command_reads(tmp_path):
         assert run_cli([command, *args, "--out", str(out)]) == 0
         resolved = json.loads((out / "manifest.json").read_text())["resolved"]
         assert set(resolved) == COMMAND_KEYS[command] | {"command", "out"}, command
-    # plot-data writes no manifest; its resolved configuration is the same set
-    args = cli._build_parser().parse_args(["plot-data", "--artifact", "x.csv"])
-    assert set(vars(cli.resolve_config(args))) == {"command", "out", "artifact"}
 
 
 def test_config_holds_only_the_command_keys():
@@ -239,6 +234,18 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert hyp["lambda_converged"] is True
     assert 0 < hyp["lambda_iterations"] <= 200
     assert 0 < hyp["lambda_residual"] <= 1e-5
+
+
+def test_solve_norm_matches_the_stencil_oracle(tmp_path):
+    """solve.json's norm, read off the orbit form, is ||L u|| of the field
+    written to solution.bin."""
+    out = tmp_path / "solve"
+    assert run_cli(["solve", "--nl", "critical", "--a", "1", "--lam", "20", "--grid", "9",
+                    "--out", str(out)]) == 0
+    doc = json.loads((out / "solve.json").read_text())
+    u = ha.load_field(out / "solution.bin")
+    assert doc["norm"] > 0
+    assert doc["norm"] == pytest.approx(np.sqrt(ha.dirichlet_energy(u)), rel=1e-13)
 
 
 @pytest.mark.parametrize("frac,below", [(0.9, True), (0.5, False)])
@@ -447,60 +454,6 @@ def test_continuation_command(tmp_path):
     assert rows[0] == "n,a,norm,diff,weighted_uf,weighted_F,level,gradResidual"
     assert len(rows) == 4
     assert (out / "final_solution.bin").exists()
-
-
-def test_plot_data_sharpness(tmp_path):
-    out = tmp_path / "s"
-    run_cli(["sharpness", "--a", "0", "--grid", "9", "--betas", "1A,2A",
-             "--ks", "2,4", "--out", str(out)])
-    pd = tmp_path / "pd"
-    rc = run_cli(["plot-data", "--artifact", str(out / "sharpness.csv"),
-                  "--out", str(pd)])
-    assert rc == 0
-    series = sorted(pd.glob("series_beta_*.dat"))
-    assert len(series) == 2
-    for s in series:
-        lines = s.read_text().strip().splitlines()
-        assert len(lines) == 2
-        k, v = lines[0].split()
-        assert int(k) == 2 and float(v) > 0
-    # byte stability
-    before = [s.read_bytes() for s in series]
-    rc = run_cli(["plot-data", "--artifact", str(out / "sharpness.csv"),
-                  "--out", str(pd)])
-    after = [s.read_bytes() for s in sorted(pd.glob("series_beta_*.dat"))]
-    assert before == after
-
-
-def test_plot_data_trace_and_continuation(tmp_path):
-    out = tmp_path / "sv"
-    run_cli(["solve", "--nl", "cubic", "--a", "0", "--grid", "7", "--out", str(out)])
-    pd = tmp_path / "pd2"
-    rc = run_cli(["plot-data", "--artifact", str(out / "trace.csv"), "--out", str(pd)])
-    assert rc == 0
-    lines = (pd / "series_level.dat").read_text().strip().splitlines()
-    assert len(lines) >= 1 and len(lines[0].split()) == 2
-
-    cont = tmp_path / "ct"
-    run_cli(["continuation", "--grid", "7", "--nmax", "2", "--out", str(cont)])
-    rc = run_cli(["plot-data", "--artifact", str(cont / "continuation.csv"),
-                  "--out", str(pd)])
-    assert rc == 0
-    assert (pd / "series_continuation.dat").exists()
-
-
-def test_plot_data_missing_artifact(tmp_path):
-    assert run_cli(["plot-data", "--artifact", str(tmp_path / "nope.csv"),
-                    "--out", str(tmp_path)]) == 2
-    assert run_cli(["plot-data", "--out", str(tmp_path)]) == 2
-
-
-def test_plot_data_empty_artifact_or_directory(tmp_path):
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    for artifact in (empty, tmp_path):
-        assert run_cli(["plot-data", "--artifact", str(artifact),
-                        "--out", str(tmp_path / "pd")]) == 2
 
 
 def test_readme_cli_examples_parse():

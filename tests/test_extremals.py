@@ -4,6 +4,9 @@ import pytest
 import heisadams as ha
 from heisadams.extremals import probe_to_csv
 from heisadams.group import Q
+from heisadams.operators import orbit_form
+
+from conftest import count_sweeps
 
 A = 32.0 / 9.0
 
@@ -322,6 +325,18 @@ def test_probe_solves_each_plateau_once_per_domain(monkeypatch):
     for k in ks:
         assert _profiles_equal(ha.capacity_profile(1.0 / k, dom),
                                ha.capacity_profile(1.0 / k, ha.ball_grid(17)))
+
+
+def test_capacity_runs_no_stencil_sweep_once_the_form_is_built(monkeypatch):
+    """The energy is volume ||C y||^2, cached with the CG result: after the
+    form's 27 probes of B, a profile sweeps the stencil no more."""
+    ball = ha.ball_grid(17)
+    orbit_form(ball)
+    calls = count_sweeps(monkeypatch)
+    prof = ha.capacity_profile(0.5, ball)
+    again = ha.capacity_profile(0.5, ball)
+    assert prof.converged and again.energy == prof.energy
+    assert calls == []
 
 
 def test_cached_profiles_are_independent_copies():

@@ -6,7 +6,7 @@ from heisadams.grids import orbit_images
 from heisadams.operators import orbit_form
 from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
 
-from conftest import field_energy, holed_ball17, orbit_sums, random_free_field
+from conftest import count_sweeps, field_energy, holed_ball17, orbit_sums, random_free_field
 
 A = 32.0 / 9.0
 
@@ -106,6 +106,24 @@ def test_restrict_rejects_a_field_that_is_not_invariant(grid):
     cell = np.flatnonzero(dom.free_mask())[-1]
     u.values.flat[cell] = np.nextafter(u.values.flat[cell], np.inf)
     with pytest.raises(ValueError, match="not invariant"):
+        form.restrict(u)
+
+
+@pytest.mark.parametrize("grid", ["box9", "ball13"])
+def test_restrict_rejects_a_field_on_another_domain_or_off_the_free_cells(grid):
+    """restrict is the one gate into the unknowns: a field of another domain
+    object (its values would be read as this grid's, even when the grids
+    are equal) and a field that is nonzero on the clamped ring (the unknowns
+    would drop that value) raise instead of being read."""
+    make = (lambda: ha.box_grid(9)) if grid == "box9" else (lambda: ha.ball_grid(13))
+    dom = make()
+    form = orbit_form(dom)
+    u = form.expand(np.random.default_rng(14).standard_normal(form.count.size))
+    with pytest.raises(ValueError, match="another domain"):
+        form.restrict(ha.GridField(make(), u.values))
+    ring = np.flatnonzero(dom.mask & ~dom.free_mask())
+    u.values.flat[ring[0]] = 1.0
+    with pytest.raises(ValueError, match="free cells"):
         form.restrict(u)
 
 
@@ -445,6 +463,38 @@ def test_continuation_schedule_and_diagnostics():
     assert ufs[-1] < ufs[0]
 
 
+def test_continuation_diagnostics_match_the_stencil_oracles():
+    """Each stage's norm, drift and weighted integrals, read off the orbit
+    form, agree with dirichlet_energy and integrate_weighted on the fields."""
+    dom = ha.box_grid(9)
+    nl = ha.cubic_model()
+    steps = ha.critical_continuation(nl, 3, dom)
+    assert len(steps) == 3
+    prev = None
+    for s in steps:
+        u = s.solution
+        assert s.norm == pytest.approx(np.sqrt(ha.dirichlet_energy(u)), rel=1e-13)
+        if prev is not None:
+            assert s.diff_from_previous == pytest.approx(
+                np.sqrt(ha.dirichlet_energy(u - prev)), rel=1e-13)
+        assert s.weighted_uf == pytest.approx(
+            ha.integrate_weighted(ha.GridField(dom, nl.f(u.values) * u.values), s.a), rel=1e-13)
+        assert s.weighted_F == pytest.approx(
+            ha.integrate_weighted(ha.GridField(dom, nl.bigF(u.values)), s.a), rel=1e-13)
+        prev = u
+
+
+def test_continuation_runs_no_stencil_sweep_once_the_form_is_built(monkeypatch):
+    """The diagnostics of every stage read orbit_form: after its 27 probes of
+    B, a 3-stage run sweeps the stencil no more."""
+    dom = ha.box_grid(9)
+    orbit_form(dom)
+    calls = count_sweeps(monkeypatch)
+    steps = ha.critical_continuation(ha.cubic_model(), 3, dom)
+    assert len(steps) == 3 and all(s.state.converged for s in steps)
+    assert calls == []
+
+
 def test_continuation_a_sequence_to_eight():
     want = [3, 3.5, 4 - 1 / 3, 3.75, 3.8, 4 - 1 / 6, 4 - 1 / 7, 3.875]
     got = [4.0 - 1.0 / n for n in range(1, 9)]
@@ -491,15 +541,7 @@ def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
     """Applies counted in the parent's units: every stencil sweep (the 27
     probes of B included) is one, every product with the orbit form's
     operator C^T C is two."""
-    import heisadams.operators as ops
-    calls = []
-    sweep = ops.sublaplacian
-
-    def counted_sweep(*args, **kwargs):
-        calls.append(1)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(ops, "sublaplacian", counted_sweep)
+    calls = count_sweeps(monkeypatch)
     _count_form_applies(monkeypatch, "A", calls, unit=2)
     value, iterations, applies = _LAMBDA_BOX13_UNPRECONDITIONED[a]
     res = ha.lambda_estimate(ha.box_grid(13), a, tol=1e-10)
