@@ -231,8 +231,9 @@ def orbit_form(domain: GridDomain) -> Form:
 
         cache["orbit_form"] = Form(
             A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float), C=C,
-            M=LinearOperator(m, matvec=lambda r: factor().solve(factor().solve(r / count)),
-                             dtype=float),
+            M=LinearOperator(
+                m, matvec=lambda r: factor().solve(factor().solve(r.ravel() / count)),
+                dtype=float),
             volume=domain.cell_volume, count=count,
             weight=lambda a: np.bincount(orbit, domain.singular_weight(a)[free],
                                          minlength=count.size),

@@ -333,6 +333,22 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_constants_command_loads_no_scipy_integrate_or_optimize(tmp_path):
+    """The quadratures are numpy Gauss-Legendre rules: a fresh interpreter
+    that runs `heisadams constants` never imports scipy.integrate (nor
+    scipy.optimize, which it pulls in)."""
+    import subprocess
+    import sys
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import heisadams.cli; "
+            "rc = heisadams.cli.main(['constants', '--out', %r]); "
+            "print(rc, 'scipy.integrate' in sys.modules, 'scipy.optimize' in sys.modules)"
+            % (src, str(tmp_path / "c")))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split()[-3:] == ["0", "False", "False"]
+
+
 def test_capacity_command(tmp_path):
     out = tmp_path / "cap"
     rc = run_cli(["capacity", "--ell", "0.5", "--grid", "13", "--out", str(out)])

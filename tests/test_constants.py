@@ -64,6 +64,16 @@ def test_weighted_ball_integral(constants):
         constants.weighted_ball_integral(4.0)
 
 
+def test_gamma1_quadrature_matches_the_reference_value():
+    """At the default R = 50 the truncated integral is
+    I_50 = 2 pi/3 - 5.026547240434208e-7 (mpmath.quad at 30 digits on the
+    closed-form t integral, w = r^4 split at 1, 10, ..., 10^5, R^4/2), so
+    gamma1 = (2 I_50)^-1; the Gauss-Legendre rules reach it to rounding."""
+    c = ha.compute_constants(ha.QuadratureOptions(mc_samples=10_000))
+    assert c.gamma1 == pytest.approx(1 / (2 * (2 * np.pi / 3 - 5.026547240434208e-7)),
+                                     rel=1e-12)
+
+
 def test_tail_truncation_is_controlled():
     loose = ha.compute_constants(ha.QuadratureOptions(tail_radius=20.0, mc_samples=10_000))
     tight = ha.compute_constants(ha.QuadratureOptions(tail_radius=80.0, mc_samples=10_000))

@@ -349,6 +349,19 @@ def test_preconditioned_cg_solves_in_few_iterations():
     assert it <= it0 / 5
 
 
+def test_orbit_form_operators_take_column_blocks():
+    """form.A and form.M apply column by column to an (n, 2) block, so block
+    Krylov methods such as scipy's lobpcg can use M as their preconditioner."""
+    from scipy.sparse.linalg import lobpcg
+    form = orbit_form(ha.box_grid(9))
+    X = np.random.default_rng(3).standard_normal((form.count.size, 2))
+    for op in (form.A, form.M):
+        assert np.array_equal(op @ X, np.column_stack([op @ X[:, 0], op @ X[:, 1]]))
+    vals, vecs = lobpcg(form.A, X, M=form.M, largest=False, maxiter=200, tol=1e-8)
+    res = form.A @ vecs - vecs * vals
+    assert np.linalg.norm(res) <= 1e-6 * vals.max()
+
+
 def test_green_function_constant_of_the_discretized_operator():
     """Oracle for the fundamental-solution constant that does not go through
     constants: for L = X^2 + Y^2, X = d/dx + 2y d/dt, the fundamental
