@@ -13,8 +13,9 @@ zero, matching the zero-extension reading of the clamped boundary).
 
 The quadratic form u -> ||L u||^2 on clamped fields is read off B = L[:,
 free], the columns of L at the free cells, by 27-colour probing of
-sublaplacian, and cached on the domain.  Its operator on the free cells is
-B^T B.
+sublaplacian.  Its operator on the free cells is B^T B.  free_columns
+assembles the whole of B (the reference the tests check against); the
+drivers read only its representative rows, from the same 27 sweeps.
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
@@ -24,11 +25,11 @@ fields, and every solve runs on the invariant fields of a cell set the
 group maps to itself.  orbit_form gives the one reduced representation of
 the form, the Form that the capacity solve and the variational drivers
 work on, in orbit-indicator unknowns (one value per orbit of free cells):
-its factor C with A = C^T C, an L_ff^-2 preconditioner factored on the
-orbits (L_ff the free rows of B) at its first apply, the cell volume, the
-orbit sizes and weights, and the maps between unknowns and fields.  The
-operators are scipy LinearOperators, which every linear solve hands to
-scipy's cg or minres.  A domain whose free cells are not invariant raises
+its factor C with A = C^T C, the sublaplacian G on the orbits, an L_ff^-2
+preconditioner (L_ff the free rows of B) that factors G at its first
+apply, the cell volume, the orbit sizes and weights, and the maps between
+unknowns and fields.  The operators are scipy LinearOperators, which every
+linear solve hands to scipy's cg or minres.  A domain whose free cells are not invariant raises
 ValueError; there is no unreduced path.  Form.restrict is the one gate from
 a field into the unknowns: it raises ValueError for a field on another
 domain object, one that is nonzero off the free cells, or one that is not
@@ -103,7 +104,8 @@ def free_columns(domain: GridDomain) -> csc_matrix:
     field reads off the 27 possible entries of each of its columns.  27
     applies give B, and the stencil stays written in sublaplacian alone.
     Free cells never touch the box faces, so every target is in range.
-    Cached on the domain.
+    Cached on the domain.  No solve reads it: it is the reference for B that
+    orbit_form's C and G are checked against (see _probed_rows).
     """
     cache = domain._cache
     if "free_columns" not in cache:
@@ -128,6 +130,40 @@ def free_columns(domain: GridDomain) -> csc_matrix:
     return cache["free_columns"]
 
 
+def _probed_rows(domain: GridDomain, rows: np.ndarray) -> csc_matrix:
+    """B[rows], B = free_columns(domain), for rows (flat indices, sorted)
+    within one cell of the free cells, from the same 27 colour sweeps read
+    at rows alone: the free cells of one colour class never share a stencil
+    target, so the sweep of a colour reads, at row r, the entry of B at the
+    one neighbour of r in that class.  The entries are free_columns' bit for
+    bit, in its canonical order, without the columns' other rows.
+    """
+    free = domain.free_mask()
+    cells = np.flatnonzero(free)
+    i, j, k = np.unravel_index(cells, free.shape)
+    colour = 9 * (i % 3) + 3 * (j % 3) + k % 3
+    reads = np.empty((27, rows.size))
+    for c in range(27):
+        src = np.zeros(free.shape)
+        src.flat[cells[colour == c]] = 1.0
+        reads[c] = sublaplacian(GridField(domain, src)).values.ravel()[rows]
+    # slot: the column of B at each cell of the box padded by one cell (a row may
+    # touch a face), -1 off the free cells.  The padded flat index of (i, j, k)
+    # is that of the padded cell (i - 1, j - 1, k - 1) of the box, so adding the
+    # steps over {0, 1, 2}^3 to it reaches the 27 stencil neighbours of (i, j, k).
+    slot = np.full(free.shape, -1)
+    slot[free] = np.arange(cells.size)
+    slot = np.pad(slot, 1, constant_values=-1)
+    at = np.ravel_multi_index(np.unravel_index(rows, free.shape), slot.shape)
+    step = np.ravel_multi_index(np.indices((3, 3, 3)).reshape(3, -1), slot.shape)
+    col = slot.ravel()[at[:, None] + step]
+    row, nb = np.nonzero(col >= 0)
+    col = col[row, nb]
+    vals = reads[colour[col], row]
+    hit = vals != 0.0
+    return csc_matrix((vals[hit], (row[hit], col[hit])), shape=(rows.size, cells.size))
+
+
 def _orbits(domain: GridDomain, cells: np.ndarray):
     """The orbits met by cells (flat indices, sorted): their representatives
     (least flat index), the orbit of each cell, and the orbit sizes.  Raises
@@ -144,8 +180,10 @@ class Form:
     cells: unknown y_o is the value of the field at every free cell of orbit o.
 
     With E the indicator matrix of the orbits (x = E y on the free cells), A
-    is the operator E^T B^T B E = C^T C, C its sparse factor, M its
-    preconditioner, volume the cell volume and count the orbit sizes.
+    is the operator E^T B^T B E = C^T C, C its sparse factor, G the
+    sublaplacian on the orbits (see orbit_form), M the L_ff^-2
+    preconditioner that factors G, volume the cell volume and count the
+    orbit sizes.
     Coordinates of a gradient are orbit sums, so the Euclidean norm of the
     invariant free-cell vector g_full with E^T g_full = g is
     sqrt(g.(g / count)).  weight(a) is E^T w_a, the orbit sums of the
@@ -159,6 +197,7 @@ class Form:
 
     A: LinearOperator
     C: csr_matrix
+    G: csc_matrix
     M: LinearOperator
     volume: float
     count: np.ndarray
@@ -175,20 +214,25 @@ def orbit_form(domain: GridDomain) -> Form:
     of B E in one orbit R of rows are equal, and (B E)^T (B E) counts its
     representative row |R| times: C = diag(sqrt|R|) B[row representatives] E
     has C^T C = E^T B^T B E.  Only the rows the stencil reaches from the free
-    cells (within one cell of them, an invariant set) are classified.
+    cells (within one cell of them, an invariant set) are classified, and
+    only the representative rows of B are probed (_probed_rows), never the
+    whole of B.
 
-    M(r) = G^-1 G^-1 (r / count) with G = L_ff[representative rows] E,
-    where L_ff, the free rows of B, is the sublaplacian from free cells to
-    free cells.  With K = E^T L_ff E = diag(count) G, M = K^-1 diag(count)
-    K^-1 is symmetric positive definite, and it is L_ff^-2 on invariant
-    fields: M(E^T L_ff^2 E y) = y.  L_ff^2 differs from B^T B only by the
-    rows of L that land on the clamped ring, so M is a close preconditioner
-    for every Krylov solve on A.  G (one row and column per orbit) is
-    factored by sparse LU with the minimum-degree ordering of G + G^T at the
-    first apply of M, so a domain that only the capacity solve uses never
-    holds the factor; symmetric mode, which prefers diagonal pivots, halves
-    the factor and solve times.  Raises ValueError when the free cells are not
-    invariant under the symmetry group of L or the grid has no quarter turn.
+    G = L_ff[representative rows] E = (B E)[free representatives], where
+    L_ff, the free rows of B, is the sublaplacian from free cells to free
+    cells; the free representatives are among the row representatives, so G
+    is read off the same probe.  With K = E^T L_ff E = diag(count) G
+    (symmetric), M(r) = G^-1 (G^-T r / count) = G^-1 G^-1 (r / count) is
+    K^-1 diag(count) K^-1, symmetric positive definite, and it is L_ff^-2 on
+    invariant fields: M(E^T L_ff^2 E y) = y.  L_ff^2 differs from B^T B only
+    by the rows of L that land on the clamped ring, so M is a close
+    preconditioner for every Krylov solve on A.  G (one row and column per
+    orbit) is factored by sparse LU with the minimum-degree ordering of G +
+    G^T at the first apply of M, so a domain that only the capacity solve
+    uses never holds the exact factor; symmetric mode, which prefers diagonal
+    pivots, halves the factor and solve times.  Raises ValueError when the
+    free cells are not invariant under the symmetry group of L or the grid
+    has no quarter turn.
     """
     cache = domain._cache
     if "orbit_form" not in cache:
@@ -201,16 +245,16 @@ def orbit_form(domain: GridDomain) -> Form:
         for axis in range(3):
             near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
         row_reps, _, row_sizes = _orbits(domain, np.flatnonzero(near))
-        B = free_columns(domain)
-        C = csr_matrix(diags(np.sqrt(row_sizes)) @ B[row_reps] @ E)
+        Brr = _probed_rows(domain, row_reps)
+        C = csr_matrix(diags(np.sqrt(row_sizes)) @ Brr @ E)
+        G = csc_matrix(Brr[np.searchsorted(row_reps, reps)] @ E)
         CT = C.T
         first = np.searchsorted(idx, reps)
         m = (count.size,) * 2
 
         @functools.cache
         def factor():
-            return splu(csc_matrix(B[reps] @ E), permc_spec="MMD_AT_PLUS_A",
-                        options={"SymmetricMode": True})
+            return splu(G, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
         def expand(y):
             vals = np.zeros(free.shape)
@@ -230,7 +274,7 @@ def orbit_form(domain: GridDomain) -> Form:
             return y
 
         cache["orbit_form"] = Form(
-            A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float), C=C,
+            A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float), C=C, G=G,
             M=LinearOperator(
                 m, matvec=lambda r: factor().solve(factor().solve(r.ravel() / count)),
                 dtype=float),

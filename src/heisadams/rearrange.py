@@ -77,7 +77,9 @@ class RearrangementProfile:
         return float(np.sum(np.abs(self.values) ** p * widths))
 
     def to_csv(self, path: str | Path) -> None:
-        write_csv(path, ["measure", "value"], zip(self.measures, self.values))
+        # Python floats format faster than numpy scalars, to the same text
+        write_csv(path, ["measure", "value"],
+                  zip(self.measures.tolist(), self.values.tolist()))
 
 
 def distribution(f: GridField, s: float) -> float:

@@ -210,14 +210,13 @@ def test_probe_threshold_arithmetic():
     assert A * (1 - 2.0 / 4.0) == pytest.approx(1.7778, abs=5e-5)
 
 
-# capacity profiles on ball 17, k = 2..16, as solved by Jacobi-preconditioned
-# CG on the orbit-reduced form P^T B^T B P, P the orthonormal orbit basis of
-# the free cells off the plateau (the energies are those of the unreduced
-# solve on B^T B)
+# capacity profiles on ball 17, k = 2..16: CG iterations preconditioned by the
+# incomplete LU of orbit_form's G (Jacobi took 135-175), and the energies of
+# the unreduced solve on B^T B
 _CAPACITY_BALL17 = {
-    2: (135, 275.4674562080536), 3: (166, 75.70118383386544), 4: (169, 49.69618618488979),
-    5: (173, 32.94887092642909), 6: (173, 32.94887092642909), 7: (171, 26.971341713397713),
-    8: (171, 26.971341713397713), **{k: (175, 17.061299961570732) for k in range(9, 17)},
+    2: (14, 275.4674562080536), 3: (13, 75.70118383386544), 4: (12, 49.69618618488979),
+    5: (12, 32.94887092642909), 6: (12, 32.94887092642909), 7: (12, 26.971341713397713),
+    8: (12, 26.971341713397713), **{k: (11, 17.061299961570732) for k in range(9, 17)},
 }
 
 
@@ -252,8 +251,8 @@ def test_capacity_ball49_scale_pin():
     assert prof.energy == pytest.approx(364.83059839304747, rel=1e-12)
 
 
-def test_capacity_jacobi_matches_plain_cg():
-    """The diagonal preconditioner and the reduction to invariant fields
+def test_capacity_preconditioned_cg_matches_plain_cg():
+    """The incomplete-LU preconditioner and the reduction to invariant fields
     change the iteration count and nothing else: the same minimizer and
     energy as plain CG on all the free cells off the plateau, in fewer steps."""
     from conftest import counted_cg
@@ -287,16 +286,33 @@ def test_cg_residual_is_the_true_residual(cap21, ball21):
 
 
 def _counted_cg(monkeypatch):
+    """A list that gains the keyword arguments of each extremals.cg call."""
     import heisadams.extremals as ext
     calls = []
     plain = ext.cg
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(ext, "cg", counted)
     return calls
+
+
+def test_capacity_preconditioner_is_symmetric_positive_definite(monkeypatch):
+    """The capacity CG's preconditioner on ball 17 at ell = 1/2, taken from
+    its cg call, is symmetric and positive on random vectors: the block of
+    G~^-1 (G~^-T r / count) is, for the incomplete factor G~, where the
+    block of G~^-1 G~^-1 (r / count) would not be."""
+    calls = _counted_cg(monkeypatch)
+    assert ha.capacity_profile(0.5, ha.ball_grid(17)).converged
+    M = calls[0]["M"]
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((M.shape[0], 4))
+    MX = np.column_stack([M @ x for x in X.T])
+    gram = X.T @ MX
+    assert np.abs(gram - gram.T).max() <= 1e-12 * np.abs(gram).max()
+    assert np.all(np.diag(gram) > 0.0)
 
 
 def _profiles_equal(p, q):

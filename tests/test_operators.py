@@ -12,7 +12,7 @@ from heisadams.operators import (
     sublaplacian,
 )
 
-from conftest import counted_cg, holed_ball17, orbit_sums, random_free_field
+from conftest import count_sweeps, counted_cg, holed_ball17, orbit_sums, random_free_field
 
 
 def _interior(n, pad=2):
@@ -317,26 +317,60 @@ def test_orbit_form_rejects_cells_that_are_not_invariant():
 
 def test_one_orbit_build_per_domain_and_no_factor_for_capacity(monkeypatch):
     """Capacity profiles at four plateaus classify the orbits of one domain
-    once (cells and rows) and never factor the preconditioner; the first
-    lambda_estimate factors it once, on the same Form."""
+    once (cells and rows), probe its representative rows in 27 sweeps without
+    assembling B, and factor G incompletely once, never exactly; the first
+    lambda_estimate factors G exactly once, on the same Form."""
+    import heisadams.extremals as ext
     import heisadams.operators as ops
-    calls = {"_orbits": 0, "splu": 0}
+    calls = {"_orbits": 0, "spilu": 0, "splu": 0}
     for name in calls:
-        plain = getattr(ops, name)
+        module = ext if name == "spilu" else ops
+        plain = getattr(module, name)
 
         def counted(*args, _name=name, _plain=plain, **kwargs):
             calls[_name] += 1
             return _plain(*args, **kwargs)
 
-        monkeypatch.setattr(ops, name, counted)
+        monkeypatch.setattr(module, name, counted)
     ball = ha.ball_grid(17)
+    sweeps = count_sweeps(monkeypatch)
     for k in (2, 4, 8, 16):
         assert ha.capacity_profile(1.0 / k, ball).converged
-    assert calls == {"_orbits": 2, "splu": 0}
+    assert calls == {"_orbits": 2, "spilu": 1, "splu": 0}
+    assert len(sweeps) == 27
+    assert "free_columns" not in ball._cache
     form = orbit_form(ball)
     assert ha.lambda_estimate(ball, 1.0).converged
-    assert calls == {"_orbits": 2, "splu": 1}
+    assert calls == {"_orbits": 2, "spilu": 1, "splu": 1}
     assert orbit_form(ball) is form
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.box_grid(13), ha.ball_grid(17)],
+                         ids=["box9", "box13", "ball17"])
+def test_orbit_form_factors_are_read_off_the_probed_columns(dom):
+    """C and G, probed at the representative rows alone, equal
+    diag(sqrt|R|) B[row representatives] E and B[representatives] E with B
+    = free_columns(dom), entry for entry and bit for bit."""
+    from heisadams.operators import _orbits
+    form = orbit_form(dom)
+    free = dom.free_mask()
+    idx = np.flatnonzero(free)
+    reps, orbit, count = _orbits(dom, idx)
+    E = csr_matrix((np.ones(idx.size), (np.arange(idx.size), orbit)),
+                   shape=(idx.size, count.size))
+    near = free.copy()
+    for axis in range(3):
+        near |= np.roll(near, 1, axis) | np.roll(near, -1, axis)
+    row_reps, _, row_sizes = _orbits(dom, np.flatnonzero(near))
+    B = free_columns(dom)
+    for got, want in ((form.C, diags(np.sqrt(row_sizes)) @ B[row_reps] @ E),
+                      (form.G, B[reps] @ E)):
+        want = csr_matrix(want)
+        got = csr_matrix(got)
+        assert got.shape == want.shape and got.nnz == want.nnz
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
 
 
 def test_preconditioned_cg_solves_in_few_iterations():

@@ -221,3 +221,16 @@ def test_profile_csv_export(tmp_path):
     assert len(lines) == 28
     first = lines[1].split(",")
     assert float(first[1]) == 26.0  # largest value first
+
+
+def test_profile_csv_is_the_per_value_rendering(tmp_path):
+    """profile.csv is every measure and value rendered with %.17g, as numpy
+    floats, in order: the file is byte for byte the per-value rendering."""
+    dom = ha.ball_grid(9)
+    f = ha.GridField(dom, np.random.default_rng(4).random(dom.shape))
+    prof = ha.decreasing_rearrangement(f)
+    p = tmp_path / "profile.csv"
+    prof.to_csv(p)
+    want = "measure,value\n" + "".join(
+        "%.17g,%.17g\n" % (m, v) for m, v in zip(prof.measures, prof.values))
+    assert p.read_bytes() == want.encode()
