@@ -307,6 +307,10 @@ def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
         "converged": prof.converged,
     })
     write_json(out / "manifest.json", _manifest(cfg))
+    if prof.resolved_rings == 0:
+        print(f"ell = {cfg.ell}: the plateau B_ell is thinner than one cell "
+              f"({prof.plateau_cells} cell(s)); the profile is under-resolved",
+              file=sys.stderr)
     if not prof.converged:
         print("capacity solve ended above its tolerance", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -15,20 +15,15 @@ the scaled column block of the orbits off the plateau, scipy's cg solves
 Cf^T Cf z = -Cf^T C y_p, about an eighth of the unknowns and nonzeros.
 The scaling makes the orbit basis orthonormal, so residual norms mean what
 they mean on all the free cells.  The CG stops on the unpreconditioned
-residual.  Its preconditioner is the off-plateau block of
-G~^-1 (G~^-T r / count), scaled by count[off]^1/2 on both sides, with G~ an
-incomplete LU (scipy's spilu) of the form's sublaplacian G on the orbits:
-symmetric positive definite for any nonsingular G~, and the block of the
-form's exact L_ff^-2 preconditioner M when G~ = G.  The incomplete factor
-takes about as many iterations as the exact one (27 against 25 at ball 33,
-ell = 1/2) with 40% of its nonzeros, so the capacity solve never holds the
-exact factor.  It is factored once per domain and cached beside the CG
-results; its drop tolerance and fill bound are module constants (a fill
-bound of 10 caps the fill from ball 41 up, and the iterations triple).
-Each profile reports the true residual ||b - A x|| / ||b|| (one extra
-apply, in the reduced unknowns) and whether it is within the tolerance.  A
-grid whose mask is not invariant, or an ell whose plateau reaches the
-clamped ring, raises ValueError.
+residual.  Its preconditioner is the off-plateau block of the form's M,
+G~^-1 (G~^-T r / count) with G~ the incomplete LU of the sublaplacian G on
+the orbits, scaled by count[off]^1/2 on both sides: symmetric positive
+definite, like M.  The free set changes with ell, so every plateau shares
+the one factor of G on all the free orbits, the one that the variational
+drivers on the same domain apply too.  Each profile reports the true
+residual ||b - A x|| / ||b|| (one extra apply, in the reduced unknowns) and
+whether it is within the tolerance.  A grid whose mask is not invariant, or
+an ell whose plateau reaches the clamped ring, raises ValueError.
 
 The energy ||L u||^2 of the minimizer is read off the form as
 volume ||C y||^2, y its unknowns, with no stencil sweep.  The profile
@@ -55,17 +50,13 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, cg, spilu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
 from .group import Q
 from .io import write_csv
 from .operators import integrate_weighted, orbit_form
-
-# the incomplete LU of orbit_form's G that preconditions every capacity solve
-_ILU_DROP_TOL = 1e-3
-_ILU_FILL_FACTOR = 20
 
 
 @dataclass
@@ -128,12 +119,6 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     cache = grid._cache
     key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
     if key not in cache:
-        if "capacity_ilu" not in cache:
-            cache["capacity_ilu"] = spilu(form.G, drop_tol=_ILU_DROP_TOL,
-                                          fill_factor=_ILU_FILL_FACTOR,
-                                          permc_spec="MMD_AT_PLUS_A",
-                                          options={"SymmetricMode": True})
-        ilu = cache["capacity_ilu"]
         scale = form.count[off] ** -0.5
         Cf = csr_matrix(form.C[:, off].multiply(scale))
         CfT = Cf.T
@@ -144,8 +129,7 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
         def precondition(r):
             x = np.zeros(form.count.size)
             x[off] = r.ravel() / scale
-            x = ilu.solve(ilu.solve(x, trans="T") / form.count)
-            return x[off] / scale
+            return form.M(x)[off] / scale
 
         steps = []                       # cg calls back once per iteration
         z, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,

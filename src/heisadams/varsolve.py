@@ -27,12 +27,14 @@ the reported level.
 The weighted Rayleigh constant lambda_1(a), the ceiling f must stay under,
 is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on invariant
 fields, found by block-one LOBPCG.  It, the descent step (scipy's cg) and
-the Newton steps (scipy's minres) share the form's preconditioner, L_ff^-2
-factored on the orbits.  Every solve runs on the domain's orbit_form, so it
-never leaves the invariant fields; the seeds (the default bump, a warm
-start) enter through Form.restrict, which raises ValueError for a field on
-another domain object, nonzero off the free cells or not exactly invariant,
-and a domain whose free cells are not invariant raises ValueError too.
+the Newton steps (scipy's minres) share the form's preconditioner M, an
+approximate L_ff^-2 from an incomplete LU of the sublaplacian on the orbits,
+with the capacity solves on the same domain.  Every solve runs on the
+domain's orbit_form, so it never leaves the invariant fields; the seeds
+(the default bump, a warm start) enter through Form.restrict, which raises
+ValueError for a field on another domain object, nonzero off the free
+cells or not exactly invariant, and a domain whose free cells are not
+invariant raises ValueError too.
 Residual norms are those of the free-cell vectors, so gradResidual and the
 stopping rules mean what they would on all free cells.  The continuation's
 diagnostics (||L u||, the stage drift and the weighted integrals of f(u) u
@@ -159,7 +161,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     minimum over the invariant fields is lambda_1 when, as on the grids
     here, the first eigenvector is invariant.  Each iteration
     preconditions the residual r = L^2 x - lambda w x with the form's
-    L_ff^-2 and moves x to the Rayleigh-Ritz minimizer
+    M and moves x to the Rayleigh-Ritz minimizer
     over span{x, M r, p}, p the previous step (Knyazev 2001): one
     preconditioner apply and one L^2 apply, no inner solve.  It stops once
     lambda moves by at most tol relative and the residual
@@ -169,10 +171,10 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     invariant under the symmetry group of L.
 
     scipy's lobpcg on the same orbit-form operators (residual tolerance
-    1e-5) gives the same lambda_1, to 1.1e-14, but is slower: at box 17,
-    with the factor of M built, a median of 7 estimates took 13.2-13.8 and
-    6.7-11.3 ms for a = 1 and 3 over three runs, against 6.3-6.6 and
-    2.6-4.4 ms here (2-CPU Xeon, one BLAS thread).
+    1e-5) gives the same lambda_1, to 2.5e-14, but is slower: at box 17,
+    with the factor of M built, a median of 7 estimates took 7.6-8.1 and
+    6.3-7.1 ms for a = 1 and 3 over three runs, against 3.6-3.7 and
+    2.7-2.8 ms here (2-CPU Xeon, one BLAS thread).
     """
     _check_a(a)
     form = orbit_form(domain)
@@ -451,7 +453,7 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     drives the residual below tol: the linearization L^2 - w f'(u) is
     symmetric but indefinite at a saddle, so each step is a MINRES solve,
     halved until the residual decreases.  Both phases
-    share the L_ff^-2 preconditioner.  Every ray maximum max_t J(t u) bounds
+    share the form's preconditioner M.  Every ray maximum max_t J(t u) bounds
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
     it equals J(u) when the search ends at the least-energy solution.

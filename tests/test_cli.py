@@ -362,6 +362,21 @@ def test_capacity_command(tmp_path):
     assert (doc["plateau"], doc["normEstimate"]) == (adams.plateau, adams.normEstimate)
 
 
+def test_capacity_warns_on_an_under_resolved_plateau(tmp_path, capsys):
+    """At 9^3, ell = 0.1 is below one cell: the profile is written and the
+    run exits 0, but stderr names the plateau as under-resolved, as
+    sharpness does for its rows; ell = 0.5 gives no warning."""
+    out = tmp_path / "thin"
+    assert run_cli(["capacity", "--grid", "9", "--ell", "0.1", "--out", str(out)]) == 0
+    doc = json.loads((out / "capacity.json").read_text())
+    assert (doc["plateau_cells"], doc["resolved_rings"]) == (1, 0)
+    err = capsys.readouterr().err
+    assert "ell = 0.1" in err and "under-resolved" in err
+    assert run_cli(["capacity", "--grid", "9", "--ell", "0.5",
+                    "--out", str(tmp_path / "wide")]) == 0
+    assert "under-resolved" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["capacity", "sharpness"])
 def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
     """A capacity CG that ends above its tolerance gives exit 3; the

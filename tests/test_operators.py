@@ -243,10 +243,14 @@ def test_orbit_form_operator_is_the_form_on_invariant_fields(dom):
 
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
-def test_orbit_form_preconditioner_is_lff_inverse_squared(dom):
-    """On invariant fields the orbit form's M is L_ff^-2, L_ff the free rows
-    of B: for invariant r, expand(M(E^T r)) is L_ff^-2 r at every free cell."""
+def test_orbit_form_preconditioner_is_lff_inverse_squared(dom, monkeypatch):
+    """With the exact LU of G in place of its incomplete factor, the orbit
+    form's M is L_ff^-2 on invariant fields, L_ff the free rows of B: for
+    invariant r, expand(M(E^T r)) is L_ff^-2 r at every free cell."""
+    import heisadams.operators as ops
     from scipy.sparse.linalg import splu
+    monkeypatch.setattr(ops, "spilu", lambda G, drop_tol, fill_factor, **kwargs:
+                        splu(G, **kwargs))
     form = orbit_form(dom)
     free = dom.free_mask()
     Lff = free_columns(dom)[np.flatnonzero(free), :].tocsc()
@@ -256,6 +260,19 @@ def test_orbit_form_preconditioner_is_lff_inverse_squared(dom):
         want = lu.solve(lu.solve(r.values[free]))
         got = form.expand(form.M(orbit_sums(dom, r.values[free]))).values[free]
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(5), ha.box_grid(9), ha.ball_grid(9),
+                                 ha.ball_grid(17), ha.box_grid(9, 2.0)],
+                         ids=["box5", "box9", "ball9", "ball17", "box9-extent2"])
+def test_orbit_form_preconditioner_is_symmetric_positive_definite(dom):
+    """M(r) = G~^-1 (G~^-T r / count), G~ the incomplete LU of G, is
+    symmetric and positive definite as a matrix on the unknowns."""
+    form = orbit_form(dom)
+    M = form.M @ np.eye(form.count.size)
+    assert np.isfinite(M).all()
+    assert np.abs(M - M.T).max() <= 1e-10 * np.abs(M).max()
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() > 0.0
 
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])
@@ -315,33 +332,34 @@ def test_orbit_form_rejects_cells_that_are_not_invariant():
         orbit_form(box)
 
 
-def test_one_orbit_build_per_domain_and_no_factor_for_capacity(monkeypatch):
-    """Capacity profiles at four plateaus classify the orbits of one domain
-    once (cells and rows), probe its representative rows in 27 sweeps without
-    assembling B, and factor G incompletely once, never exactly; the first
-    lambda_estimate factors G exactly once, on the same Form."""
+def test_one_orbit_build_and_one_factor_per_domain(monkeypatch):
+    """Capacity profiles at four plateaus, a lambda_estimate and a saddle
+    search on one domain classify its orbits once (cells and rows), probe its
+    representative rows in 27 sweeps without assembling B, and factor G
+    once, incompletely, on the one Form they share.  No module binds the
+    exact sparse LU."""
     import heisadams.extremals as ext
     import heisadams.operators as ops
-    calls = {"_orbits": 0, "spilu": 0, "splu": 0}
+    assert not hasattr(ops, "splu") and not hasattr(ext, "splu")
+    calls = {"_orbits": 0, "spilu": 0}
     for name in calls:
-        module = ext if name == "spilu" else ops
-        plain = getattr(module, name)
+        plain = getattr(ops, name)
 
         def counted(*args, _name=name, _plain=plain, **kwargs):
             calls[_name] += 1
             return _plain(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(ops, name, counted)
     ball = ha.ball_grid(17)
     sweeps = count_sweeps(monkeypatch)
     for k in (2, 4, 8, 16):
         assert ha.capacity_profile(1.0 / k, ball).converged
-    assert calls == {"_orbits": 2, "spilu": 1, "splu": 0}
-    assert len(sweeps) == 27
-    assert "free_columns" not in ball._cache
     form = orbit_form(ball)
     assert ha.lambda_estimate(ball, 1.0).converged
-    assert calls == {"_orbits": 2, "spilu": 1, "splu": 1}
+    assert ha.mountain_pass_solve(ha.cubic_model(), 1.0, ball)[1].converged
+    assert calls == {"_orbits": 2, "spilu": 1}
+    assert len(sweeps) == 27
+    assert "free_columns" not in ball._cache and "capacity_ilu" not in ball._cache
     assert orbit_form(ball) is form
 
 
