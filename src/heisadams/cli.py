@@ -349,7 +349,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     u, state = mountain_pass_solve(nl, a, dom, opts)
     save_field(u, out / "solution.bin")
     write_csv(out / "trace.csv", ["iteration", "level", "gradResidual", "norm"],
-              state.history)
+              [[h[k] for h in state.history] for k in range(4)])
     x = form.restrict(u)
     xAx = float(x @ form.A(x))
     summary = {
@@ -363,6 +363,7 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
         "rayleigh_bound_ok": bool(
             xAx == 0.0 or xAx / float(form.weight(a) @ x ** 2) >= lam.value * (1 - 1e-6)),
         "newton_iterations": state.newton_iterations,
+        "inner_unconverged": state.inner_unconverged,
         "message": state.message,
     }
     if nl.alpha0 is not None:
@@ -381,11 +382,12 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
     nl = _make_nl(cfg)
     opts = SolveOptions(tol=cfg.tol)
     steps = critical_continuation(nl, cfg.nmax, dom, opts)
-    rows = [(s.n, s.a, s.norm, s.diff_from_previous, s.weighted_uf, s.weighted_F,
-             s.state.levelEstimate, s.state.gradResidual) for s in steps]
     write_csv(out / "continuation.csv",
               ["n", "a", "norm", "diff", "weighted_uf", "weighted_F", "level", "gradResidual"],
-              rows)
+              [[s.n for s in steps], [s.a for s in steps], [s.norm for s in steps],
+               [s.diff_from_previous for s in steps], [s.weighted_uf for s in steps],
+               [s.weighted_F for s in steps], [s.state.levelEstimate for s in steps],
+               [s.state.gradResidual for s in steps]])
     # the last converged stage's solution; none when no stage converged
     converged = [s for s in steps if s.state.converged]
     final = out / "final_solution.bin"

@@ -227,5 +227,5 @@ def sharpness_probe(a: float, betas, ks, grid: GridDomain,
 
 
 def probe_to_csv(rows: list[ProbeRow], path: str | Path) -> None:
-    write_csv(path, ["k", "beta", "a", "value", "normEstimate"],
-              ((r.k, r.beta, r.a, r.value, r.normEstimate) for r in rows))
+    header = ["k", "beta", "a", "value", "normEstimate"]
+    write_csv(path, header, [[getattr(r, name) for r in rows] for name in header])

@@ -1,8 +1,9 @@
 """Deterministic artifact writing.
 
-Artifacts are CSV (tabular data) and JSON (scalars and manifests).  Floats
-are always rendered with %.17g so a given config and seed reproduce files
-byte for byte; writes go to a temporary sibling and are renamed into place.
+Artifacts are CSV (tabular data, written from columns) and JSON (scalars
+and manifests).  Floats are always rendered with %.17g so a given config and
+seed reproduce files byte for byte; writes go to a temporary sibling and are
+renamed into place.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Sequence
+from itertools import repeat
 from pathlib import Path
 
 
@@ -38,11 +40,26 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode())
 
 
-def write_csv(path: str | Path, header: list[str], rows: Iterable[tuple]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: str | Path, header: list[str], columns: Sequence[Sequence]) -> None:
+    """One header line, then one line per row of the equal-length columns.
+
+    A column of floats is formatted by one %.17g template field; any other
+    column is rendered value by value with fmt, to the same text.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in columns]}")
+    fields, texts = [], []
+    for col in columns:
+        if all(map(isinstance, col, repeat(float))):
+            fields.append("{:.17g}")
+            texts.append(col)
+        else:
+            fields.append("{}")
+            texts.append(list(map(fmt, col)))
+    line = ",".join(fields) + "\n"
+    atomic_write_text(path, ",".join(header) + "\n" + "".join(map(line.format, *texts)))
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -78,8 +78,7 @@ class RearrangementProfile:
 
     def to_csv(self, path: str | Path) -> None:
         # Python floats format faster than numpy scalars, to the same text
-        write_csv(path, ["measure", "value"],
-                  zip(self.measures.tolist(), self.values.tolist()))
+        write_csv(path, ["measure", "value"], [self.measures.tolist(), self.values.tolist()])
 
 
 def distribution(f: GridField, s: float) -> float:

@@ -376,6 +376,7 @@ class MountainPassState:
     converged: bool
     geometry_failure: bool = False
     newton_iterations: int = 0
+    inner_unconverged: int = 0   # descent CG and Newton MINRES solves returning info != 0
     message: str = ""
 
 
@@ -486,6 +487,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
     maximum x; raises GeometryFailure from any ray search."""
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
+    unconverged = 0
     while True:
         level = min(level, energy(form, x, nl, a))
         g = grad_energy(form, x, nl, a)
@@ -494,8 +496,9 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         history.append((len(history) + 1, level, res, unorm))
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
-        d, _ = cg(form.A, g, rtol=_DESCENT_CG_TOL, atol=0.0, maxiter=_DESCENT_CG_MAX_ITER,
-                  M=form.M)
+        d, info = cg(form.A, g, rtol=_DESCENT_CG_TOL, atol=0.0, maxiter=_DESCENT_CG_MAX_ITER,
+                     M=form.M)
+        unconverged += info != 0
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
         if np.sqrt(float(d @ g) * form.volume) <= _NEWTON_SWITCH * unorm:
             break
@@ -506,6 +509,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         newton_its += 1
         hessian = form.A - aslinearoperator(diags(form.weight(a) * nl.fprime(x)))
         delta, info = minres(hessian, -g, rtol=1e-10, maxiter=4000, M=form.M)
+        unconverged += info != 0
         if info != 0 and not np.isfinite(delta).all():
             break
         s = 1.0
@@ -533,6 +537,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         history=history,
         converged=bool(ok and nontrivial),
         newton_iterations=newton_its,
+        inner_unconverged=unconverged,
     )
     if not ok:
         state.message = "Newton stagnated; returning its last iterate"

@@ -389,6 +389,17 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
     # Newton alone stagnates from the seed ray's Nehari point, so descent must
     # take a step: one history row per descent iterate, two rows per step
     assert len(st.history) - st.newton_iterations >= 2
+    assert st.inner_unconverged == 0
+
+
+def test_capped_descent_solves_are_counted(box9m, monkeypatch):
+    """A descent CG stopped at its iteration cap is counted in
+    inner_unconverged, not dropped."""
+    import heisadams.varsolve as vs
+    monkeypatch.setattr(vs, "_DESCENT_CG_MAX_ITER", 1)
+    _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
+    descents = len(st.history) - st.newton_iterations
+    assert st.inner_unconverged >= descents - 1 >= 1
 
 
 def test_mountain_pass_rejects_unclamped_warm_start(box9m):
