@@ -18,8 +18,6 @@ from .grids import (
 )
 from .operators import (
     apply_fields,
-    dirichlet_energy,
-    inner,
     integrate_weighted,
     sublaplacian,
 )
@@ -55,7 +53,6 @@ from .varsolve import (
     lambda_estimate,
     level_bound,
     mountain_pass_solve,
-    rayleigh_quotient,
     tail_differences_decreasing,
     validate_hypotheses,
 )

@@ -89,8 +89,8 @@ def _parse_betas(spec: str, a: float) -> list[float]:
         out = [float(t[:-1]) * scale[t[-1]] if t[-1] in scale else float(t) for t in toks]
     except ValueError as exc:
         raise ConfigError(f"bad beta list {spec!r}") from exc
-    if not all(beta >= 0.0 for beta in out):
-        raise ConfigError(f"beta list {spec!r} has a negative beta")
+    if not all(0.0 <= beta < np.inf for beta in out):
+        raise ConfigError(f"beta list {spec!r} has a negative or non-finite beta")
     return out
 
 
@@ -142,6 +142,7 @@ _RANGES = {
     "ell": (lambda v: 0.0 < v < 1.0, "ell = {} outside (0, 1)"),
     **{key: (lambda v: 0.0 < v < np.inf, key + " = {} must be finite and positive")
        for key in ("lam", "alpha0", "extent", "tail_radius", "tol")},
+    "seed": (lambda v: v >= 0, "seed = {} must be non-negative"),
     "nmax": (lambda v: v >= 1, "nmax = {} must be at least 1"),
     "mc_samples": (lambda v: v >= 2, "mc_samples = {} must be at least 2"),
     # the parsers raise ConfigError on a bad token; an empty list is invalid

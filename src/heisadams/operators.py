@@ -13,9 +13,10 @@ zero, matching the zero-extension reading of the clamped boundary).
 
 The quadratic form u -> ||L u||^2 on clamped fields is read off B = L[:,
 free], the columns of L at the free cells, by 27-colour probing of
-sublaplacian.  Its operator on the free cells is B^T B.  free_columns
-assembles the whole of B (the reference the tests check against); the
-drivers read only its representative rows, from the same 27 sweeps.
+sublaplacian (_probed_rows, the one place the sweeps are written).  Its
+operator on the free cells is B^T B.  The drivers read only its
+representative rows; the whole of B, the reference the tests check
+against, is assembled from the same probe in tests/oracles.py.
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
@@ -36,10 +37,10 @@ a field into the unknowns: it raises ValueError for a field on another
 domain object, one that is nonzero off the free cells, or one that is not
 exactly invariant, so nothing is projected or dropped on the way in.  The
 numbers reported after a solve (norms, Rayleigh quotients, weighted
-integrals, capacity energies) are read off the Form too.  dirichlet_energy,
-inner and apply_fields below stay as the stencil-side oracles that check
-them, and integrate_weighted serves integrands such as exp(beta u^2) that do
-not vanish off the free cells.
+integrals, capacity energies) are read off the Form too; the stencil-side
+oracles that check them live in tests/oracles.py.  apply_fields below gives
+the frame, and integrate_weighted serves integrands such as exp(beta u^2)
+that do not vanish off the free cells.
 """
 
 from __future__ import annotations
@@ -100,48 +101,17 @@ def sublaplacian(u: GridField) -> GridField:
     return GridField(dom, vals)
 
 
-def free_columns(domain: GridDomain) -> csc_matrix:
-    """B = L[:, free]: rows are all box cells, columns the free cells.
-
-    Both follow the C order of the box.  The stencil reaches one cell per
-    axis, so the free cells of one residue class (i mod 3, j mod 3, k mod 3)
-    never share a target: applying sublaplacian to the class's indicator
-    field reads off the 27 possible entries of each of its columns.  27
-    applies give B, and the stencil stays written in sublaplacian alone.
-    Free cells never touch the box faces, so every target is in range.
-    Cached on the domain.  No solve reads it: it is the reference for B that
-    orbit_form's C and G are checked against (see _probed_rows).
-    """
-    cache = domain._cache
-    if "free_columns" not in cache:
-        free = domain.free_mask()
-        _, ny, nt = domain.shape
-        cells = np.flatnonzero(free)
-        offsets = np.array([di * ny * nt + dj * nt + dk
-                            for di in (-1, 0, 1) for dj in (-1, 0, 1) for dk in (-1, 0, 1)])
-        rows = (cells[:, None] + offsets).astype(np.int32)
-        vals = np.empty(rows.shape)
-        i, j, k = np.unravel_index(cells, domain.shape)
-        colour = 9 * (i % 3) + 3 * (j % 3) + k % 3
-        for c in range(27):
-            sel = colour == c
-            src = np.zeros(domain.shape)
-            src.flat[cells[sel]] = 1.0
-            vals[sel] = sublaplacian(GridField(domain, src)).values.ravel()[rows[sel]]
-        hit = vals != 0.0
-        indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1)))).astype(np.int32)
-        cache["free_columns"] = csc_matrix((vals[hit], rows[hit], indptr),
-                                           shape=(free.size, cells.size))
-    return cache["free_columns"]
-
-
 def _probed_rows(domain: GridDomain, rows: np.ndarray) -> csc_matrix:
-    """B[rows], B = free_columns(domain), for rows (flat indices, sorted)
-    within one cell of the free cells, from the same 27 colour sweeps read
-    at rows alone: the free cells of one colour class never share a stencil
-    target, so the sweep of a colour reads, at row r, the entry of B at the
-    one neighbour of r in that class.  The entries are free_columns' bit for
-    bit, in its canonical order, without the columns' other rows.
+    """B[rows], B = L[:, free] (rows all box cells, columns the free cells,
+    both in the C order of the box), for rows (flat indices, sorted) within
+    one cell of the free cells.  The stencil reaches one cell per axis, so
+    the free cells of one residue class (i mod 3, j mod 3, k mod 3) never
+    share a target: the sweep of sublaplacian over the indicator of a class
+    reads, at row r, the entry of B at the one neighbour of r in that class.
+    27 sweeps give the rows, and the stencil stays written in sublaplacian
+    alone.  Free cells never touch the box faces, so every target is in
+    range.  The tests' reference for the whole of B (tests/oracles.py)
+    scatters these rows into the box.
     """
     free = domain.free_mask()
     cells = np.flatnonzero(free)
@@ -291,17 +261,6 @@ def orbit_form(domain: GridDomain) -> Form:
                                          minlength=count.size),
             expand=expand, restrict=restrict)
     return cache["orbit_form"]
-
-
-def dirichlet_energy(u: GridField) -> float:
-    """||L u||_2^2 summed over the whole box with cell volume."""
-    Lu = sublaplacian(u).values
-    return float(np.sum(Lu * Lu)) * u.domain.cell_volume
-
-
-def inner(u: GridField, v: GridField) -> float:
-    """L^2 pairing sum(u v) * cellVolume."""
-    return float(np.sum(u.values * v.values)) * u.domain.cell_volume
 
 
 def integrate_weighted(f: GridField, a: float) -> float:

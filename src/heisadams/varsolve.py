@@ -39,7 +39,7 @@ Residual norms are those of the free-cell vectors, so gradResidual and the
 stopping rules mean what they would on all free cells.  The continuation's
 diagnostics (||L u||, the stage drift and the weighted integrals of f(u) u
 and F(u)) are read off the same form, with no stencil sweep; the stencil-side
-rayleigh_quotient stays as an independent check.
+Rayleigh quotient that checks them lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from scipy.sparse.linalg import aslinearoperator, cg, minres
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
-from .operators import Form, dirichlet_energy, integrate_weighted, orbit_form
+from .operators import Form, orbit_form
 
 Array = np.ndarray
 
@@ -222,15 +222,6 @@ def _smallest_ritz_vector(S: Array, AS: Array, w: Array) -> Array:
     G = S.T @ AS
     _, vecs = np.linalg.eigh(Linv @ (0.5 * (G + G.T)) @ Linv.T)
     return Linv.T @ vecs[:, 0]
-
-
-def rayleigh_quotient(u: GridField, a: float) -> float:
-    """||u||^2 / int u^2/rho^a; scale-invariant in u."""
-    usq = GridField(u.domain, u.values ** 2)
-    denom = integrate_weighted(usq, a)
-    if denom == 0.0:
-        raise ValueError("quotient undefined: field vanishes on the weighted domain")
-    return dirichlet_energy(u) / denom
 
 
 # -- hypothesis validation ----------------------------------------------------

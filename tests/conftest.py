@@ -5,6 +5,8 @@ from scipy.sparse.linalg import cg
 import heisadams as ha
 from heisadams.operators import _orbits
 
+from oracles import dirichlet_energy
+
 
 @pytest.fixture(scope="session")
 def constants():
@@ -31,7 +33,7 @@ def random_free_field(dom, rng, scale=1.0):
 def field_energy(u, nl, a):
     """J(u) = 1/2 ||L u||^2 - int F(u)/rho^a of a clamped field, summed over the
     whole box: the full-space oracle of varsolve.energy, for any field."""
-    return (0.5 * ha.dirichlet_energy(u)
+    return (0.5 * dirichlet_energy(u)
             - ha.integrate_weighted(ha.GridField(u.domain, nl.bigF(u.values)), a))
 
 

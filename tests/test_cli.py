@@ -7,6 +7,8 @@ import pytest
 import heisadams as ha
 from heisadams import cli
 
+from oracles import dirichlet_energy
+
 
 def run_cli(args):
     return cli.main(args)
@@ -192,6 +194,8 @@ def test_invalid_ranges_exit_2(tmp_path):
                     "--out", str(tmp_path / "v")]) == 2
     assert not (tmp_path / "v").exists()
     # numeric keys out of range exit 2 before the output directory exists
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("seed = -1\n")
     for args in (["solve", "--nl", "critical", "--lam", "-1"],
                  ["solve", "--nl", "critical", "--alpha0", "0"],
                  ["continuation", "--nmax", "0"],
@@ -203,7 +207,10 @@ def test_invalid_ranges_exit_2(tmp_path):
                  ["solve", "--tol", "nan"],
                  ["continuation", "--tol", "-1"],
                  ["continuation", "--tol", "inf"],
-                 ["solve", "--tol", "0"]):
+                 ["solve", "--tol", "0"],
+                 ["constants", "--seed", "-1"],
+                 ["rearrange-check", "--seed", "-1"],
+                 ["rearrange-check", "--config", str(seed_cfg)]):
         out = tmp_path / "range"
         assert run_cli(args + ["--out", str(out)]) == 2, args
         assert not out.exists(), args
@@ -245,7 +252,7 @@ def test_solve_norm_matches_the_stencil_oracle(tmp_path):
     doc = json.loads((out / "solve.json").read_text())
     u = ha.load_field(out / "solution.bin")
     assert doc["norm"] > 0
-    assert doc["norm"] == pytest.approx(np.sqrt(ha.dirichlet_energy(u)), rel=1e-13)
+    assert doc["norm"] == pytest.approx(np.sqrt(dirichlet_energy(u)), rel=1e-13)
 
 
 @pytest.mark.parametrize("frac,below", [(0.9, True), (0.5, False)])
@@ -282,10 +289,12 @@ def test_solve_on_the_gauge_ball(tmp_path):
 @pytest.mark.parametrize("flag", [
     "--ks=0..4", "--ks=-2..4", "--ks=1..4", "--ks=0,2", "--ks=2,-4", "--ks=", "--ks=2..x",
     "--betas=-1", "--betas=1*,-0.5A", "--betas=", "--betas=abc",
+    "--betas=inf,1", "--betas=1e308A",
 ])
 def test_sharpness_rejects_bad_k_and_beta_lists(tmp_path, capsys, flag):
-    """k below 2, a negative beta, an empty list or a malformed token exits 2
-    before the output directory is created."""
+    """k below 2, a negative or non-finite beta (1e308A overflows to inf), an
+    empty list or a malformed token exits 2 before the output directory is
+    created."""
     out = tmp_path / "out"
     assert run_cli(["sharpness", "--grid", "9", flag, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -331,6 +340,18 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracing_binds_every_name_it_wraps():
+    """perfbench/tracing.py wraps package functions by name and raises when
+    one is bound nowhere: installing it in a fresh interpreter exits 0."""
+    import subprocess
+    import sys
+    root = Path(cli.__file__).resolve().parents[2]
+    code = ("import sys; sys.path[:0] = [%r, %r]; import heisadams, tracing; "
+            "tracing.install(heisadams)" % (str(root / "perfbench"), str(root / "src")))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_constants_command_loads_no_scipy_integrate_or_optimize(tmp_path):

@@ -7,6 +7,7 @@ from heisadams.group import Q
 from heisadams.operators import orbit_form
 
 from conftest import count_sweeps
+from oracles import dirichlet_energy, free_columns
 
 A = 32.0 / 9.0
 
@@ -46,7 +47,7 @@ def test_capacity_is_a_minimizer(cap21, ball21):
         d = np.zeros(ball21.shape)
         d[free] = rng.standard_normal(int(free.sum()))
         pert = ha.GridField(ball21, cap21.field.values + 1e-4 * d)
-        assert ha.dirichlet_energy(pert) >= cap21.energy - 1e-8 * cap21.energy
+        assert dirichlet_energy(pert) >= cap21.energy - 1e-8 * cap21.energy
 
 
 def test_capacity_symmetries(cap21, ball21):
@@ -233,7 +234,7 @@ def _unreduced_capacity_form(ball, plateau):
     """Bc^T Bc on the free cells off the plateau, Bc the columns of B there,
     and the capacity right-hand side: the solve without the symmetry."""
     from scipy.sparse.linalg import LinearOperator
-    from heisadams.operators import free_columns, sublaplacian
+    from heisadams.operators import sublaplacian
     free = ball.free_mask()
     off = ~plateau[free]
     B = free_columns(ball)
@@ -257,7 +258,6 @@ def test_capacity_preconditioned_cg_matches_plain_cg():
     change the iteration count and nothing else: the same minimizer and
     energy as plain CG on all the free cells off the plateau, in fewer steps."""
     from conftest import counted_cg
-    from heisadams.operators import dirichlet_energy
     ball = ha.ball_grid(17)
     free = ball.free_mask()
     rho = ball.gauge()

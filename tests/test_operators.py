@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import heisadams as ha
-from scipy.sparse import csr_matrix, diags, identity
+from scipy.sparse import csc_matrix, csr_matrix, diags, identity
 
 from heisadams.grids import orbit_images
 from heisadams.operators import (
     apply_fields,
-    free_columns,
     orbit_form,
     sublaplacian,
 )
 
 from conftest import count_sweeps, counted_cg, holed_ball17, orbit_sums, random_free_field
+from oracles import dirichlet_energy, free_columns, inner
 
 
 def _interior(n, pad=2):
@@ -154,27 +154,27 @@ def test_adjointness_and_symmetry(box9):
     free = box9.free_mask()
     B = free_columns(box9)
     lhs = float((B.T @ (B @ u.values[free])) @ v.values[free]) * box9.cell_volume
-    rhs = ha.inner(sublaplacian(u), sublaplacian(v))
+    rhs = inner(sublaplacian(u), sublaplacian(v))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-    assert ha.inner(sublaplacian(sublaplacian(u)), v) == pytest.approx(rhs, rel=1e-12)
+    assert inner(sublaplacian(sublaplacian(u)), v) == pytest.approx(rhs, rel=1e-12)
     # bilinear form symmetry
-    assert ha.inner(sublaplacian(u), sublaplacian(v)) == pytest.approx(
-        ha.inner(sublaplacian(v), sublaplacian(u)), rel=1e-12)
+    assert inner(sublaplacian(u), sublaplacian(v)) == pytest.approx(
+        inner(sublaplacian(v), sublaplacian(u)), rel=1e-12)
 
 
 def test_d022_norm_properties(box9):
     rng = np.random.default_rng(3)
     u = random_free_field(box9, rng)
-    assert ha.dirichlet_energy(ha.zeros(box9)) == 0.0
-    assert np.sqrt(ha.dirichlet_energy(ha.GridField(box9, -2.5 * u.values))) == pytest.approx(
-        2.5 * np.sqrt(ha.dirichlet_energy(u)), rel=1e-12)
-    assert ha.dirichlet_energy(u) == pytest.approx(
-        ha.inner(sublaplacian(u), sublaplacian(u)), rel=1e-12)
+    assert dirichlet_energy(ha.zeros(box9)) == 0.0
+    assert np.sqrt(dirichlet_energy(ha.GridField(box9, -2.5 * u.values))) == pytest.approx(
+        2.5 * np.sqrt(dirichlet_energy(u)), rel=1e-12)
+    assert dirichlet_energy(u) == pytest.approx(
+        inner(sublaplacian(u), sublaplacian(u)), rel=1e-12)
 
 
 def test_capacity_energy_equals_norm_squared(ball33):
     prof = ha.capacity_profile(0.5, ball33, tol=1e-6)
-    assert prof.energy == pytest.approx(ha.dirichlet_energy(prof.field), rel=1e-12)
+    assert prof.energy == pytest.approx(dirichlet_energy(prof.field), rel=1e-12)
 
 
 def test_zero_policy_one_sided_difference():
@@ -212,6 +212,24 @@ def test_probed_free_sublaplacian_matches_stencil(dom):
         assert err <= 1e-14
     Lff = B[np.flatnonzero(free), :]
     assert (Lff != Lff.T).nnz == 0
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(13)], ids=["box9", "ball13"])
+def test_probed_columns_are_one_sweep_per_free_cell(dom):
+    """The probed B equals, bit for bit, the B whose column at each free cell
+    is one sublaplacian sweep of that cell's indicator: a check of the
+    reference that does not share the colouring of _probed_rows."""
+    cols = []
+    for cell in np.flatnonzero(dom.free_mask()):
+        e = np.zeros(dom.shape)
+        e.flat[cell] = 1.0
+        cols.append(sublaplacian(ha.GridField(dom, e)).values.ravel())
+    want = csc_matrix(np.column_stack(cols))
+    got = free_columns(dom)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(17)], ids=["box9", "ball17"])

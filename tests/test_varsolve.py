@@ -7,6 +7,7 @@ from heisadams.operators import orbit_form
 from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
 
 from conftest import count_sweeps, field_energy, holed_ball17, orbit_sums, random_free_field
+from oracles import dirichlet_energy, free_columns, rayleigh_quotient
 
 A = 32.0 / 9.0
 
@@ -30,7 +31,7 @@ def test_energy_trivial_cases(box9m):
         fprime=lambda U: 0.0 * U, theta=4.0, bigM=1.0, r0=1.0)
     y = np.random.default_rng(0).standard_normal(form.count.size)
     assert ha.energy(form, y, free_nl, 1.0) == pytest.approx(
-        0.5 * ha.dirichlet_energy(form.expand(y)), rel=1e-12)
+        0.5 * dirichlet_energy(form.expand(y)), rel=1e-12)
 
 
 def test_energy_direct_summation_oracle(box9m):
@@ -174,7 +175,7 @@ def test_grad_energy_is_the_stencil_twice_on_any_field(grid):
     """The form's gradient B^T (L u) equals L(L u) on the free cells for
     every field, also one with nonzero values on the clamped ring and
     outside the free cells."""
-    from heisadams.operators import free_columns, sublaplacian
+    from heisadams.operators import sublaplacian
     dom = ha.box_grid(9) if grid == "box9" else ha.ball_grid(13)
     u = ha.GridField(dom, np.random.default_rng(9).standard_normal(dom.shape))
     free = dom.free_mask()
@@ -226,11 +227,11 @@ def test_lambda_positive_and_oracle(box9m, lam9):
 def test_rayleigh_quotient_scale_invariance(box9m):
     rng = np.random.default_rng(5)
     u = random_free_field(box9m, rng)
-    q1 = ha.rayleigh_quotient(u, 1.0)
-    q2 = ha.rayleigh_quotient(ha.GridField(box9m, -7.3 * u.values), 1.0)
+    q1 = rayleigh_quotient(u, 1.0)
+    q2 = rayleigh_quotient(ha.GridField(box9m, -7.3 * u.values), 1.0)
     assert q1 == pytest.approx(q2, rel=1e-12)
     with pytest.raises(ValueError):
-        ha.rayleigh_quotient(ha.zeros(box9m), 1.0)
+        rayleigh_quotient(ha.zeros(box9m), 1.0)
 
 
 def test_level_bound_values():
@@ -331,7 +332,7 @@ def test_ray_energy_goes_negative(box9m):
     """J(t u0) is eventually negative and decreasing along the ray."""
     nl = ha.cubic_model()
     u0 = default_bump(box9m)
-    u0 = ha.GridField(box9m, u0.values / np.sqrt(ha.dirichlet_energy(u0)))
+    u0 = ha.GridField(box9m, u0.values / np.sqrt(dirichlet_energy(u0)))
     ts = [2.0 ** k for k in range(0, 14)]
     js = [field_energy(ha.GridField(box9m, t * u0.values), nl, 1.0) for t in ts]
     assert any(j < 0 for j in js)
@@ -349,7 +350,7 @@ def test_ray_max_is_the_nehari_point_of_the_ray(box9m, lam9, model):
     seed = form.restrict(default_bump(box9m))
     x = _ray_max(form, seed, nl, a)
     u = form.expand(x)
-    norm2 = ha.dirichlet_energy(u)
+    norm2 = dirichlet_energy(u)
     uf = ha.integrate_weighted(ha.GridField(box9m, nl.f(u.values) * u.values), a)
     assert abs(norm2 - uf) <= 1e-10 * norm2
     J = ha.energy(form, x, nl, a)
@@ -365,14 +366,14 @@ def test_mountain_pass_geometry_positive_ring(box9m, lam9):
     rho_star = 0.1
     for _ in range(10):
         v = random_free_field(box9m, rng)
-        v = ha.GridField(box9m, v.values * (rho_star / np.sqrt(ha.dirichlet_energy(v))))
+        v = ha.GridField(box9m, v.values * (rho_star / np.sqrt(dirichlet_energy(v))))
         assert field_energy(v, nl, 1.0) > 0.0
 
 
 def test_mountain_pass_cubic_converges(box9m, lam9):
     nl = ha.cubic_model()
     u, st = ha.mountain_pass_solve(nl, 1.0, box9m, ha.SolveOptions(tol=1e-6))
-    unorm = np.sqrt(ha.dirichlet_energy(u))
+    unorm = np.sqrt(dirichlet_energy(u))
     assert st.converged
     assert unorm > 1e-6
     assert st.gradResidual <= 1e-6 * max(1.0, unorm)
@@ -381,7 +382,7 @@ def test_mountain_pass_cubic_converges(box9m, lam9):
     assert all(levels[i + 1] <= levels[i] + 1e-12 * max(1, abs(levels[i]))
                for i in range(len(levels) - 1))
     # weighted Poincare-type inequality at the solution
-    assert ha.rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
+    assert rayleigh_quotient(u, 1.0) >= lam9[1.0].value * (1 - 1e-8)
     # the first iterate is the maximum of J along the seed ray
     form = orbit_form(box9m)
     seed = _ray_max(form, form.restrict(default_bump(box9m)), nl, 1.0)
@@ -484,10 +485,10 @@ def test_continuation_diagnostics_match_the_stencil_oracles():
     prev = None
     for s in steps:
         u = s.solution
-        assert s.norm == pytest.approx(np.sqrt(ha.dirichlet_energy(u)), rel=1e-13)
+        assert s.norm == pytest.approx(np.sqrt(dirichlet_energy(u)), rel=1e-13)
         if prev is not None:
             assert s.diff_from_previous == pytest.approx(
-                np.sqrt(ha.dirichlet_energy(u - prev)), rel=1e-13)
+                np.sqrt(dirichlet_energy(u - prev)), rel=1e-13)
         assert s.weighted_uf == pytest.approx(
             ha.integrate_weighted(ha.GridField(dom, nl.f(u.values) * u.values), s.a), rel=1e-13)
         assert s.weighted_F == pytest.approx(
@@ -579,7 +580,6 @@ def test_lambda_matches_shift_invert_eigsh(grid, ball, a):
     Lanczos on the assembled pencil.  Box 7 is the CLI config test's grid."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
-    from heisadams.operators import free_columns
     dom = ha.ball_grid(grid) if ball else ha.box_grid(grid)
     B = free_columns(dom)
     K = (B.T @ B).tocsc()
