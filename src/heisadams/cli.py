@@ -1,11 +1,12 @@
 """Batch experiment driver.
 
-Every experiment is a subcommand writing CSV/JSON artifacts plus a manifest
-whose "resolved" block holds the command, out and every key the command
-read, with the value it ran at (flag, config-file value or default).
+Every experiment is a subcommand writing CSV/JSON artifacts.  Once it has
+run, exiting 0, 3 or 4, main writes manifest.json, whose "resolved" block
+holds the command, out and every key the command read, with the value it
+ran at (flag, config-file value or default); an exit 2 writes none.
 Identical config and seed produce byte-identical artifacts.  Exit codes:
 0 success, 2 configuration error, 3 convergence failure, 4
-hypothesis-validation failure.
+hypothesis-validation failure; an exit 3 or 4 names its reason on stderr.
 
 Each subcommand takes --out, --config and a flag for each key it reads
 (_COMMANDS; 'heisadams <command> --help' lists them), and no other.
@@ -199,12 +200,17 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(command=command, **cfg)
 
 
-def _manifest(cfg: SimpleNamespace, extra: dict | None = None) -> dict:
-    resolved = vars(cfg)
-    doc = {"version": __version__, "resolved": {k: resolved[k] for k in sorted(resolved)}}
-    if extra:
-        doc["derived"] = extra
-    return doc
+def _fields(record, *omit: str) -> dict:
+    """A result dataclass's fields by name, shallow, without those in omit."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+            if f.name not in omit}
+
+
+def _warn_thin(record, who: str, ball: str, what: str) -> None:
+    """Name on stderr a plateau thinner than one cell (no resolved ring)."""
+    if record.resolved_rings == 0:
+        print(f"{who}: the plateau {ball} is thinner than one cell "
+              f"({record.plateau_cells} cell(s)); {what} is under-resolved", file=sys.stderr)
 
 
 def _make_nl(cfg: SimpleNamespace):
@@ -214,16 +220,17 @@ def _make_nl(cfg: SimpleNamespace):
 
 
 # -- commands -------------------------------------------------------------------
+# Each writes its artifacts, may fill the manifest's derived block, and
+# returns (exit code, reason); the reason is "" on success.
 
-def cmd_constants(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_constants(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     opts = QuadratureOptions(tail_radius=cfg.tail_radius, mc_samples=cfg.mc_samples,
                              mc_seed=cfg.seed)
     write_json(out / "constants.json", dataclasses.asdict(compute_constants(opts)))
-    write_json(out / "manifest.json", _manifest(cfg))
-    return EXIT_OK
+    return EXIT_OK, ""
 
 
-def cmd_rearrange_check(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_rearrange_check(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     n = cfg.grid
     dom = ball_grid(n)
     f = gauge_power_field(dom, 2.0)
@@ -255,11 +262,10 @@ def cmd_rearrange_check(cfg: SimpleNamespace, out: Path) -> int:
         "one_d_defect_rel": defect / l2,
         "hardy_littlewood_min_slack": worst_slack,
     })
-    write_json(out / "manifest.json", _manifest(cfg))
-    return EXIT_OK
+    return EXIT_OK, ""
 
 
-def cmd_sharpness(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_sharpness(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     a = cfg.a
     betas = _parse_betas(cfg.betas, a)
     ks = _parse_ks(cfg.ks)
@@ -269,24 +275,18 @@ def cmd_sharpness(cfg: SimpleNamespace, out: Path) -> int:
     except ValueError as exc:    # an ell the grid cannot resolve
         raise ConfigError(str(exc)) from exc
     probe_to_csv(rows, out / "sharpness.csv")
-    plateaus = {r.k: {"plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
-                for r in rows}
-    write_json(out / "manifest.json", _manifest(cfg, {
-        "threshold": BIG_A * (1.0 - a / 4.0), "betas": betas, "ks": ks,
-        "plateaus": [{"k": k, **p} for k, p in plateaus.items()],
-    }))
-    for k, p in plateaus.items():
-        if p["resolved_rings"] == 0:
-            print(f"k = {k}: the plateau B_(1/{k}) is thinner than one cell "
-                  f"({p['plateau_cells']} cell(s)); its row is under-resolved",
-                  file=sys.stderr)
+    per_k = {r.k: r for r in rows}.values()
+    derived.update(threshold=BIG_A * (1.0 - a / 4.0), betas=betas, ks=ks, plateaus=[
+        {"k": r.k, "plateau_cells": r.plateau_cells, "resolved_rings": r.resolved_rings}
+        for r in per_k])
+    for r in per_k:
+        _warn_thin(r, f"k = {r.k}", f"B_(1/{r.k})", "its row")
     if not all(r.converged for r in rows):
-        print("a capacity solve ended above its tolerance", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+        return EXIT_CONVERGENCE, "a capacity solve ended above its tolerance"
+    return EXIT_OK, ""
 
 
-def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_capacity(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     dom = ball_grid(cfg.grid)
     try:
         prof = capacity_profile(cfg.ell, dom)
@@ -294,31 +294,15 @@ def cmd_capacity(cfg: SimpleNamespace, out: Path) -> int:
         raise ConfigError(str(exc)) from exc
     adams = adams_function(cfg.ell, 1.0, dom, profile=prof)
     save_field(prof.field, out / "capacity_field.bin")
-    write_json(out / "capacity.json", {
-        "ell": prof.ell,
-        "energy": prof.energy,
-        "bound": prof.bound,
-        "slack": prof.slack,
-        "plateau": adams.plateau,
-        "normEstimate": adams.normEstimate,
-        "cg_iterations": prof.cg_iterations,
-        "cg_residual": prof.cg_residual,
-        "plateau_cells": prof.plateau_cells,
-        "resolved_rings": prof.resolved_rings,
-        "converged": prof.converged,
-    })
-    write_json(out / "manifest.json", _manifest(cfg))
-    if prof.resolved_rings == 0:
-        print(f"ell = {cfg.ell}: the plateau B_ell is thinner than one cell "
-              f"({prof.plateau_cells} cell(s)); the profile is under-resolved",
-              file=sys.stderr)
+    write_json(out / "capacity.json", {**_fields(prof, "field"), "plateau": adams.plateau,
+                                       "normEstimate": adams.normEstimate})
+    _warn_thin(prof, f"ell = {cfg.ell}", "B_ell", "the profile")
     if not prof.converged:
-        print("capacity solve ended above its tolerance", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+        return EXIT_CONVERGENCE, "capacity solve ended above its tolerance"
+    return EXIT_OK, ""
 
 
-def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_solve(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     dom = ball_grid(cfg.grid) if cfg.domain == "ball" else box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
     a = cfg.a
@@ -334,17 +318,14 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
         "lambda_iterations": lam.iterations,
         "lambda_residual": lam.residual,
         "sampled_range": list(report.sampled_range),
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
+        "checks": [_fields(c) for c in report.checks],
     })
-    if not lam.converged:
-        write_json(out / "manifest.json", _manifest(cfg))
-        print("Rayleigh iteration did not converge; see hypotheses.json", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    if not report.passed_geometry():
-        write_json(out / "manifest.json", _manifest(cfg))
-        print("hypothesis validation failed; see hypotheses.json", file=sys.stderr)
-        return EXIT_HYPOTHESES
+    if not (lam.converged and report.passed_geometry()):
+        for name in ("solve.json", "trace.csv", "solution.bin"):    # an earlier run's
+            (out / name).unlink(missing_ok=True)
+        if not lam.converged:
+            return EXIT_CONVERGENCE, "Rayleigh iteration did not converge; see hypotheses.json"
+        return EXIT_HYPOTHESES, "hypothesis validation failed; see hypotheses.json"
 
     opts = SolveOptions(tol=cfg.tol)
     u, state = mountain_pass_solve(nl, a, dom, opts)
@@ -354,31 +335,25 @@ def cmd_solve(cfg: SimpleNamespace, out: Path) -> int:
     x = form.restrict(u)
     xAx = float(x @ form.A(x))
     summary = {
-        "converged": state.converged,
-        "geometry_failure": state.geometry_failure,
+        **_fields(state, "history", "levelEstimate"),
         "level": state.levelEstimate,
-        "gradResidual": state.gradResidual,
         "norm": float(np.sqrt(form.volume * xAx)),
         "energy": energy(form, x, nl, a),
         # the Rayleigh quotient ||L u||^2 / int u^2 / rho^a on the unknowns
         "rayleigh_bound_ok": bool(
             xAx == 0.0 or xAx / float(form.weight(a) @ x ** 2) >= lam.value * (1 - 1e-6)),
-        "newton_iterations": state.newton_iterations,
-        "inner_unconverged": state.inner_unconverged,
-        "message": state.message,
     }
     if nl.alpha0 is not None:
         summary["level_bound"] = level_bound(a, nl.alpha0)
         summary["level_below_bound"] = bool(state.levelEstimate < summary["level_bound"])
     write_json(out / "solve.json", summary)
-    write_json(out / "manifest.json", _manifest(cfg, {"lambda": lam.value}))
+    derived["lambda"] = lam.value
     if state.geometry_failure or not state.converged:
-        print(state.message or "solver did not converge", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+        return EXIT_CONVERGENCE, state.message or "solver did not converge"
+    return EXIT_OK, ""
 
 
-def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
+def cmd_continuation(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
     dom = box_grid(cfg.grid, extent=cfg.extent)
     nl = _make_nl(cfg)
     opts = SolveOptions(tol=cfg.tol)
@@ -402,25 +377,17 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path) -> int:
         "all_converged": bool(all(s.state.converged for s in steps)),
         "tail_differences_decreasing": tail_differences_decreasing(steps),
     })
-    write_json(out / "manifest.json", _manifest(cfg))
     if len(steps) < cfg.nmax or not all(s.state.converged for s in steps):
-        print("continuation aborted early; partial results written", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    return EXIT_OK
+        return EXIT_CONVERGENCE, "continuation aborted early; partial results written"
+    return EXIT_OK, ""
 
 
-def cmd_lambda(cfg: SimpleNamespace, out: Path) -> int:
-    dom = box_grid(cfg.grid, extent=cfg.extent)
-    res = lambda_estimate(dom, cfg.a)
-    write_json(out / "lambda.json", {
-        "a": cfg.a,
-        "value": res.value,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "converged": res.converged,
-    })
-    write_json(out / "manifest.json", _manifest(cfg))
-    return EXIT_OK if res.converged else EXIT_CONVERGENCE
+def cmd_lambda(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str]:
+    res = lambda_estimate(box_grid(cfg.grid, extent=cfg.extent), cfg.a)
+    write_json(out / "lambda.json", {"a": cfg.a, **_fields(res)})
+    if not res.converged:
+        return EXIT_CONVERGENCE, "Rayleigh iteration did not converge; see lambda.json"
+    return EXIT_OK, ""
 
 
 # subcommand -> (runner, the config keys it reads besides out)
@@ -436,10 +403,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
-        cfg = resolve_config(args)
+        cfg = resolve_config(_build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -453,11 +418,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: cannot create output dir {out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    derived: dict = {}
     try:
-        return _COMMANDS[cfg.command][0](cfg, out)
+        code, reason = _COMMANDS[cfg.command][0](cfg, out, derived)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # the one manifest, once the command has run (write_json sorts the keys)
+    write_json(out / "manifest.json", {"version": __version__, "resolved": vars(cfg),
+                                       **({"derived": derived} if derived else {})})
+    if reason:
+        print(reason, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@
 Artifacts are CSV (tabular data, written from columns) and JSON (scalars
 and manifests).  Floats are always rendered with %.17g so a given config and
 seed reproduce files byte for byte; writes go to a temporary sibling and are
-renamed into place.
+renamed into place.  The sibling is created with mode 0666 less the umask,
+as open() would create the file itself.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections.abc import Sequence
 from itertools import repeat
 from pathlib import Path
@@ -25,7 +25,10 @@ def fmt(x) -> str:
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # O_EXCL on a random name: never another writer's sibling, and unlike
+    # tempfile.mkstemp (mode 0600) the mode follows the umask
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

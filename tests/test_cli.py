@@ -31,21 +31,32 @@ def test_constants_command(tmp_path):
     assert manifest["resolved"]["tail_radius"] == 50.0  # defaults are echoed
 
 
-def test_determinism_byte_identical(tmp_path):
-    outs = []
-    for name in ("r1", "r2"):
-        out = tmp_path / name
-        rc = run_cli(["constants", "--out", str(out), "--mc-samples", "5000",
-                      "--seed", "42"])
-        assert rc == 0
-        outs.append(out)
-    for fname in ("constants.json",):
-        a = read(outs[0] / fname)
-        b = read(outs[1] / fname)
-        assert a == b
-    # manifests differ only in the out path; normalize and compare
-    m1 = json.loads((outs[0] / "manifest.json").read_text())
-    m2 = json.loads((outs[1] / "manifest.json").read_text())
+# a small run of each command that exits 0
+SMALL_RUNS = {
+    "constants": ["--mc-samples", "5000", "--seed", "42"],
+    "rearrange-check": ["--grid", "9"],
+    "sharpness": ["--grid", "9", "--betas", "0.75*,1.25*", "--ks", "2,4"],
+    "capacity": ["--grid", "9"],
+    "solve": ["--grid", "7"],
+    "continuation": ["--grid", "7", "--nmax", "2"],
+    "lambda": ["--grid", "7"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_determinism_byte_identical(tmp_path, command):
+    """Two runs of one config write the same artifacts byte for byte; the
+    manifests differ only in the out path."""
+    outs = [tmp_path / "r1", tmp_path / "r2"]
+    for out in outs:
+        assert run_cli([command, *SMALL_RUNS[command], "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    for fname in names:
+        if fname != "manifest.json":
+            assert read(outs[0] / fname) == read(outs[1] / fname), fname
+    m1, m2 = (json.loads((out / "manifest.json").read_text()) for out in outs)
     m1["resolved"].pop("out")
     m2["resolved"].pop("out")
     assert m1 == m2
@@ -137,21 +148,17 @@ def test_commands_reject_keys_they_do_not_read(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+def assert_resolves_command_keys(out, command):
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert set(resolved) == COMMAND_KEYS[command] | {"command", "out"}, command
+    assert resolved["command"] == command
+
+
 def test_manifests_resolve_exactly_the_keys_each_command_reads(tmp_path):
-    runs = {
-        "constants": ["--mc-samples", "2000"],
-        "rearrange-check": ["--grid", "9"],
-        "sharpness": ["--grid", "9", "--betas", "1*", "--ks", "2"],
-        "capacity": ["--grid", "9"],
-        "solve": ["--grid", "7"],
-        "continuation": ["--grid", "7", "--nmax", "1"],
-        "lambda": ["--grid", "7"],
-    }
-    for command, args in runs.items():
+    for command, args in SMALL_RUNS.items():
         out = tmp_path / command
         assert run_cli([command, *args, "--out", str(out)]) == 0
-        resolved = json.loads((out / "manifest.json").read_text())["resolved"]
-        assert set(resolved) == COMMAND_KEYS[command] | {"command", "out"}, command
+        assert_resolves_command_keys(out, command)
 
 
 def test_config_holds_only_the_command_keys():
@@ -301,34 +308,66 @@ def test_sharpness_rejects_bad_k_and_beta_lists(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-def test_solve_hypothesis_failure_exit_4(tmp_path):
-    # critical model with lam far above the Rayleigh floor breaks the origin gap
+SOLVE_RESULTS = ("solve.json", "trace.csv", "solution.bin")
+
+
+def test_solve_hypothesis_failure_exit_4(tmp_path, capsys):
+    """The critical model with lam far above the Rayleigh floor breaks the
+    origin gap: exit 4 with one reason line and the manifest, and the
+    results of an earlier solve in the same directory are removed."""
     out = tmp_path / "hf"
+    assert run_cli(["solve", "--grid", "7", "--out", str(out)]) == 0
+    assert all((out / name).exists() for name in SOLVE_RESULTS)
+    capsys.readouterr()
     rc = run_cli(["solve", "--nl", "critical", "--lam", "1e9", "--alpha0", "1.0",
                   "--a", "1", "--grid", "7", "--out", str(out)])
     assert rc == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "hypothesis validation failed; see hypotheses.json"]
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert any(not c["passed"] for c in hyp["checks"])
+    assert set(hyp["checks"][0]) == {"name", "passed", "detail"}
+    assert_resolves_command_keys(out, "solve")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["lam"] == 1e9 and "derived" not in manifest
+    assert not any((out / name).exists() for name in SOLVE_RESULTS)
 
 
-def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch):
+def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch, capsys):
     """A Rayleigh iteration stopped by its iteration cap ends the solve
-    before the saddle search, with exit 3."""
+    before the saddle search, with exit 3, one reason line, the manifest and
+    no result of an earlier solve in the directory; the lambda command
+    exits 3 with its own reason line."""
     import functools
 
     def no_saddle(*args, **kwargs):
         raise AssertionError("saddle search started")
 
+    out = tmp_path / "lam"
+    args = ["--a", "1", "--grid", "9", "--out", str(out)]
+    assert run_cli(["solve", "--nl", "cubic", *args]) == 0
+    assert all((out / name).exists() for name in SOLVE_RESULTS)
+    capsys.readouterr()
     monkeypatch.setattr(cli, "lambda_estimate",
                         functools.partial(cli.lambda_estimate, max_outer=1))
     monkeypatch.setattr(cli, "mountain_pass_solve", no_saddle)
-    out = tmp_path / "lam"
-    rc = run_cli(["solve", "--nl", "cubic", "--a", "1", "--grid", "9", "--out", str(out)])
+    rc = run_cli(["solve", "--nl", "cubic", *args])
     assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "Rayleigh iteration did not converge; see hypotheses.json"]
     hyp = json.loads((out / "hypotheses.json").read_text())
     assert hyp["lambda_converged"] is False
     assert np.isfinite(hyp["lambda"])
-    assert not (out / "solve.json").exists()
+    assert not any((out / name).exists() for name in SOLVE_RESULTS)
+    assert_resolves_command_keys(out, "solve")
+
+    assert run_cli(["lambda", *args]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "Rayleigh iteration did not converge; see lambda.json"]
+    doc = json.loads((out / "lambda.json").read_text())
+    assert set(doc) == {"a", "value", "residual", "iterations", "converged"}
+    assert doc["converged"] is False and doc["iterations"] == 1
+    assert_resolves_command_keys(out, "lambda")
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -399,9 +438,10 @@ def test_capacity_warns_on_an_under_resolved_plateau(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["capacity", "sharpness"])
-def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
-    """A capacity CG that ends above its tolerance gives exit 3; the
-    artifacts are still written, capacity.json with converged = false."""
+def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, capsys, command):
+    """A capacity CG that ends above its tolerance gives exit 3 with one
+    reason line; the artifacts and the manifest are still written,
+    capacity.json with converged = false."""
     import functools
     import heisadams.extremals as ext
     short = functools.partial(ext.capacity_profile, max_iter=1)
@@ -411,6 +451,9 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
     ks = ["--ks", "2"] if command == "sharpness" else []
     rc = run_cli([command, "--grid", "9", *ks, "--out", str(out)])
     assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        ("a " if command == "sharpness" else "") + "capacity solve ended above its tolerance"]
+    assert_resolves_command_keys(out, command)
     if command == "capacity":
         doc = json.loads((out / "capacity.json").read_text())
         assert doc["converged"] is False and doc["cg_iterations"] == 1
@@ -426,11 +469,12 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, command):
 def test_unresolvable_ell_exits_2(tmp_path, capsys, args):
     """An ell whose plateau holds no cell (ball 6 at the default ks reaches
     ell = 1/4), or reaches the clamped ring, is a configuration error: exit
-    2, with no artifact written."""
+    2 from inside the command, with the output directory made but neither
+    an artifact nor the manifest written."""
     out = tmp_path / "out"
     assert run_cli(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_continuation_falling_ray_exits_3(tmp_path, capsys):
@@ -441,7 +485,9 @@ def test_continuation_falling_ray_exits_3(tmp_path, capsys):
     rc = run_cli(["continuation", "--nl", "critical", "--lam", "1000", "--grid", "7",
                   "--nmax", "1", "--out", str(out)])
     assert rc == 3
-    assert "continuation aborted early" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "continuation aborted early; partial results written"]
+    assert_resolves_command_keys(out, "continuation")
     doc = json.loads((out / "continuation.json").read_text())
     assert doc == {"stages": 1, "all_converged": False, "final_stage": None,
                    "tail_differences_decreasing": False}

@@ -1,7 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from heisadams.io import fmt, write_csv
+from heisadams.io import atomic_write_bytes, fmt, write_csv, write_json
 
 
 def _expected(header, columns):
@@ -40,3 +43,20 @@ def test_malformed_tables_raise_and_write_nothing(tmp_path, header, columns):
     with pytest.raises(ValueError):
         write_csv(p, header, columns)
     assert not p.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_artifact_mode_follows_the_umask(tmp_path, umask, mode):
+    """A written artifact, new or replacing a file, gets mode 0666 less the
+    umask, as open() gives; the temporary sibling is gone."""
+    (tmp_path / "old.bin").write_bytes(b"previous contents")
+    os.chmod(tmp_path / "old.bin", 0o640)
+    old = os.umask(umask)
+    try:
+        write_json(tmp_path / "new.json", {"x": 1.5})
+        atomic_write_bytes(tmp_path / "old.bin", b"data")
+    finally:
+        os.umask(old)
+    for name in ("new.json", "old.bin"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["new.json", "old.bin"]
