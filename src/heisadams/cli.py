@@ -422,6 +422,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, reason = _COMMANDS[cfg.command][0](cfg, out, derived)
     except ConfigError as exc:
+        # a directory without a manifest holds no completed run
+        (out / "manifest.json").unlink(missing_ok=True)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # the one manifest, once the command has run (write_json sorts the keys)

@@ -239,22 +239,8 @@ class GridField:
         if self.values.shape != self.domain.shape:
             raise ValueError("field values do not match grid shape")
 
-    def copy(self) -> "GridField":
-        return GridField(self.domain, self.values.copy())
-
     def masked(self) -> np.ndarray:
         return self.values[self.domain.mask]
-
-    def __add__(self, other):
-        return GridField(self.domain, self.values + other.values)
-
-    def __sub__(self, other):
-        return GridField(self.domain, self.values - other.values)
-
-    def __mul__(self, c: float):
-        return GridField(self.domain, self.values * c)
-
-    __rmul__ = __mul__
 
 
 def zeros(domain: GridDomain) -> GridField:

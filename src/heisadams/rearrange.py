@@ -19,6 +19,7 @@ not depend on the sort schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -63,13 +64,10 @@ class RearrangementProfile:
         left = self.measures[idx - 1] if idx > 0 else 0.0
         return float(below + self.values[idx] * (t - left))
 
-    @property
+    @cached_property
     def _cumint(self) -> np.ndarray:
-        if not hasattr(self, "_cumint_cache"):
-            widths = np.diff(np.concatenate([[0.0], self.measures]))
-            cum = np.concatenate([[0.0], np.cumsum(self.values * widths)])[:-1]
-            object.__setattr__(self, "_cumint_cache", cum)
-        return self._cumint_cache
+        widths = np.diff(np.concatenate([[0.0], self.measures]))
+        return np.concatenate([[0.0], np.cumsum(self.values * widths)])[:-1]
 
     def lp_integral(self, p: float) -> float:
         """int_0^{|Omega|} |f*|^p dt, exact on the steps."""

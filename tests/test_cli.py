@@ -76,19 +76,6 @@ def test_constants_seed_zero_is_its_own_seed(tmp_path):
     assert gammas[0] != gammas[1]
 
 
-def test_sharpness_determinism(tmp_path):
-    files = []
-    for name in ("s1", "s2"):
-        out = tmp_path / name
-        rc = run_cli(["sharpness", "--a", "0", "--grid", "9", "--betas",
-                      "0.75*,1.25*", "--ks", "2,4", "--out", str(out)])
-        assert rc == 0
-        files.append(read(out / "sharpness.csv"))
-    assert files[0] == files[1]
-    header = files[0].decode().splitlines()[0]
-    assert header == "k,beta,a,value,normEstimate"
-
-
 def test_sharpness_manifest_records_plateaus_and_warns(tmp_path, capsys):
     """At 17^3, ell = 1/32 is below one cell: the manifest records each k's
     plateau and the under-resolved one is named on stderr."""
@@ -463,18 +450,27 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, capsys, command):
         assert len(lines) == 4
 
 
-@pytest.mark.parametrize("args", [["sharpness", "--grid", "6"],
-                                  ["capacity", "--grid", "6", "--ell", "0.9"],
-                                  ["capacity", "--grid", "17", "--ell", "0.9"]])
-def test_unresolvable_ell_exits_2(tmp_path, capsys, args):
+@pytest.mark.parametrize("before, args", [
+    (None, ["sharpness", "--grid", "6"]),
+    (None, ["capacity", "--grid", "6", "--ell", "0.9"]),
+    (None, ["capacity", "--grid", "17", "--ell", "0.9"]),
+    (["capacity", "--grid", "9"], ["capacity", "--grid", "6", "--ell", "0.9"]),
+], ids=["args0", "args1", "args2", "reused_out"])
+def test_unresolvable_ell_exits_2(tmp_path, capsys, before, args):
     """An ell whose plateau holds no cell (ball 6 at the default ks reaches
     ell = 1/4), or reaches the clamped ring, is a configuration error: exit
     2 from inside the command, with the output directory made but neither
-    an artifact nor the manifest written."""
+    an artifact nor the manifest written.  In a directory reused from a
+    completed run, the earlier manifest is removed and its artifacts stay."""
     out = tmp_path / "out"
+    left = []
+    if before:
+        assert run_cli(before + ["--out", str(out)]) == 0
+        left = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert left
     assert run_cli(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
-    assert out.is_dir() and not any(out.iterdir())
+    assert out.is_dir() and sorted(p.name for p in out.iterdir()) == left
 
 
 def test_continuation_falling_ray_exits_3(tmp_path, capsys):

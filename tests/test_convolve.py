@@ -103,14 +103,15 @@ def _loop_reference(f, alpha, tgt):
     return vals
 
 
-@pytest.mark.parametrize("make", [lambda: ha.box_grid(8), lambda: ha.ball_grid(9),
-                                  lambda: ha.group_lattice_grid(10)],
-                         ids=["box8", "ball9", "lattice10"])
+@pytest.mark.parametrize("make", [lambda: ha.box_grid(1), lambda: ha.box_grid(8),
+                                  lambda: ha.ball_grid(9), lambda: ha.group_lattice_grid(10)],
+                         ids=["box1", "box8", "ball9", "lattice10"])
 def test_self_convolution_is_the_loop_bit_for_bit(make):
-    """The symmetric-half evaluation on the source domain equals the
-    per-target loop exactly: on an even cell count (whose d = n/2 offsets are
-    evaluated from both ends) and on a masked domain.  A second domain object
-    with the same cells takes the loop path and agrees too."""
+    """The mirrored evaluation on the source domain equals the per-target
+    loop exactly: on a single cell (only the diagonal), on cell counts that
+    fill the last block of rows (box 8) and that do not (ball 9, lattice 10),
+    and on a masked domain.  A second domain object with the same cells takes
+    the unmirrored blocks and agrees too."""
     dom = make()
     rng = np.random.default_rng(5)
     f = ha.GridField(dom, np.where(dom.mask, rng.standard_normal(dom.shape), 0.0))

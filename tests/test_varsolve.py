@@ -488,7 +488,7 @@ def test_continuation_diagnostics_match_the_stencil_oracles():
         assert s.norm == pytest.approx(np.sqrt(dirichlet_energy(u)), rel=1e-13)
         if prev is not None:
             assert s.diff_from_previous == pytest.approx(
-                np.sqrt(dirichlet_energy(u - prev)), rel=1e-13)
+                np.sqrt(dirichlet_energy(ha.GridField(dom, u.values - prev.values))), rel=1e-13)
         assert s.weighted_uf == pytest.approx(
             ha.integrate_weighted(ha.GridField(dom, nl.f(u.values) * u.values), s.a), rel=1e-13)
         assert s.weighted_F == pytest.approx(
