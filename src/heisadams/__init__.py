@@ -17,7 +17,6 @@ from .grids import (
     zeros,
 )
 from .operators import (
-    apply_fields,
     integrate_weighted,
     sublaplacian,
 )
@@ -25,7 +24,6 @@ from .convolve import riesz_convolve
 from .rearrange import (
     RearrangementProfile,
     decreasing_rearrangement,
-    distribution,
     double_star,
     hardy_littlewood_slack,
     kernel_double_star,

@@ -3,7 +3,9 @@
 Every experiment is a subcommand writing CSV/JSON artifacts.  Once it has
 run, exiting 0, 3 or 4, main writes manifest.json, whose "resolved" block
 holds the command, out and every key the command read, with the value it
-ran at (flag, config-file value or default); an exit 2 writes none.
+ran at (flag, config-file value or default); an exit 2 writes none and
+removes an earlier run's from the output directory the run would have
+used, when that is known.
 Identical config and seed produce byte-identical artifacts.  Exit codes:
 0 success, 2 configuration error, 3 convergence failure, 4
 hypothesis-validation failure; an exit 3 or 4 names its reason on stderr.
@@ -63,7 +65,7 @@ EXIT_HYPOTHESES = 4
 
 
 class ConfigError(Exception):
-    pass
+    out: str | None = None      # the stopped run's output directory, if known
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -175,14 +177,17 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
     """Merge defaults <- config file <- command line; validate ranges.
 
     The result holds command, out and exactly the command's keys, so reading
-    any other key raises AttributeError.
+    any other key raises AttributeError.  A ConfigError carries the out the
+    run would have used, unless a config file that might name it did not parse.
     """
     given = dict(vars(args))
     command = given.pop("command")
     cfg = {key: _KEYS[key][1] for key in _command_keys(command)}
     path = given.pop("config", None)
-    if path:
-        for key, val in _read_config_file(path).items():
+    file = None
+    try:
+        file = _read_config_file(path) if path else {}
+        for key, val in file.items():
             nkey = key.replace("-", "_")
             if nkey not in cfg:
                 raise ConfigError(f"{command} does not read config key {key!r}"
@@ -191,12 +196,18 @@ def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
                 cfg[nkey] = _KEYS[nkey][0](val)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {val!r}") from exc
-    cfg.update(given)
-    for key, (valid, message) in _RANGES.items():
-        if key in cfg and not valid(cfg[key]):
-            raise ConfigError(message.format(cfg[key]))
-    if cfg.get("domain") == "ball" and cfg["extent"] != 1.0:
-        raise ConfigError("the ball domain is the unit gauge ball; it takes no extent")
+        cfg.update(given)
+        for key, (valid, message) in _RANGES.items():
+            if key in cfg and not valid(cfg[key]):
+                raise ConfigError(message.format(cfg[key]))
+        if cfg.get("domain") == "ball" and cfg["extent"] != 1.0:
+            raise ConfigError("the ball domain is the unit gauge ball; it takes no extent")
+    except ConfigError as exc:
+        if "out" in given:
+            exc.out = given["out"]
+        elif file is not None:
+            exc.out = file.get("out", _KEYS["out"][1])
+        raise
     return SimpleNamespace(command=command, **cfg)
 
 
@@ -406,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = resolve_config(_build_parser().parse_args(argv))
     except ConfigError as exc:
+        # a directory without a manifest holds no completed run
+        if exc.out is not None and Path(exc.out).is_dir():
+            (Path(exc.out) / "manifest.json").unlink(missing_ok=True)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:

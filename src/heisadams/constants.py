@@ -61,12 +61,6 @@ class SharpConstants:
     unitBallVolume: float
     errorEstimates: dict[str, float] = field(default_factory=dict)
 
-    def weighted_ball_integral(self, a: float) -> float:
-        """Polar value of int_{B(0,1)} rho^-a d xi = c0 / (Q-a)."""
-        if a >= self.q:
-            raise ValueError(f"weight exponent a={a} must be < Q={self.q}")
-        return self.c0 / (self.q - a)
-
 
 # the nodes cost more than the integrands; every rule of one call shares them
 _leggauss = functools.cache(np.polynomial.legendre.leggauss)

@@ -105,14 +105,6 @@ class GridDomain:
             self._cache["gauge"] = gauge_arr(X, Y, T)
         return self._cache["gauge"]
 
-    @property
-    def origin_cell(self) -> tuple[int, int, int] | None:
-        """Index of the cell centered exactly at 0, or None."""
-        nx, ny, nt = self.shape
-        if nx % 2 and ny % 2 and nt % 2:
-            return (nx // 2, ny // 2, nt // 2)
-        return None
-
     def contains_origin(self) -> bool:
         X, Y, T = self.coords()
         hx, hy, ht = self.spacing

@@ -1,4 +1,4 @@
-"""Finite differences for the left-invariant frame and the sublaplacian.
+"""The sublaplacian by finite differences, and its quadratic form ||L u||^2.
 
 The frame is X = d/dx + 2y d/dt, Y = d/dy - 2x d/dt, T = d/dt, and
 
@@ -11,12 +11,14 @@ orthogonal to its differencing directions.  That last property makes the
 assembled matrix exactly symmetric on zero-extended fields (ghost layers are
 zero, matching the zero-extension reading of the clamped boundary).
 
-The quadratic form u -> ||L u||^2 on clamped fields is read off B = L[:,
-free], the columns of L at the free cells, by 27-colour probing of
-sublaplacian (_probed_rows, the one place the sweeps are written).  Its
-operator on the free cells is B^T B.  The drivers read only its
-representative rows; the whole of B, the reference the tests check
-against, is assembled from the same probe in tests/oracles.py.
+The formula of L is written once, in _stencil, over the 27 neighbours of a
+cell: sublaplacian evaluates it on the whole box, and _probed_rows evaluates
+it on unit vectors at given rows, which gives those rows' coefficients.  The
+quadratic form u -> ||L u||^2 on clamped fields is read off B = L[:, free],
+the columns of L at the free cells, and its operator on the free cells is
+B^T B.  The drivers read only its representative rows; the whole of B, the
+reference the tests check against, is assembled from the same rows in
+tests/oracles.py.
 
 The stencil commutes, to rounding, with the order-8 group generated by the
 quarter turn (x, y, t) -> (-y, x, t) and the reflection (x, y, t) ->
@@ -38,9 +40,9 @@ domain object, one that is nonzero off the free cells, or one that is not
 exactly invariant, so nothing is projected or dropped on the way in.  The
 numbers reported after a solve (norms, Rayleigh quotients, weighted
 integrals, capacity energies) are read off the Form too; the stencil-side
-oracles that check them live in tests/oracles.py.  apply_fields below gives
-the frame, and integrate_weighted serves integrands such as exp(beta u^2)
-that do not vanish off the free cells.
+oracles that check them live in tests/oracles.py.  integrate_weighted
+serves integrands such as exp(beta u^2) that do not vanish off the free
+cells.
 """
 
 from __future__ import annotations
@@ -55,77 +57,59 @@ from scipy.sparse.linalg import LinearOperator, spilu
 
 from .grids import GridDomain, GridField, orbit_images
 
-_C = (slice(1, -1),) * 3
-
 # the incomplete LU of orbit_form's G behind Form.M
 _ILU_DROP_TOL = 1e-3
 _ILU_FILL_FACTOR = 20
 
 
-def apply_fields(u: GridField):
-    """Centered first differences of the frame: returns (Xu, Yu, Tu)."""
-    dom = u.domain
-    hx, hy, ht = dom.spacing
-    up = np.pad(u.values, 1)
-    X, Y, _ = dom.coords()
-
-    ux = (up[2:, 1:-1, 1:-1] - up[:-2, 1:-1, 1:-1]) / (2 * hx)
-    uy = (up[1:-1, 2:, 1:-1] - up[1:-1, :-2, 1:-1]) / (2 * hy)
-    ut = (up[1:-1, 1:-1, 2:] - up[1:-1, 1:-1, :-2]) / (2 * ht)
-
-    return (
-        GridField(dom, ux + 2.0 * Y * ut),
-        GridField(dom, uy - 2.0 * X * ut),
-        GridField(dom, ut),
-    )
+def _stencil(nb, X, Y, spacing):
+    """L at the cells where nb(i, j, k) gives the values at offset (i, j, k)
+    in {-1, 0, 1}^3 and X, Y the cell centres."""
+    hx, hy, ht = spacing
+    uxx = (nb(1, 0, 0) - 2 * nb(0, 0, 0) + nb(-1, 0, 0)) / hx**2
+    uyy = (nb(0, 1, 0) - 2 * nb(0, 0, 0) + nb(0, -1, 0)) / hy**2
+    utt = (nb(0, 0, 1) - 2 * nb(0, 0, 0) + nb(0, 0, -1)) / ht**2
+    uxt = (nb(1, 0, 1) - nb(1, 0, -1) - nb(-1, 0, 1) + nb(-1, 0, -1)) / (4 * hx * ht)
+    uyt = (nb(0, 1, 1) - nb(0, 1, -1) - nb(0, -1, 1) + nb(0, -1, -1)) / (4 * hy * ht)
+    return uxx + uyy + 4.0 * (X**2 + Y**2) * utt + 4.0 * Y * uxt - 4.0 * X * uyt
 
 
 def sublaplacian(u: GridField) -> GridField:
     """Discrete L u at every cell of the box (boundary ring included)."""
     dom = u.domain
-    hx, hy, ht = dom.spacing
     up = np.pad(u.values, 1)
+    nx, ny, nt = dom.shape
     X, Y, _ = dom.coords()
 
-    uxx = (up[2:, 1:-1, 1:-1] - 2 * up[_C] + up[:-2, 1:-1, 1:-1]) / hx**2
-    uyy = (up[1:-1, 2:, 1:-1] - 2 * up[_C] + up[1:-1, :-2, 1:-1]) / hy**2
-    utt = (up[1:-1, 1:-1, 2:] - 2 * up[_C] + up[1:-1, 1:-1, :-2]) / ht**2
-    uxt = (
-        up[2:, 1:-1, 2:] - up[2:, 1:-1, :-2] - up[:-2, 1:-1, 2:] + up[:-2, 1:-1, :-2]
-    ) / (4 * hx * ht)
-    uyt = (
-        up[1:-1, 2:, 2:] - up[1:-1, 2:, :-2] - up[1:-1, :-2, 2:] + up[1:-1, :-2, :-2]
-    ) / (4 * hy * ht)
+    def nb(i, j, k):
+        return up[1 + i:nx + 1 + i, 1 + j:ny + 1 + j, 1 + k:nt + 1 + k]
 
-    vals = uxx + uyy + 4.0 * (X**2 + Y**2) * utt + 4.0 * Y * uxt - 4.0 * X * uyt
-    return GridField(dom, vals)
+    return GridField(dom, _stencil(nb, X, Y, dom.spacing))
 
 
 def _probed_rows(domain: GridDomain, rows: np.ndarray) -> csc_matrix:
     """B[rows], B = L[:, free] (rows all box cells, columns the free cells,
     both in the C order of the box), for rows (flat indices, sorted) within
-    one cell of the free cells.  The stencil reaches one cell per axis, so
-    the free cells of one residue class (i mod 3, j mod 3, k mod 3) never
-    share a target: the sweep of sublaplacian over the indicator of a class
-    reads, at row r, the entry of B at the one neighbour of r in that class.
-    27 sweeps give the rows, and the stencil stays written in sublaplacian
-    alone.  Free cells never touch the box faces, so every target is in
+    one cell of the free cells.  _stencil evaluated on the 27 unit vectors,
+    at the centres of the rows, gives coef[o, r], the coefficient of row r
+    at its neighbour of offset o = 9 (i + 1) + 3 (j + 1) + (k + 1): the same
+    operations on the same operands as a sweep of sublaplacian over a field
+    that is 1 at that neighbour and 0 at the others, so B is the stencil bit
+    for bit.  Free cells never touch the box faces, so every target is in
     range.  The tests' reference for the whole of B (tests/oracles.py)
     scatters these rows into the box.
     """
     free = domain.free_mask()
     cells = np.flatnonzero(free)
-    i, j, k = np.unravel_index(cells, free.shape)
-    colour = 9 * (i % 3) + 3 * (j % 3) + k % 3
-    reads = np.empty((27, rows.size))
-    for c in range(27):
-        src = np.zeros(free.shape)
-        src.flat[cells[colour == c]] = 1.0
-        reads[c] = sublaplacian(GridField(domain, src)).values.ravel()[rows]
+    unit = np.eye(27)[:, :, None]
+    X, Y, _ = domain.coords()
+    coef = _stencil(lambda i, j, k: unit[9 * i + 3 * j + k + 13],
+                    X.ravel()[rows], Y.ravel()[rows], domain.spacing)
     # slot: the column of B at each cell of the box padded by one cell (a row may
     # touch a face), -1 off the free cells.  The padded flat index of (i, j, k)
     # is that of the padded cell (i - 1, j - 1, k - 1) of the box, so adding the
-    # steps over {0, 1, 2}^3 to it reaches the 27 stencil neighbours of (i, j, k).
+    # steps over {0, 1, 2}^3 to it reaches the 27 stencil neighbours of (i, j, k),
+    # in the order of the offsets of coef.
     slot = np.full(free.shape, -1)
     slot[free] = np.arange(cells.size)
     slot = np.pad(slot, 1, constant_values=-1)
@@ -134,7 +118,7 @@ def _probed_rows(domain: GridDomain, rows: np.ndarray) -> csc_matrix:
     col = slot.ravel()[at[:, None] + step]
     row, nb = np.nonzero(col >= 0)
     col = col[row, nb]
-    vals = reads[colour[col], row]
+    vals = coef[nb, row]
     hit = vals != 0.0
     return csc_matrix((vals[hit], (row[hit], col[hit])), shape=(rows.size, cells.size))
 
@@ -190,13 +174,13 @@ def orbit_form(domain: GridDomain) -> Form:
     representative row |R| times: C = diag(sqrt|R|) B[row representatives] E
     has C^T C = E^T B^T B E.  Only the rows the stencil reaches from the free
     cells (within one cell of them, an invariant set) are classified, and
-    only the representative rows of B are probed (_probed_rows), never the
-    whole of B.
+    the stencil is evaluated at the representative rows of B alone
+    (_probed_rows), never on the whole of B.
 
     G = L_ff[representative rows] E = (B E)[free representatives], where
     L_ff, the free rows of B, is the sublaplacian from free cells to free
     cells; the free representatives are among the row representatives, so G
-    is read off the same probe.  With K = E^T L_ff E = diag(count) G
+    is read off the same rows.  With K = E^T L_ff E = diag(count) G
     (symmetric), G^-1 (G^-T r / count) = G^-1 G^-1 (r / count) is
     K^-1 diag(count) K^-1, and it is L_ff^-2 on invariant fields.  L_ff^2
     differs from B^T B only by the rows of L that land on the clamped ring,

@@ -1,4 +1,4 @@
-"""Distribution functions, decreasing rearrangements and their inequalities.
+"""Decreasing rearrangements and their inequalities.
 
 Every grid cell carries the same volume, so the decreasing rearrangement of a
 field is just its multiset of in-domain values sorted in descending order,
@@ -69,20 +69,9 @@ class RearrangementProfile:
         widths = np.diff(np.concatenate([[0.0], self.measures]))
         return np.concatenate([[0.0], np.cumsum(self.values * widths)])[:-1]
 
-    def lp_integral(self, p: float) -> float:
-        """int_0^{|Omega|} |f*|^p dt, exact on the steps."""
-        widths = np.diff(np.concatenate([[0.0], self.measures]))
-        return float(np.sum(np.abs(self.values) ** p * widths))
-
     def to_csv(self, path: str | Path) -> None:
         # Python floats format faster than numpy scalars, to the same text
         write_csv(path, ["measure", "value"], [self.measures.tolist(), self.values.tolist()])
-
-
-def distribution(f: GridField, s: float) -> float:
-    """lambda_f(s) = measure of {f > s} inside the domain mask."""
-    vals = f.masked()
-    return float(np.count_nonzero(vals > s)) * f.domain.cell_volume
 
 
 def decreasing_rearrangement(f: GridField) -> RearrangementProfile:

@@ -238,10 +238,6 @@ class ValidationReport:
     checks: list[HypothesisCheck]
     sampled_range: tuple[float, float]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
     def passed_geometry(self) -> bool:
         """The four checks the subcritical saddle search relies on."""
         need = {"sign", "primitive_bound", "superquadratic", "origin_gap"}

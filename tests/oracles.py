@@ -1,15 +1,21 @@
-"""Stencil-side oracles of the quadratic form ||L u||^2.
+"""References and helpers that only the tests use.
 
-The package computes the form one way, on the orbit unknowns of
-operators.orbit_form.  These references compute it from the stencil on
-whole fields instead, so the tests can check the form against them.
+The package computes the quadratic form ||L u||^2 one way, on the orbit
+unknowns of operators.orbit_form.  The stencil-side references below compute
+it from the stencil on whole fields instead, so the tests can check the form
+against them.  The rest are small quantities the tests state their checks
+in: the frame, distribution functions, L^p integrals of a rearrangement, the
+origin cell, the verdict of a hypothesis report and a polar ball integral.
 """
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
+from heisadams.constants import SharpConstants
 from heisadams.grids import GridDomain, GridField
 from heisadams.operators import _probed_rows, integrate_weighted, sublaplacian
+from heisadams.rearrange import RearrangementProfile
+from heisadams.varsolve import ValidationReport
 
 
 def free_columns(domain: GridDomain) -> csc_matrix:
@@ -48,3 +54,52 @@ def rayleigh_quotient(u: GridField, a: float) -> float:
     if denom == 0.0:
         raise ValueError("quotient undefined: field vanishes on the weighted domain")
     return dirichlet_energy(u) / denom
+
+
+def apply_fields(u: GridField):
+    """Centered first differences of the frame: returns (Xu, Yu, Tu)."""
+    dom = u.domain
+    hx, hy, ht = dom.spacing
+    up = np.pad(u.values, 1)
+    X, Y, _ = dom.coords()
+
+    ux = (up[2:, 1:-1, 1:-1] - up[:-2, 1:-1, 1:-1]) / (2 * hx)
+    uy = (up[1:-1, 2:, 1:-1] - up[1:-1, :-2, 1:-1]) / (2 * hy)
+    ut = (up[1:-1, 1:-1, 2:] - up[1:-1, 1:-1, :-2]) / (2 * ht)
+
+    return (
+        GridField(dom, ux + 2.0 * Y * ut),
+        GridField(dom, uy - 2.0 * X * ut),
+        GridField(dom, ut),
+    )
+
+
+def distribution(f: GridField, s: float) -> float:
+    """lambda_f(s) = measure of {f > s} inside the domain mask."""
+    vals = f.masked()
+    return float(np.count_nonzero(vals > s)) * f.domain.cell_volume
+
+
+def lp_integral(prof: RearrangementProfile, p: float) -> float:
+    """int_0^{|Omega|} |f*|^p dt, exact on the steps."""
+    widths = np.diff(np.concatenate([[0.0], prof.measures]))
+    return float(np.sum(np.abs(prof.values) ** p * widths))
+
+
+def origin_cell(domain: GridDomain) -> tuple[int, int, int] | None:
+    """Index of the cell centered exactly at 0, or None."""
+    nx, ny, nt = domain.shape
+    if nx % 2 and ny % 2 and nt % 2:
+        return (nx // 2, ny // 2, nt // 2)
+    return None
+
+
+def all_passed(report: ValidationReport) -> bool:
+    return all(c.passed for c in report.checks)
+
+
+def weighted_ball_integral(constants: SharpConstants, a: float) -> float:
+    """Polar value of int_{B(0,1)} rho^-a d xi = c0 / (Q-a)."""
+    if a >= constants.q:
+        raise ValueError(f"weight exponent a={a} must be < Q={constants.q}")
+    return constants.c0 / (constants.q - a)

@@ -455,13 +455,16 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, capsys, command):
     (None, ["capacity", "--grid", "6", "--ell", "0.9"]),
     (None, ["capacity", "--grid", "17", "--ell", "0.9"]),
     (["capacity", "--grid", "9"], ["capacity", "--grid", "6", "--ell", "0.9"]),
-], ids=["args0", "args1", "args2", "reused_out"])
+    (["capacity", "--grid", "9"], ["capacity", "--grid", "9", "--ell", "2"]),
+], ids=["args0", "args1", "args2", "reused_out", "reused_out_resolve"])
 def test_unresolvable_ell_exits_2(tmp_path, capsys, before, args):
     """An ell whose plateau holds no cell (ball 6 at the default ks reaches
     ell = 1/4), or reaches the clamped ring, is a configuration error: exit
     2 from inside the command, with the output directory made but neither
-    an artifact nor the manifest written.  In a directory reused from a
-    completed run, the earlier manifest is removed and its artifacts stay."""
+    an artifact nor the manifest written; an ell outside (0, 1) exits 2
+    while the configuration is resolved.  In a directory reused from a
+    completed run, the earlier manifest is removed either way and its
+    artifacts stay."""
     out = tmp_path / "out"
     left = []
     if before:
@@ -471,6 +474,19 @@ def test_unresolvable_ell_exits_2(tmp_path, capsys, before, args):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert out.is_dir() and sorted(p.name for p in out.iterdir()) == left
+
+
+def test_resolve_error_reads_out_from_the_config_file(tmp_path):
+    """A configuration error found while resolving removes the manifest from
+    the out that a parsed config file names, and still exits 2 when out is
+    a file."""
+    out = tmp_path / "d"
+    assert run_cli(["capacity", "--grid", "9", "--out", str(out)]) == 0
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"out = {out}\nell = 2\n")
+    assert run_cli(["capacity", "--grid", "9", "--config", str(cfgfile)]) == 2
+    assert not (out / "manifest.json").exists() and (out / "capacity.json").exists()
+    assert run_cli(["capacity", "--ell", "2", "--out", str(cfgfile)]) == 2
 
 
 def test_continuation_falling_ray_exits_3(tmp_path, capsys):

@@ -345,8 +345,8 @@ def test_probe_solves_each_plateau_once_per_domain(monkeypatch):
 
 
 def test_capacity_runs_no_stencil_sweep_once_the_form_is_built(monkeypatch):
-    """The energy is volume ||C y||^2, cached with the CG result: after the
-    form's 27 probes of B, a profile sweeps the stencil no more."""
+    """The energy is volume ||C y||^2, cached with the CG result: once the
+    form is built, a profile sweeps the stencil no more."""
     ball = ha.ball_grid(17)
     orbit_form(ball)
     calls = count_sweeps(monkeypatch)

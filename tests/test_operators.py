@@ -6,13 +6,12 @@ from scipy.sparse import csc_matrix, csr_matrix, diags, identity
 
 from heisadams.grids import orbit_images
 from heisadams.operators import (
-    apply_fields,
     orbit_form,
     sublaplacian,
 )
 
 from conftest import count_sweeps, counted_cg, holed_ball17, orbit_sums, random_free_field
-from oracles import dirichlet_energy, free_columns, inner
+from oracles import apply_fields, dirichlet_energy, free_columns, inner, origin_cell
 
 
 def _interior(n, pad=2):
@@ -198,8 +197,9 @@ def test_zero_policy_one_sided_difference():
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.box_grid(13), ha.ball_grid(13)],
                          ids=["box9", "box13", "ball13"])
 def test_probed_free_sublaplacian_matches_stencil(dom):
-    """B = L[:, free], read off by 27-colour probing, is the stencil on the
-    whole box, and its free rows are exactly symmetric."""
+    """B = L[:, free], read off _stencil at the rows within one cell of the
+    free cells, is the stencil on the whole box, and its free rows are
+    exactly symmetric."""
     B = free_columns(dom)
     assert free_columns(dom) is B      # probed once per domain
     free = dom.free_mask()
@@ -214,11 +214,15 @@ def test_probed_free_sublaplacian_matches_stencil(dom):
     assert (Lff != Lff.T).nnz == 0
 
 
-@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(13)], ids=["box9", "ball13"])
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.ball_grid(13), ha.box_grid(8),
+                                 ha.box_grid(7, extent=2.0), ha.group_lattice_grid(9)],
+                         ids=["box9", "ball13", "box8", "box7_extent2", "lattice9"])
 def test_probed_columns_are_one_sweep_per_free_cell(dom):
     """The probed B equals, bit for bit, the B whose column at each free cell
     is one sublaplacian sweep of that cell's indicator: a check of the
-    reference that does not share the colouring of _probed_rows."""
+    reference that shares neither the unit-vector evaluation nor the
+    neighbour indexing of _probed_rows, on odd and even grids, a non-unit
+    extent and the lattice spacing ht = 2 hx hy."""
     cols = []
     for cell in np.flatnonzero(dom.free_mask()):
         e = np.zeros(dom.shape)
@@ -352,10 +356,10 @@ def test_orbit_form_rejects_cells_that_are_not_invariant():
 
 def test_one_orbit_build_and_one_factor_per_domain(monkeypatch):
     """Capacity profiles at four plateaus, a lambda_estimate and a saddle
-    search on one domain classify its orbits once (cells and rows), probe its
-    representative rows in 27 sweeps without assembling B, and factor G
-    once, incompletely, on the one Form they share.  No module binds the
-    exact sparse LU."""
+    search on one domain classify its orbits once (cells and rows), evaluate
+    the stencil at its representative rows without a sweep or assembling B,
+    and factor G once, incompletely, on the one Form they share.  No module
+    binds the exact sparse LU."""
     import heisadams.extremals as ext
     import heisadams.operators as ops
     assert not hasattr(ops, "splu") and not hasattr(ext, "splu")
@@ -376,7 +380,7 @@ def test_one_orbit_build_and_one_factor_per_domain(monkeypatch):
     assert ha.lambda_estimate(ball, 1.0).converged
     assert ha.mountain_pass_solve(ha.cubic_model(), 1.0, ball)[1].converged
     assert calls == {"_orbits": 2, "spilu": 1}
-    assert len(sweeps) == 27
+    assert sweeps == []
     assert "free_columns" not in ball._cache and "capacity_ilu" not in ball._cache
     assert orbit_form(ball) is form
 
@@ -442,7 +446,7 @@ def test_green_function_constant_of_the_discretized_operator():
     free = dom.free_mask()
     Lff = free_columns(dom)[np.flatnonzero(free), :]
     delta = np.zeros(dom.shape)
-    delta[dom.origin_cell] = 1.0 / dom.cell_volume
+    delta[origin_cell(dom)] = 1.0 / dom.cell_volume
     g, _, res = counted_cg(-Lff, delta[free], 1e-10, 2000)
     assert res <= 1e-10
     rho = dom.gauge()[free]

@@ -497,8 +497,8 @@ def test_continuation_diagnostics_match_the_stencil_oracles():
 
 
 def test_continuation_runs_no_stencil_sweep_once_the_form_is_built(monkeypatch):
-    """The diagnostics of every stage read orbit_form: after its 27 probes of
-    B, a 3-stage run sweeps the stencil no more."""
+    """The diagnostics of every stage read orbit_form: once it is built, a
+    3-stage run sweeps the stencil no more."""
     dom = ha.box_grid(9)
     orbit_form(dom)
     calls = count_sweeps(monkeypatch)
@@ -550,9 +550,9 @@ def _count_form_applies(monkeypatch, part, calls, unit=1):
 
 @pytest.mark.parametrize("a", sorted(_LAMBDA_BOX13_UNPRECONDITIONED))
 def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
-    """Applies counted in the parent's units: every stencil sweep (the 27
-    probes of B included) is one, every product with the orbit form's
-    operator C^T C is two."""
+    """Applies counted in the parent's units: every stencil sweep is one
+    (building the orbit form sweeps none), every product with the orbit
+    form's operator C^T C is two."""
     calls = count_sweeps(monkeypatch)
     _count_form_applies(monkeypatch, "A", calls, unit=2)
     value, iterations, applies = _LAMBDA_BOX13_UNPRECONDITIONED[a]
