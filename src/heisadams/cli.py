@@ -303,7 +303,7 @@ def cmd_capacity(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, s
         prof = capacity_profile(cfg.ell, dom)
     except ValueError as exc:    # an ell the grid cannot resolve
         raise ConfigError(str(exc)) from exc
-    adams = adams_function(cfg.ell, 1.0, dom, profile=prof)
+    adams = adams_function(prof)
     save_field(prof.field, out / "capacity_field.bin")
     write_json(out / "capacity.json", {**_fields(prof, "field"), "plateau": adams.plateau,
                                        "normEstimate": adams.normEstimate})

@@ -29,15 +29,17 @@ The energy ||L u||^2 of the minimizer is read off the form as
 volume ||C y||^2, y its unknowns, with no stencil sweep.  The profile
 depends on ell only through the plateau cells, so the CG result (unknowns,
 iterations, residual, energy) is cached on the domain keyed by those
-cells, tol and max_iter, the way singular_weight is cached per a: a probe
-over several a, or over several ell below the grid resolution, solves each
+cells and tol, the way singular_weight is cached per a: a probe over
+several a, or over several ell below the grid resolution, solves each
 distinct plateau once.
 
 The Adams function with inner radius r inside gauge radius R is
 
     A_r(xi) = sqrt(Q log(R/r) / A) * U_{r/R}(xi / R),   zero for |xi| >= R.
 
-The plateau amplitude is exact arithmetic; the norm estimate inherits the
+The norm is dilation invariant in Q = 4, so A_r depends on ell = r/R alone
+and is read off the capacity profile U_ell on the unit-ball grid.  The
+plateau amplitude is exact arithmetic; the norm estimate inherits the
 discrete capacity energy, which approaches the log-capacity bound
 A / (Q log(1/ell)) only as ell -> 0 (the measured slack at moderate ell is
 reported, not hidden).  The sharp exponent A is constants.BIG_A.
@@ -75,15 +77,15 @@ class CapacityProfile:
 
 @dataclass
 class AdamsFunction:
-    r: float
-    bigR: float
     field: GridField
     normEstimate: float
-    plateau: float              # sqrt(Q log(R/r) / A), exact arithmetic
+    plateau: float              # sqrt(Q log(1/ell) / A), exact arithmetic
 
 
-def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
-                     max_iter: int = 20000) -> CapacityProfile:
+_CAPACITY_CG_MAX_ITER = 20000
+
+
+def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8) -> CapacityProfile:
     """Discrete conductor-capacity minimizer of B_ell inside the unit ball.
 
     grid must be a unit-ball grid (mask = gauge <= 1).  The plateau region is
@@ -91,9 +93,9 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     constraints are infeasible and ValueError is raised; so it is when a
     plateau cell lies on the clamped ring and when the mask is not
     invariant under the symmetry group of L.
-    The CG result is cached on the grid per (plateau cells, tol, max_iter),
-    so every ell with the same plateau shares one solve; each call returns
-    its own field.
+    The CG result is cached on the grid per (plateau cells, tol), so every
+    ell with the same plateau shares one solve; each call returns its own
+    field.
     """
     if not (0.0 < ell < 1.0):
         raise ValueError(f"ell must lie in (0, 1), got {ell}")
@@ -117,7 +119,7 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
         raise ValueError("no free cells between B_ell and the ball boundary")
 
     cache = grid._cache
-    key = ("capacity", np.flatnonzero(plateau).tobytes(), tol, max_iter)
+    key = ("capacity", np.flatnonzero(plateau).tobytes(), tol)
     if key not in cache:
         scale = form.count[off] ** -0.5
         Cf = csr_matrix(form.C[:, off].multiply(scale))
@@ -132,7 +134,7 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
             return form.M(x)[off] / scale
 
         steps = []                       # cg calls back once per iteration
-        z, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
+        z, _ = cg(A, b, rtol=tol, atol=0.0, maxiter=_CAPACITY_CG_MAX_ITER,
                   M=LinearOperator(shape, matvec=precondition, dtype=float),
                   callback=steps.append)
         y[off] = scale * z
@@ -156,24 +158,17 @@ def capacity_profile(ell: float, grid: GridDomain, tol: float = 1e-8,
     )
 
 
-def adams_function(r: float, bigR: float, grid: GridDomain, tol: float = 1e-8,
-                   profile: CapacityProfile | None = None) -> AdamsFunction:
-    """Plateau function sqrt(Q log(R/r)/A) * U_{r/R}(xi/R), zero outside B_R.
+def adams_function(profile: CapacityProfile) -> AdamsFunction:
+    """Plateau function sqrt(Q log(1/ell)/A) * U_ell of a capacity profile.
 
-    grid is the unit-ball grid on which the capacity problem is solved; the
-    returned field lives on the same grid, understood as B_R after the
-    dilation xi -> xi/R (the norm is dilation invariant in Q = 4, so the
-    energy needs no rescaling).  A precomputed capacity profile for ell = r/R
-    may be passed to skip the solve.
+    The field lives on the profile's unit-ball grid, understood as B_R after
+    the dilation xi -> xi/R with ell = r/R (the norm is dilation invariant
+    in Q = 4, so the energy needs no rescaling).
     """
-    if not (0.0 < r < bigR):
-        raise ValueError(f"need 0 < r < R, got r={r}, R={bigR}")
-    ell = r / bigR
-    prof = profile if profile is not None else capacity_profile(ell, grid, tol=tol)
-    amplitude = float(np.sqrt(Q * np.log(bigR / r) / BIG_A))
-    field = GridField(grid, amplitude * prof.field.values)
-    norm = float(np.sqrt(amplitude ** 2 * prof.energy))
-    return AdamsFunction(r=r, bigR=bigR, field=field, normEstimate=norm, plateau=amplitude)
+    amplitude = float(np.sqrt(Q * np.log(1.0 / profile.ell) / BIG_A))
+    field = GridField(profile.field.domain, amplitude * profile.field.values)
+    norm = float(np.sqrt(amplitude ** 2 * profile.energy))
+    return AdamsFunction(field=field, normEstimate=norm, plateau=amplitude)
 
 
 def singular_mt_functional(u: GridField, beta: float, a: float) -> float:
@@ -209,7 +204,7 @@ def sharpness_probe(a: float, betas, ks, grid: GridDomain,
     rows: list[ProbeRow] = []
     for k in sorted(set(int(k) for k in ks)):
         prof = capacity_profile(1.0 / k, grid, tol=tol)
-        af = adams_function(1.0 / k, 1.0, grid, profile=prof)
+        af = adams_function(prof)
         for beta in betas:
             rows.append(
                 ProbeRow(

@@ -19,10 +19,10 @@ The saddle search works on the Nehari manifold {u != 0 : J'(u) u = 0}, where
 the mountain-pass level is the minimum of J when f(u)/u increases in |u|
 (Choi & McKenna 1993; Li & Zhou 2001).  A seed ray is scaled to its energy
 maximum, Sobolev-gradient steps u - (L^2)^-1 grad J(u) are scaled back to
-their ray maxima until the step is small, and damped Newton-MINRES then
-drives the stationarity residual to tight tolerances.  Each ray maximum
-bounds the mountain-pass level from above, and their running minimum is
-the reported level.
+their ray maxima until the step is small, and Newton-MINRES then drives the
+stationarity residual to tight tolerances.  Each ray maximum bounds the
+mountain-pass level from above, and their running minimum is the reported
+level.
 
 The weighted Rayleigh constant lambda_1(a), the ceiling f must stay under,
 is the smallest eigenvalue of the pencil (L^2, diag(w_a)) on invariant
@@ -152,8 +152,10 @@ class LambdaResult:
     converged: bool
 
 
-def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
-                    max_outer: int = 200) -> LambdaResult:
+_LAMBDA_MAX_ITERS = 200
+
+
+def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10) -> LambdaResult:
     """Smallest Rayleigh quotient ||u||^2 / int u^2/rho^a by block-one LOBPCG.
 
     The pencil is (L^2, diag(w_a)) on the invariant fields of the free
@@ -164,11 +166,12 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     M and moves x to the Rayleigh-Ritz minimizer
     over span{x, M r, p}, p the previous step (Knyazev 2001): one
     preconditioner apply and one L^2 apply, no inner solve.  It stops once
-    lambda moves by at most tol relative and the residual
-    ||L^2 x - lambda w x|| / ||w x|| (norms of the free-cell vectors) is at
-    most sqrt(tol); after max_outer iterations it returns the last iterate
-    with converged=False.  Raises ValueError when the free cells are not
-    invariant under the symmetry group of L.
+    lambda moves by at most tol relative and the relative residual
+    ||L^2 x - lambda w x|| / (|lambda| ||w x||) (norms of the free-cell
+    vectors), which does not change with the scale of the domain, is at
+    most sqrt(tol); after _LAMBDA_MAX_ITERS iterations it returns the last
+    iterate with converged=False.  Raises ValueError when the free cells are
+    not invariant under the symmetry group of L.
 
     scipy's lobpcg on the same orbit-form operators (residual tolerance
     1e-5) gives the same lambda_1, to 2.5e-14, but is slower: at box 17,
@@ -192,7 +195,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
     p = Ap = None
     res = np.inf
     it = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, _LAMBDA_MAX_ITERS + 1):
         z = form.M(r)
         z, Az = w_normalized(z, form.A(z))
         S = np.column_stack([x, z] if p is None else [x, z, p])
@@ -206,7 +209,7 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10,
         x, Ax = w_normalized(S @ c, AS @ c)
         lam_prev, lam = lam, float(x @ Ax)
         r = Ax - lam * w * x
-        res = _residual_norm(form, r) / _residual_norm(form, w * x)
+        res = _residual_norm(form, r) / (abs(lam) * _residual_norm(form, w * x))
         if abs(lam - lam_prev) <= tol * abs(lam) and res <= np.sqrt(tol):
             return LambdaResult(value=lam, residual=res, iterations=it, converged=True)
     return LambdaResult(value=lam, residual=res, iterations=it, converged=False)
@@ -427,7 +430,7 @@ def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
 def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
                         opts: SolveOptions | None = None,
                         warm_start: GridField | None = None) -> tuple[GridField, MountainPassState]:
-    """Saddle search by Nehari-projected descent, finished by damped Newton.
+    """Saddle search by Nehari-projected descent, finished by Newton.
 
     The search runs on the unknowns of orbit_form(domain).  The
     seed ray (a positive bump, or the warm start) is scaled to the
@@ -437,10 +440,11 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     geometry_failure set.  Each descent step subtracts the
     Sobolev gradient d = (L^2)^-1 grad J(u), one preconditioned
     conjugate-gradient solve, and scales the result back
-    to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, damped Newton
-    drives the residual below tol: the linearization L^2 - w f'(u) is
-    symmetric but indefinite at a saddle, so each step is a MINRES solve,
-    halved until the residual decreases.  Both phases
+    to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, Newton drives
+    the residual below tol: the linearization L^2 - w f'(u) is symmetric but
+    indefinite at a saddle, so each step is a MINRES solve, taken whole; a
+    step that does not lower the residual ends Newton as stagnated, with the
+    last iterate and converged=False.  Both phases
     share the form's preconditioner M.  Every ray maximum max_t J(t u) bounds
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
@@ -499,17 +503,12 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         unconverged += info != 0
         if info != 0 and not np.isfinite(delta).all():
             break
-        s = 1.0
-        improved = False
-        for _ in range(30):
-            trial = x + s * delta
-            gt = grad_energy(form, trial, nl, a)
-            rt = _residual_norm(form, gt)
-            if rt < res:
-                x, g, res = trial, gt, rt
-                improved = True
-                break
-            s *= 0.5
+        trial = x + delta
+        gt = grad_energy(form, trial, nl, a)
+        rt = _residual_norm(form, gt)
+        improved = rt < res
+        if improved:
+            x, g, res = trial, gt, rt
         unorm = _norm(form, x)
         level = min(level, energy(form, _ray_max(form, x, nl, a), nl, a))
         history.append((len(history) + 1, level, res, unorm))

@@ -228,14 +228,14 @@ def test_criterion_6a_capacity_energy_bound(cap33):
 
 
 def test_criterion_6b_adams_norm(ball33, cap33):
-    af = ha.adams_function(0.5, 1.0, ball33, profile=cap33)
+    af = ha.adams_function(cap33)
     ok = af.normEstimate <= 1.10
     report("6b", "plateau-family norm <= 1.10 @33^3", ok,
            f"norm {af.normEstimate:.2f} (inherits the capacity excess)")
 
 
 def test_criterion_6c_plateau_amplitude(ball33, cap33):
-    af = ha.adams_function(0.5, 1.0, ball33, profile=cap33)
+    af = ha.adams_function(cap33)
     want = float(np.sqrt(4 * np.log(2.0) / A))
     ok = af.plateau == want
     report("6c", "plateau amplitude exact", ok, f"{af.plateau!r} == {want!r}")
@@ -315,7 +315,7 @@ def test_criterion_9b_critical_level_bound():
     lam = ha.lambda_estimate(dom, 1.0, tol=1e-10)
     nl = ha.critical_model(lam=0.9 * lam.value, alpha0=1.0)
     rep = ha.validate_hypotheses(nl, 1.0, lam.value, u_max=6.0, m_estimate=8.0)
-    seed = ha.adams_function(0.25, 1.0, dom, tol=1e-8)
+    seed = ha.adams_function(ha.capacity_profile(0.25, dom, tol=1e-8))
     u, st = ha.mountain_pass_solve(nl, 1.0, dom, ha.SolveOptions(tol=1e-6),
                                    warm_start=seed.field)
     J = field_energy(u, nl, 1.0)

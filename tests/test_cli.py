@@ -325,7 +325,7 @@ def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch, capsys):
     before the saddle search, with exit 3, one reason line, the manifest and
     no result of an earlier solve in the directory; the lambda command
     exits 3 with its own reason line."""
-    import functools
+    import heisadams.varsolve as vs
 
     def no_saddle(*args, **kwargs):
         raise AssertionError("saddle search started")
@@ -335,8 +335,7 @@ def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch, capsys):
     assert run_cli(["solve", "--nl", "cubic", *args]) == 0
     assert all((out / name).exists() for name in SOLVE_RESULTS)
     capsys.readouterr()
-    monkeypatch.setattr(cli, "lambda_estimate",
-                        functools.partial(cli.lambda_estimate, max_outer=1))
+    monkeypatch.setattr(vs, "_LAMBDA_MAX_ITERS", 1)
     monkeypatch.setattr(cli, "mountain_pass_solve", no_saddle)
     rc = run_cli(["solve", "--nl", "cubic", *args])
     assert rc == 3
@@ -355,6 +354,34 @@ def test_solve_unconverged_lambda_exit_3(tmp_path, monkeypatch, capsys):
     assert set(doc) == {"a", "value", "residual", "iterations", "converged"}
     assert doc["converged"] is False and doc["iterations"] == 1
     assert_resolves_command_keys(out, "lambda")
+
+
+def test_lambda_converges_on_a_small_extent(tmp_path, capsys):
+    """At extent 0.01 lambda_1 is about 8.4e9: the residual is measured
+    relative to lambda, so the estimate converges with no warning."""
+    out = tmp_path / "lam"
+    assert run_cli(["lambda", "--grid", "9", "--extent", "0.01", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((out / "lambda.json").read_text())
+    assert doc["converged"] is True and doc["value"] > 1e9
+
+
+def test_solve_newton_stagnation_exit_3(tmp_path, capsys):
+    """No Newton step reaches tol = 1e-300: the first full step that does not
+    lower the residual ends Newton on its last iterate, and the solve exits
+    3 with one reason line, converged = false and every artifact written."""
+    out = tmp_path / "stag"
+    assert run_cli(["solve", "--grid", "9", "--tol", "1e-300", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "Newton stagnated; returning its last iterate"]
+    doc = json.loads((out / "solve.json").read_text())
+    assert doc["converged"] is False and doc["newton_iterations"] > 0
+    assert all((out / name).exists() for name in SOLVE_RESULTS)
+    assert_resolves_command_keys(out, "solve")
+    # the rejected step leaves the iterate: the last two trace rows repeat it
+    last, rejected = (ln.split(",")[1:] for ln in
+                      (out / "trace.csv").read_text().splitlines()[-2:])
+    assert rejected == last
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -405,7 +432,7 @@ def test_capacity_command(tmp_path):
     assert doc["slack"] == pytest.approx(doc["energy"] / doc["bound"] - 1, rel=1e-12)
     assert doc["converged"] is True
     assert (out / "capacity_field.bin").exists()
-    adams = ha.adams_function(0.5, 1.0, ha.ball_grid(13), tol=1e-8)
+    adams = ha.adams_function(ha.capacity_profile(0.5, ha.ball_grid(13), tol=1e-8))
     assert (doc["plateau"], doc["normEstimate"]) == (adams.plateau, adams.normEstimate)
 
 
@@ -429,11 +456,8 @@ def test_unconverged_capacity_exit_3(tmp_path, monkeypatch, capsys, command):
     """A capacity CG that ends above its tolerance gives exit 3 with one
     reason line; the artifacts and the manifest are still written,
     capacity.json with converged = false."""
-    import functools
     import heisadams.extremals as ext
-    short = functools.partial(ext.capacity_profile, max_iter=1)
-    monkeypatch.setattr(cli, "capacity_profile", short)
-    monkeypatch.setattr(ext, "capacity_profile", short)
+    monkeypatch.setattr(ext, "_CAPACITY_CG_MAX_ITER", 1)
     out = tmp_path / command
     ks = ["--ks", "2"] if command == "sharpness" else []
     rc = run_cli([command, "--grid", "9", *ks, "--out", str(out)])
@@ -474,6 +498,19 @@ def test_unresolvable_ell_exits_2(tmp_path, capsys, before, args):
     assert run_cli(args + ["--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert out.is_dir() and sorted(p.name for p in out.iterdir()) == left
+
+
+def test_plateau_over_every_free_cell_exits_2(tmp_path, capsys):
+    """At 5^3 the free cells reach gauge 0.716 and the clamped ring starts at
+    0.8, so the plateau of ell = 0.75 leaves no free cell to solve for: exit
+    2 with that reason, no artifact, and a stale manifest removed."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}")
+    assert run_cli(["capacity", "--grid", "5", "--ell", "0.75", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: no free cells between B_ell and the ball boundary"]
+    assert list(out.iterdir()) == []
 
 
 def test_resolve_error_reads_out_from_the_config_file(tmp_path):

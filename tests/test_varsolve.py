@@ -4,7 +4,7 @@ import pytest
 import heisadams as ha
 from heisadams.grids import orbit_images
 from heisadams.operators import orbit_form
-from heisadams.varsolve import GeometryFailure, _ray_max, default_bump
+from heisadams.varsolve import ContinuationStep, GeometryFailure, _ray_max, default_bump
 
 from conftest import count_sweeps, field_energy, holed_ball17, orbit_sums, random_free_field
 from oracles import dirichlet_energy, free_columns, rayleigh_quotient
@@ -518,13 +518,30 @@ def test_continuation_rejects_bad_nmax(box9m):
         ha.critical_continuation(ha.cubic_model(), 0, box9m)
 
 
+@pytest.mark.parametrize("drifts, want", [
+    ([np.nan, 3.0, 2.0, 1.0], True),
+    ([np.nan, 1.0, 4.0, 3.0, 2.0], True),     # only the last three count
+    ([np.nan, 3.0, 1.0, 2.0], False),
+    ([np.nan, 3.0, 2.0, 2.0], False),         # a repeated drift does not decrease
+    ([np.nan, 4.0, 3.0, 2.0, 2.5], False),
+    ([np.nan, 2.0, 1.0], False),              # fewer than three drifts
+])
+def test_tail_differences_decreasing(drifts, want):
+    """The first stage's NaN drift is skipped, and the verdict reads the last
+    three finite drifts."""
+    steps = [ContinuationStep(n=n, a=4.0 - 1.0 / n, solution=None, state=None, norm=1.0,
+                              diff_from_previous=d, weighted_uf=0.0, weighted_F=0.0)
+             for n, d in enumerate(drifts, 1)]
+    assert ha.tail_differences_decreasing(steps) is want
+
+
 # lambda_estimate on box 13: value and sublaplacian applies of the
 # unpreconditioned inverse iteration it replaced (each L^2 apply was two
 # stencil sweeps), and LOBPCG iterations of the current estimate
 _LAMBDA_BOX13_UNPRECONDITIONED = {
-    0.0: (120.51051478127278, 15, 12698),
-    1.0: (56.23572329595739, 14, 13386),
-    3.0: (5.436961463070182, 11, 8218),
+    0.0: (120.51051478127278, 11, 12698),
+    1.0: (56.23572329595739, 11, 13386),
+    3.0: (5.436961463070182, 10, 8218),
 }
 
 
@@ -564,8 +581,11 @@ def test_lambda_preconditioned_same_value_tenth_of_applies(monkeypatch, a):
     assert sum(calls) <= applies / 10
 
 
-def test_lambda_iteration_cap_is_not_converged(box9m):
-    res = ha.lambda_estimate(box9m, 1.0, max_outer=1)
+def test_lambda_iteration_cap_is_not_converged(box9m, monkeypatch):
+    import heisadams.varsolve as vs
+    with monkeypatch.context() as patch:
+        patch.setattr(vs, "_LAMBDA_MAX_ITERS", 1)
+        res = ha.lambda_estimate(box9m, 1.0)
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.value)
