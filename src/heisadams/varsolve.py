@@ -20,7 +20,11 @@ the mountain-pass level is the minimum of J when f(u)/u increases in |u|
 (Choi & McKenna 1993; Li & Zhou 2001).  A seed ray is scaled to its energy
 maximum, Sobolev-gradient steps u - (L^2)^-1 grad J(u) are scaled back to
 their ray maxima until the step is small, and Newton-MINRES then drives the
-stationarity residual to tight tolerances.  Each ray maximum bounds the
+stationarity residual to tight tolerances.  Newton is inexact (Dembo,
+Eisenstat & Steihaug 1982): each MINRES solve stops at a forcing term that
+tightens as the outer residual falls (Eisenstat & Walker 1996), and a step
+that does not lower the residual is solved again at 1e-10 before Newton
+counts as stagnated.  Each ray maximum bounds the
 mountain-pass level from above, and their running minimum is the reported
 level.
 
@@ -348,6 +352,7 @@ _DESCENT_CG_TOL = 1e-3
 _DESCENT_CG_MAX_ITER = 20000
 _NEWTON_SWITCH = 1e-1        # relative descent-step size at which Newton takes over
 _NEWTON_MAX_ITERS = 60
+_NEWTON_RTOL = 1e-10         # the tightest MINRES tolerance, and a failed inexact step's retry
 _TRIVIALITY_FLOOR = 1e-6     # a solution with ||u|| at or below it is the trivial state
 _RAY_T_MAX = 1e12            # J still rising at t ||u|| past it: the ray has no maximum
 
@@ -366,8 +371,20 @@ class MountainPassState:
     converged: bool
     geometry_failure: bool = False
     newton_iterations: int = 0
+    descent_cg_iterations: int = 0   # summed over the descent's CG solves
+    minres_iterations: int = 0       # summed over Newton's MINRES solves, retries included
     inner_unconverged: int = 0   # descent CG and Newton MINRES solves returning info != 0
     message: str = ""
+
+
+class _Count:
+    """A Krylov solver callback that counts the iterations it is called after."""
+
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, _xk):
+        self.n += 1
 
 
 class GeometryFailure(RuntimeError):
@@ -393,7 +410,12 @@ def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
     the root is found by Newton steps kept inside a bisection bracket, and t
     doubles from 1 while the bracket is still open.  As in rtsafe, a Newton
     step longer than half the previous step bisects instead, so the search
-    cannot creep along a steep exponential.  Raises GeometryFailure when
+    cannot creep along a steep exponential.  The search stops once a Newton
+    step moves t by at most 1e-15 t.  That test comes before the bracket
+    safeguard: a t where phi' is exactly 0 becomes the bracket's upper end,
+    and the safeguard would reject its Newton point, t itself, as outside
+    the bracket and bisect from lo.  The search also stops when a bisection
+    step is that short.  Raises GeometryFailure when
     phi' is still positive once t ||x|| passes _RAY_T_MAX, or has been
     nonpositive at every t tried down to t ||x|| <= _TRIVIALITY_FLOOR (J falls
     from the origin), and RuntimeError when 200 steps do not pin the root down.
@@ -417,10 +439,12 @@ def _ray_max(form: Form, x: Array, nl: NonlinearitySpec, a: float) -> Array:
                 hi = t
             d2 = unorm2 - float(np.sum(wx * x * nl.fprime(tx)))
             t_new = t - d1 / d2 if d2 < 0.0 else np.nan
+            if abs(t_new - t) <= 1e-15 * t:    # t is the root, even as a bracket end
+                break
             if not lo < t_new < hi or abs(2.0 * d1) > abs(dt_prev * d2):
                 t_new = 2.0 * t if np.isinf(hi) else 0.5 * (lo + hi)
-            if abs(t_new - t) <= 1e-15 * t:
-                break
+                if abs(t_new - t) <= 1e-15 * t:    # the bracket has closed
+                    break
             dt_prev, t = t_new - t, t_new
         else:
             raise RuntimeError(f"ray search unconverged after 200 steps, t in [{lo}, {hi}]")
@@ -441,10 +465,16 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     Sobolev gradient d = (L^2)^-1 grad J(u), one preconditioned
     conjugate-gradient solve, and scales the result back
     to its ray maximum.  Once ||d|| <= _NEWTON_SWITCH ||u||, Newton drives
-    the residual below tol: the linearization L^2 - w f'(u) is symmetric but
-    indefinite at a saddle, so each step is a MINRES solve, taken whole; a
-    step that does not lower the residual ends Newton as stagnated, with the
-    last iterate and converged=False.  Both phases
+    the residual r_k below target = tol max(1, ||u||): the linearization
+    L^2 - w f'(u) is symmetric but indefinite at a saddle, so each step is a
+    MINRES solve, taken whole.  Step k solves to the relative tolerance
+    eta_k = max(1e-10, 0.1 target / r_k, min(0.1, 0.9 (r_k / r_{k-1})^2)),
+    with eta_0 = 0.1.  An inexact step that does not lower the residual is
+    solved again at 1e-10; a step at 1e-10 that does not lower it ends
+    Newton as stagnated, with the last iterate and converged=False.  The
+    state records the iterations of the descent's CG solves and of Newton's
+    MINRES solves, retries included, and how many of those solves returned
+    a nonzero info.  Both phases
     share the form's preconditioner M.  Every ray maximum max_t J(t u) bounds
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
@@ -479,6 +509,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
     history: list[tuple[int, float, float, float]] = []
     level = np.inf
     unconverged = 0
+    cg_its, minres_its = _Count(), _Count()
     while True:
         level = min(level, energy(form, x, nl, a))
         g = grad_energy(form, x, nl, a)
@@ -488,7 +519,7 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         if res <= opts.tol * max(1.0, unorm) or len(history) > opts.max_deform_iters:
             break
         d, info = cg(form.A, g, rtol=_DESCENT_CG_TOL, atol=0.0, maxiter=_DESCENT_CG_MAX_ITER,
-                     M=form.M)
+                     M=form.M, callback=cg_its)
         unconverged += info != 0
         # ||d||^2 = <L^2 d, d> = <grad J(u), d>
         if np.sqrt(float(d @ g) * form.volume) <= _NEWTON_SWITCH * unorm:
@@ -496,23 +527,32 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         x = _ray_max(form, x - d, nl, a)
 
     newton_its = 0
+    res_prev = res      # makes the first forcing term 0.1
     while res > opts.tol * max(1.0, unorm) and newton_its < _NEWTON_MAX_ITERS:
         newton_its += 1
         hessian = form.A - aslinearoperator(diags(form.weight(a) * nl.fprime(x)))
-        delta, info = minres(hessian, -g, rtol=1e-10, maxiter=4000, M=form.M)
-        unconverged += info != 0
-        if info != 0 and not np.isfinite(delta).all():
-            break
-        trial = x + delta
-        gt = grad_energy(form, trial, nl, a)
-        rt = _residual_norm(form, gt)
-        improved = rt < res
-        if improved:
-            x, g, res = trial, gt, rt
+        # Eisenstat-Walker choice 2, at most 0.1; it never asks the linear
+        # residual for less than a tenth of the stopping target
+        eta = max(_NEWTON_RTOL, 0.1 * opts.tol * max(1.0, unorm) / res,
+                  min(0.1, 0.9 * (res / res_prev) ** 2))
+        stagnated = True
+        for rtol in sorted({eta, _NEWTON_RTOL}, reverse=True):    # eta, then the retry
+            delta, info = minres(hessian, -g, rtol=rtol, maxiter=4000, M=form.M,
+                                 callback=minres_its)
+            unconverged += info != 0
+            if info != 0 and not np.isfinite(delta).all():
+                continue
+            trial = x + delta
+            gt = grad_energy(form, trial, nl, a)
+            rt = _residual_norm(form, gt)
+            if rt < res:
+                res_prev, x, g, res = res, trial, gt, rt
+                stagnated = False
+                break
         unorm = _norm(form, x)
         level = min(level, energy(form, _ray_max(form, x, nl, a), nl, a))
         history.append((len(history) + 1, level, res, unorm))
-        if not improved:
+        if stagnated:
             break
 
     ok = res <= opts.tol * max(1.0, unorm)
@@ -523,6 +563,8 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         history=history,
         converged=bool(ok and nontrivial),
         newton_iterations=newton_its,
+        descent_cg_iterations=cg_its.n,
+        minres_iterations=minres_its.n,
         inner_unconverged=unconverged,
     )
     if not ok:

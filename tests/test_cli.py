@@ -225,6 +225,7 @@ def test_solve_writes_artifacts_and_trace(tmp_path):
     assert doc["energy"] > 0
     assert doc["gradResidual"] <= 1e-6 * max(1.0, doc["norm"])
     assert doc["rayleigh_bound_ok"]
+    assert doc["descent_cg_iterations"] > 0 and doc["minres_iterations"] > 0
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,level,gradResidual,norm"
     levels = [float(r.split(",")[1]) for r in trace[1:]]

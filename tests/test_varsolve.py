@@ -359,6 +359,41 @@ def test_ray_max_is_the_nehari_point_of_the_ray(box9m, lam9, model):
     assert np.abs(x7 - x).max() <= 1e-12 * np.abs(x).max()
 
 
+def test_ray_search_stops_at_its_root(monkeypatch):
+    """A Newton step on t within rounding of t ends the ray search, even when
+    phi'(t) is exactly 0 and so makes t the bracket's upper end.  Bisecting
+    from t = 0 there instead takes 52-57 evaluations of f on three of this
+    solve's rays; each search takes at most 15 and lands on the Nehari
+    manifold of its ray."""
+    import dataclasses
+    import heisadams.varsolve as vs
+    nl, a = ha.cubic_model(), 3.0
+    evals = []
+
+    def counted_f(U):
+        evals.append(1)
+        return nl.f(U)
+
+    searches = []
+
+    def counted_ray_max(form, x, nl_, a_):
+        before = len(evals)
+        y = ray_max(form, x, nl_, a_)
+        searches.append((len(evals) - before, form, x, y))
+        return y
+
+    ray_max = vs._ray_max
+    monkeypatch.setattr(vs, "_ray_max", counted_ray_max)
+    _, st = ha.mountain_pass_solve(dataclasses.replace(nl, f=counted_f), a, ha.box_grid(13))
+    assert st.converged and len(searches) >= 5
+    for n_f, form, x, y in searches:
+        assert n_f <= 15
+        t = float(y @ x) / float(x @ x)
+        unorm2 = float(x @ form.A(x)) * form.volume
+        d1 = t * unorm2 - form.volume * float((form.weight(a) * x) @ nl.f(y))
+        assert abs(d1) <= 1e-10 * t * unorm2
+
+
 def test_mountain_pass_geometry_positive_ring(box9m, lam9):
     """J > 0 on a small sphere in the norm: sampled over random directions."""
     nl = ha.cubic_model()
@@ -401,6 +436,66 @@ def test_capped_descent_solves_are_counted(box9m, monkeypatch):
     _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
     descents = len(st.history) - st.newton_iterations
     assert st.inner_unconverged >= descents - 1 >= 1
+
+
+def test_inner_krylov_iterations_are_counted(box9m, monkeypatch):
+    """descent_cg_iterations and minres_iterations sum the iterations that
+    scipy's cg and minres report through their callbacks."""
+    import heisadams.varsolve as vs
+    seen = {"cg": 0, "minres": 0}
+
+    def counting(name, solver):
+        def solve(*args, callback, **kw):
+            def count(xk):
+                seen[name] += 1
+                callback(xk)
+            return solver(*args, callback=count, **kw)
+        return solve
+
+    monkeypatch.setattr(vs, "cg", counting("cg", vs.cg))
+    monkeypatch.setattr(vs, "minres", counting("minres", vs.minres))
+    _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
+    assert st.converged and st.newton_iterations > 0
+    assert st.descent_cg_iterations == seen["cg"] > 0
+    assert st.minres_iterations == seen["minres"] > 0
+
+
+@pytest.mark.parametrize("a,lam1,level", [
+    (1.0, 55.666554989838424, 0.22921662895344783),
+    (3.0, 5.171160973290862, 0.0890700467090614),
+])
+def test_newton_forcing_terms_box17_critical(a, lam1, level):
+    """Each Newton step solves its MINRES system only as tightly as the
+    Eisenstat-Walker forcing term asks, so the solve takes at most 30 MINRES
+    iterations (49 and 48 with every step at 1e-10) and reaches the same
+    level.  lambda_1 is shift-invert eigsh's; the levels are those of the
+    solves at 1e-10."""
+    dom = ha.box_grid(17)
+    opts = ha.SolveOptions()
+    u, st = ha.mountain_pass_solve(ha.critical_model(lam=0.9 * lam1), a, dom, opts)
+    assert st.converged
+    assert st.gradResidual <= opts.tol * max(1.0, np.sqrt(dirichlet_energy(u)))
+    assert st.levelEstimate == pytest.approx(level, rel=1e-12)
+    assert st.minres_iterations <= 30
+
+
+def test_a_failed_inexact_newton_step_is_retried_at_1e_10(box9m, monkeypatch):
+    """An inexact step that does not lower the residual is solved again at
+    1e-10 before Newton may stagnate; here the first solve, at the forcing
+    term 0.1, returns a zero step."""
+    import heisadams.varsolve as vs
+    rtols = []
+
+    def zero_first_step(A, b, **kw):
+        rtols.append(kw["rtol"])
+        return (np.zeros_like(b), 0) if len(rtols) == 1 else minres(A, b, **kw)
+
+    minres = vs.minres
+    monkeypatch.setattr(vs, "minres", zero_first_step)
+    _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
+    assert rtols[:2] == [0.1, 1e-10]
+    assert st.converged and st.message == ""
+    assert st.newton_iterations == len(rtols) - 1
 
 
 def test_mountain_pass_rejects_unclamped_warm_start(box9m):
