@@ -370,11 +370,14 @@ def cmd_continuation(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[in
     opts = SolveOptions(tol=cfg.tol)
     steps = critical_continuation(nl, cfg.nmax, dom, opts)
     write_csv(out / "continuation.csv",
-              ["n", "a", "norm", "diff", "weighted_uf", "weighted_F", "level", "gradResidual"],
+              ["n", "a", "norm", "diff", "weighted_uf", "weighted_F", "level", "gradResidual",
+               "newton_iterations", "descent_cg_iterations", "minres_iterations"],
               [[s.n for s in steps], [s.a for s in steps], [s.norm for s in steps],
                [s.diff_from_previous for s in steps], [s.weighted_uf for s in steps],
                [s.weighted_F for s in steps], [s.state.levelEstimate for s in steps],
-               [s.state.gradResidual for s in steps]])
+               [s.state.gradResidual for s in steps], [s.state.newton_iterations for s in steps],
+               [s.state.descent_cg_iterations for s in steps],
+               [s.state.minres_iterations for s in steps]])
     # the last converged stage's solution; none when no stage converged
     converged = [s for s in steps if s.state.converged]
     final = out / "final_solution.bin"

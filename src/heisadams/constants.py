@@ -21,15 +21,17 @@ A(1 - a/4), the plateau amplitude sqrt(Q log k / A), the level ceiling
 compute_constants cross-checks the closed forms: each constant is produced by
 32-node Gauss-Legendre rules (numpy only; angular integral 2 pi by symmetry,
 the t integral of gamma1 in closed form, substitutions that make every
-integrand smooth) with the error estimate |Q_32 - Q_64|, and by an independent
-seeded Monte Carlo estimator; both paths are reported with explicit error
-estimates.
+integrand smooth) with the error estimate |Q_32 - Q_64|, and by a seeded
+Monte Carlo estimator with its sample sigma, summed by numpy.  The gamma1
+Monte Carlo reduces to one variable: its importance weights depend only on
+the angle of a Cauchy draw, so it draws that angle alone.  Both routes
+integrate the same I and apply the same (2 I)^-1, so neither can see a wrong
+normalization of gamma1.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,8 +116,7 @@ def _gamma1_integral_quad(tail_radius: float) -> tuple[float, float]:
 
     val, err = _with_error(lambda n: _gauss(near, 0.0, np.log1p(half), n)
                            + _gauss(far, 0.0, np.sqrt(R4 - half), n))
-    tail = C0 * Q / (4.0 * tail_radius ** 4)  # crude c0 upper bound, only for the tail term
-    return val, err + tail
+    return val, err + C0 / (4.0 * tail_radius ** 4)
 
 
 def _ball_volume_mc(n: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -130,28 +131,22 @@ def _ball_volume_mc(n: int, rng: np.random.Generator) -> tuple[float, float]:
 
 
 def _gamma1_integral_mc(n: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Importance-sampled estimate of the gamma1 integral.
+    """Importance-sampled estimate of the gamma1 integral, one uniform a sample.
 
-    Proposal: z-radius with density 4 r^3/(1+r^4)^2 (so r^4 = u/(1-u) for
-    uniform u), angle uniform, and t Cauchy with scale sqrt(1+r^4).  The
-    weights are bounded, so the plain sample variance is a valid error bar.
+    The proposal draws the z-radius with density p_r = 4 r^3/b^4, where
+    b^2 = 1 + r^4, the z-angle uniformly (folded into the plane measure
+    2 pi r dr), and t = b tan(theta) with theta uniform on (-pi/2, pi/2), a
+    Cauchy draw of density p_t = b/(pi (b^2 + t^2)) = cos^2(theta)/(pi b).
+    The integrand is r^2 (b^2 + t^2)^(-5/2) = r^2 |cos(theta)|^5 / b^5, so the
+    weight integrand 2 pi r/(p_r p_t) is (pi^2/2) |cos(theta)|^3 for every r,
+    and only theta is drawn; its mean is (pi^2/2) 4/(3 pi) = 2 pi/3 = I.  The
+    weights are bounded, so the sample sigma is a valid error bar.  The sums
+    are numpy's: reruns on one machine and numpy build are byte-identical, as
+    for every other float the program writes.
     """
-    u = rng.uniform(0.0, 1.0, size=n)
-    w = u / (1.0 - u)              # r^4
-    r = w ** 0.25
-    b = np.sqrt(1.0 + w)
-    t = b * np.tan(np.pi * (rng.uniform(0.0, 1.0, size=n) - 0.5))
-
-    fval = r ** 2 * (r ** 4 + t * t + 1.0) ** -2.5
-    p_r = 4.0 * r ** 3 / (1.0 + w) ** 2
-    p_t = b / (np.pi * (b * b + t * t))
-    # angular density folded into the 2 pi z-plane measure: p_z(z) = p_r/(2 pi r)
-    weights = fval * 2.0 * np.pi * r / (p_r * p_t)
-    # compensated accumulation keeps the estimate schedule-independent
-    est = math.fsum(weights) / n
-    var = math.fsum((weights - est) ** 2) / (n - 1)
-    sigma = np.sqrt(var / n)
-    return est, sigma
+    theta = np.pi * (rng.uniform(0.0, 1.0, size=n) - 0.5)
+    weights = 0.5 * np.pi ** 2 * np.abs(np.cos(theta)) ** 3
+    return weights.mean(), weights.std(ddof=1) / np.sqrt(n)
 
 
 def compute_constants(options: QuadratureOptions | None = None) -> SharpConstants:

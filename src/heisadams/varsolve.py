@@ -352,7 +352,7 @@ _DESCENT_CG_TOL = 1e-3
 _DESCENT_CG_MAX_ITER = 20000
 _NEWTON_SWITCH = 1e-1        # relative descent-step size at which Newton takes over
 _NEWTON_MAX_ITERS = 60
-_NEWTON_RTOL = 1e-10         # the tightest MINRES tolerance, and a failed inexact step's retry
+_NEWTON_RTOL = 1e-10         # the tightest MINRES tolerance, and a failed inexact step's last retry
 _TRIVIALITY_FLOOR = 1e-6     # a solution with ||u|| at or below it is the trivial state
 _RAY_T_MAX = 1e12            # J still rising at t ||u|| past it: the ray has no maximum
 
@@ -470,11 +470,11 @@ def mountain_pass_solve(nl: NonlinearitySpec, a: float, domain: GridDomain,
     MINRES solve, taken whole.  Step k solves to the relative tolerance
     eta_k = max(1e-10, 0.1 target / r_k, min(0.1, 0.9 (r_k / r_{k-1})^2)),
     with eta_0 = 0.1.  An inexact step that does not lower the residual is
-    solved again at 1e-10; a step at 1e-10 that does not lower it ends
-    Newton as stagnated, with the last iterate and converged=False.  The
-    state records the iterations of the descent's CG solves and of Newton's
-    MINRES solves, retries included, and how many of those solves returned
-    a nonzero info.  Both phases
+    solved again at max(1e-10, 1e-3 eta_k), then at 1e-10; a step at 1e-10
+    that does not lower it ends Newton as stagnated, with the last iterate
+    and converged=False.  The state records the iterations of the descent's
+    CG solves and of Newton's MINRES solves, retries included, and how many
+    of those solves returned a nonzero info.  Both phases
     share the form's preconditioner M.  Every ray maximum max_t J(t u) bounds
     the mountain-pass level from above; the recorded level is their running
     minimum over the iterates of both phases, so it is non-increasing, and
@@ -536,7 +536,8 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
         eta = max(_NEWTON_RTOL, 0.1 * opts.tol * max(1.0, unorm) / res,
                   min(0.1, 0.9 * (res / res_prev) ** 2))
         stagnated = True
-        for rtol in sorted({eta, _NEWTON_RTOL}, reverse=True):    # eta, then the retry
+        # eta, then the retries: a middle rung, then 1e-10
+        for rtol in sorted({eta, max(_NEWTON_RTOL, 1e-3 * eta), _NEWTON_RTOL}, reverse=True):
             delta, info = minres(hessian, -g, rtol=rtol, maxiter=4000, M=form.M,
                                  callback=minres_its)
             unconverged += info != 0

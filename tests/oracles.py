@@ -103,3 +103,22 @@ def weighted_ball_integral(constants: SharpConstants, a: float) -> float:
     if a >= constants.q:
         raise ValueError(f"weight exponent a={a} must be < Q={constants.q}")
     return constants.c0 / (constants.q - a)
+
+
+def gamma1_importance_weights(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The three-variable importance weights of I = int |z|^2 (|z|^4+t^2+1)^(-5/2).
+
+    The z-radius r has density p_r = 4 r^3/(1+r^4)^2 (r^4 = u/(1-u) for
+    uniform u), the z-angle is uniform, and t = b tan(theta) is a Cauchy draw
+    of scale b = sqrt(1+r^4), density p_t = b/(pi (b^2+t^2)).  The weight is
+    the integrand times 2 pi r (the z-angle folded into the plane measure)
+    over p_r p_t.
+    """
+    w = u / (1.0 - u)              # r^4
+    r = w ** 0.25
+    b = np.sqrt(1.0 + w)
+    t = b * np.tan(theta)
+    fval = r ** 2 * (r ** 4 + t * t + 1.0) ** -2.5
+    p_r = 4.0 * r ** 3 / (1.0 + w) ** 2
+    p_t = b / (np.pi * (b * b + t * t))
+    return fval * 2.0 * np.pi * r / (p_r * p_t)

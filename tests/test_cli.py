@@ -599,7 +599,8 @@ def test_continuation_command(tmp_path):
                   "--tol", "1e-6", "--out", str(out)])
     assert rc == 0
     rows = (out / "continuation.csv").read_text().splitlines()
-    assert rows[0] == "n,a,norm,diff,weighted_uf,weighted_F,level,gradResidual"
+    assert rows[0] == ("n,a,norm,diff,weighted_uf,weighted_F,level,gradResidual,"
+                       "newton_iterations,descent_cg_iterations,minres_iterations")
     assert len(rows) == 4
     assert (out / "final_solution.bin").exists()
 

@@ -11,7 +11,7 @@ from heisadams import constants as hc
 from heisadams.group import Q
 from heisadams.io import write_json
 
-from oracles import weighted_ball_integral
+from oracles import gamma1_importance_weights, weighted_ball_integral
 
 # closed-form reductions of the two defining integrals:
 #   V = pi^2/2 (t-slab length 2 sqrt(1-r^4), then polar in z)
@@ -74,6 +74,26 @@ def test_gamma1_quadrature_matches_the_reference_value():
     c = ha.compute_constants(ha.QuadratureOptions(mc_samples=10_000))
     assert c.gamma1 == pytest.approx(1 / (2 * (2 * np.pi / 3 - 5.026547240434208e-7)),
                                      rel=1e-12)
+
+
+def test_gamma1_importance_weights_depend_on_theta_alone():
+    """The Monte Carlo draws theta only: with t = b tan(theta), the weights of
+    the full (r, theta) proposal are (pi^2/2) |cos(theta)|^3 for every r."""
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.0, 1.0, size=10_000)
+    theta = np.pi * (rng.uniform(0.0, 1.0, size=10_000) - 0.5)
+    reduced = 0.5 * np.pi ** 2 * np.abs(np.cos(theta)) ** 3
+    np.testing.assert_allclose(gamma1_importance_weights(u, theta), reduced, rtol=1e-13, atol=0)
+
+
+def test_gamma1_tail_bound_is_the_derived_one():
+    """The reported gamma1 error at R = 20 is dominated by the tail bound
+    c0/(4 R^4) on int_{rho > R} rho^-8, which is within twice the true
+    truncation error (from I = 2 pi/3) and not below it."""
+    c = ha.compute_constants(ha.QuadratureOptions(tail_radius=20.0, mc_samples=10_000))
+    true = abs(c.gamma1 - GAMMA1_EXACT) / GAMMA1_EXACT
+    reported = c.errorEstimates["gamma1"] / c.gamma1
+    assert true <= reported <= 2.0 * true
 
 
 def test_tail_truncation_is_controlled():

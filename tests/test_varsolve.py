@@ -481,21 +481,22 @@ def test_newton_forcing_terms_box17_critical(a, lam1, level):
 
 def test_a_failed_inexact_newton_step_is_retried_at_1e_10(box9m, monkeypatch):
     """An inexact step that does not lower the residual is solved again at
-    1e-10 before Newton may stagnate; here the first solve, at the forcing
-    term 0.1, returns a zero step."""
+    the middle rung max(1e-10, 1e-3 eta), then at 1e-10, before Newton may
+    stagnate; here the first two solves, at the forcing term 0.1 and at
+    1e-4, return zero steps."""
     import heisadams.varsolve as vs
     rtols = []
 
-    def zero_first_step(A, b, **kw):
+    def zero_first_steps(A, b, **kw):
         rtols.append(kw["rtol"])
-        return (np.zeros_like(b), 0) if len(rtols) == 1 else minres(A, b, **kw)
+        return (np.zeros_like(b), 0) if len(rtols) <= 2 else minres(A, b, **kw)
 
     minres = vs.minres
-    monkeypatch.setattr(vs, "minres", zero_first_step)
+    monkeypatch.setattr(vs, "minres", zero_first_steps)
     _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
-    assert rtols[:2] == [0.1, 1e-10]
+    assert rtols[:3] == [0.1, pytest.approx(1e-4, rel=1e-12), 1e-10]
     assert st.converged and st.message == ""
-    assert st.newton_iterations == len(rtols) - 1
+    assert st.newton_iterations == len(rtols) - 2
 
 
 def test_mountain_pass_rejects_unclamped_warm_start(box9m):
@@ -744,3 +745,4 @@ def test_mountain_pass_box33_cubic_pin():
     assert st.converged
     assert st.newton_iterations == 3
     assert st.levelEstimate == pytest.approx(1036.0887288921874, rel=1e-10)
+    assert st.minres_iterations <= 40
