@@ -1,6 +1,6 @@
 """Batch experiment driver.
 
-Every experiment is a subcommand writing CSV/JSON artifacts.  Once it has
+Every experiment is a command writing CSV/JSON artifacts.  Once it has
 run, exiting 0, 3 or 4, main writes manifest.json, whose "resolved" block
 holds the command, out and every key the command read, with the value it
 ran at (flag, config-file value or default); an exit 2 writes none and
@@ -10,11 +10,11 @@ Identical config and seed produce byte-identical artifacts.  Exit codes:
 0 success, 2 configuration error, 3 convergence failure, 4
 hypothesis-validation failure; an exit 3 or 4 names its reason on stderr.
 
-Each subcommand takes --out, --config and a flag for each key it reads
-(_COMMANDS; 'heisadams <command> --help' lists them), and no other.
---config names a flat key=value file ('#' starts a comment) that may set
-only those keys; flags override file values.  Any other key exits 2 before
-the output directory is created.
+Each command takes --out, --config and a flag for each key it reads
+(_COMMANDS; 'heisadams --help' lists them), and no other.  --config names
+a flat key=value file ('#' starts a comment) that may set only those keys;
+flags override file values.  resolve_config checks flags and file lines
+alike: any other key exits 2 before the output directory is created.
 
 Beta tokens for the sharpness probe: a bare float is an absolute exponent,
 'xA' means x times the sharp constant A, and 'x*' means x times the singular
@@ -115,7 +115,7 @@ def _parse_ks(spec: str) -> list[int]:
 
 
 # Every config key, declared once: key -> (type, default, help).  Flags are
-# the keys with '-' for '_'; each subcommand takes "out" and the keys
+# the keys with '-' for '_'; each command takes "out" and the keys
 # _COMMANDS lists for it, and no other.
 _KEYS = {
     "out": (str, "out", "output directory"),
@@ -154,49 +154,56 @@ _RANGES = {
 }
 
 
-def _command_keys(command: str) -> tuple[str, ...]:
-    return ("out",) + _COMMANDS[command][1]
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="heisadams", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        # no abbreviations: 'continuation --a 1' must not mean --alpha0
-        sp = sub.add_parser(command, allow_abbrev=False, argument_default=argparse.SUPPRESS)
-        sp.add_argument("--config", help="flat key=value config file")
-        for key in _command_keys(command):
-            typ, default, text = _KEYS[key]
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ,
-                            help=f"{text} (default {default!r})")
+    # one flat parser that only splits the arguments; resolve_config casts
+    # and checks them.  No abbreviations: 'continuation --a 1' is not --alpha0
+    ap = argparse.ArgumentParser(
+        prog="heisadams", description=__doc__, allow_abbrev=False,
+        argument_default=argparse.SUPPRESS, formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="the flags each command reads besides --out and --config:\n" + "\n".join(
+            f"  {command:<16} " + " ".join(map(_flag, keys))
+            for command, (_, keys) in _COMMANDS.items()))
+    ap.add_argument("command")
+    ap.add_argument("--config", help="flat key=value config file")
+    for key, (_, default, text) in _KEYS.items():
+        ap.add_argument(_flag(key), dest=key, help=f"{text} (default {default!r})")
     return ap
 
 
-def resolve_config(args: argparse.Namespace) -> SimpleNamespace:
-    """Merge defaults <- config file <- command line; validate ranges.
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    The result holds command, out and exactly the command's keys, so reading
-    any other key raises AttributeError.  A ConfigError carries the out the
-    run would have used, unless a config file that might name it did not parse.
+
+def resolve_config(args: argparse.Namespace, extra: list[str] = ()) -> SimpleNamespace:
+    """Merge defaults <- config file <- command line; cast and check each value.
+
+    extra holds the arguments the parser left.  The result holds command,
+    out and exactly the command's keys, so reading any other key raises
+    AttributeError.  A ConfigError carries the out the run would have used,
+    unless a config file that might name it did not parse.
     """
     given = dict(vars(args))
     command = given.pop("command")
-    cfg = {key: _KEYS[key][1] for key in _command_keys(command)}
     path = given.pop("config", None)
     file = None
     try:
         file = _read_config_file(path) if path else {}
-        for key, val in file.items():
-            nkey = key.replace("-", "_")
-            if nkey not in cfg:
-                raise ConfigError(f"{command} does not read config key {key!r}"
-                                  if nkey in _KEYS else f"unknown config key {key!r}")
+        if command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
+        if extra:
+            raise ConfigError("unrecognized arguments: " + " ".join(extra))
+        cfg = {key: _KEYS[key][1] for key in ("out",) + _COMMANDS[command][1]}
+        # key -> (its name in messages, its text); a flag overrides a file line
+        raw = {key.replace("-", "_"): (f"config key {key!r}", val) for key, val in file.items()}
+        raw.update((key, (_flag(key), val)) for key, val in given.items())
+        for key, (name, val) in raw.items():
+            if key not in cfg:
+                raise ConfigError(f"{command} does not read {name}" if key in _KEYS
+                                  else f"unknown {name}")
             try:
-                cfg[nkey] = _KEYS[nkey][0](val)
+                cfg[key] = _KEYS[key][0](val)
             except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {val!r}") from exc
-        cfg.update(given)
+                raise ConfigError(f"bad value for {name}: {val!r}") from exc
         for key, (valid, message) in _RANGES.items():
             if key in cfg and not valid(cfg[key]):
                 raise ConfigError(message.format(cfg[key]))
@@ -404,7 +411,7 @@ def cmd_lambda(cfg: SimpleNamespace, out: Path, derived: dict) -> tuple[int, str
     return EXIT_OK, ""
 
 
-# subcommand -> (runner, the config keys it reads besides out)
+# command -> (runner, the config keys it reads besides out)
 _COMMANDS = {
     "constants": (cmd_constants, ("tail_radius", "mc_samples", "seed")),
     "rearrange-check": (cmd_rearrange_check, ("grid", "seed")),
@@ -417,30 +424,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        cfg = resolve_config(_build_parser().parse_args(argv))
-    except ConfigError as exc:
-        # a directory without a manifest holds no completed run
-        if exc.out is not None and Path(exc.out).is_dir():
-            (Path(exc.out) / "manifest.json").unlink(missing_ok=True)
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    try:    # argparse exits by itself on --help, no command or a flag with no value
+        args, extra = _build_parser().parse_known_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
-
-    out = Path(cfg.out)
+    cfg, derived = None, {}
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: cannot create output dir {out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    derived: dict = {}
-    try:
+        cfg = resolve_config(args, extra)
+        out = Path(cfg.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output dir {out}: {exc}") from exc
         code, reason = _COMMANDS[cfg.command][0](cfg, out, derived)
     except ConfigError as exc:
+        stale = exc.out if cfg is None else cfg.out
         # a directory without a manifest holds no completed run
-        (out / "manifest.json").unlink(missing_ok=True)
+        if stale is not None and Path(stale).is_dir():
+            (Path(stale) / "manifest.json").unlink(missing_ok=True)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # the one manifest, once the command has run (write_json sorts the keys)

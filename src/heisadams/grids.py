@@ -155,12 +155,6 @@ class GridDomain:
         key = ("weight", round(float(a), 12))
         if key in self._cache:
             return self._cache[key]
-        if a == 0.0:
-            w = np.ones(self.shape)
-            w[~self.mask] = 0.0
-            self._cache[key] = w
-            return w
-
         rho = self.gauge()
         hmax = max(self.spacing)
         w = np.zeros(self.shape)

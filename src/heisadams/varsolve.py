@@ -23,8 +23,8 @@ their ray maxima until the step is small, and Newton-MINRES then drives the
 stationarity residual to tight tolerances.  Newton is inexact (Dembo,
 Eisenstat & Steihaug 1982): each MINRES solve stops at a forcing term that
 tightens as the outer residual falls (Eisenstat & Walker 1996), and a step
-that does not lower the residual is solved again at 1e-10 before Newton
-counts as stagnated.  Each ray maximum bounds the
+that does not lower the residual is solved again at tighter terms, down to
+1e-10, before Newton counts as stagnated.  Each ray maximum bounds the
 mountain-pass level from above, and their running minimum is the reported
 level.
 
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import aslinearoperator, cg, minres
+from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, cg, minres
 
 from .constants import BIG_A
 from .grids import GridDomain, GridField
@@ -222,13 +222,11 @@ def lambda_estimate(domain: GridDomain, a: float, tol: float = 1e-10) -> LambdaR
 def _smallest_ritz_vector(S: Array, AS: Array, w: Array) -> Array:
     """Coefficients in the columns of S of the smallest Ritz pair of (A, diag(w)).
 
-    The Gram matrix S^T W S is factored by Cholesky, which raises LinAlgError
-    when the columns are numerically dependent.
+    The generalized eigensolver factors the Gram matrix S^T W S by Cholesky,
+    which raises LinAlgError when the columns are numerically dependent.
     """
-    Linv = np.linalg.inv(np.linalg.cholesky(S.T @ (w[:, None] * S)))
     G = S.T @ AS
-    _, vecs = np.linalg.eigh(Linv @ (0.5 * (G + G.T)) @ Linv.T)
-    return Linv.T @ vecs[:, 0]
+    return eigh(0.5 * (G + G.T), S.T @ (w[:, None] * S))[1][:, 0]
 
 
 # -- hypothesis validation ----------------------------------------------------
@@ -530,7 +528,9 @@ def _saddle_search(form: Form, x: Array, nl: NonlinearitySpec, a: float,
     res_prev = res      # makes the first forcing term 0.1
     while res > opts.tol * max(1.0, unorm) and newton_its < _NEWTON_MAX_ITERS:
         newton_its += 1
-        hessian = form.A - aslinearoperator(diags(form.weight(a) * nl.fprime(x)))
+        curv = form.weight(a) * nl.fprime(x)    # the Hessian is A - diag(curv)
+        hessian = LinearOperator(form.A.shape, dtype=float,
+                                 matvec=lambda v: form.A(v.ravel()) - curv * v.ravel())
         # Eisenstat-Walker choice 2, at most 0.1; it never asks the linear
         # residual for less than a tenth of the stopping target
         eta = max(_NEWTON_RTOL, 0.1 * opts.tol * max(1.0, unorm) / res,

@@ -501,6 +501,25 @@ def test_unresolvable_ell_exits_2(tmp_path, capsys, before, args):
     assert out.is_dir() and sorted(p.name for p in out.iterdir()) == left
 
 
+@pytest.mark.parametrize("args", [
+    ["capacity", "--grid", "9", "--nmax", "3"],
+    ["capacity", "--grid", "x"],
+    ["capacity", "--gridd", "9"],
+    ["frobnicate"],
+], ids=["key_not_read", "bad_value", "unknown_flag", "unknown_command"])
+def test_a_rejected_flag_removes_the_stale_manifest(tmp_path, capsys, args):
+    """A flag the command does not read, a value that does not cast, an
+    unknown flag or an unknown command exits 2, like the same fault in a
+    config file, and removes the manifest of the completed run in the
+    reused out; that run's artifacts stay."""
+    out = tmp_path / "d"
+    assert run_cli(["capacity", "--grid", "9", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists() and (out / "capacity.json").exists()
+
+
 def test_plateau_over_every_free_cell_exits_2(tmp_path, capsys):
     """At 5^3 the free cells reach gauge 0.716 and the clamped ring starts at
     0.8, so the plateau of ell = 0.75 leaves no free cell to solve for: exit

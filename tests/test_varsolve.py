@@ -499,6 +499,36 @@ def test_a_failed_inexact_newton_step_is_retried_at_1e_10(box9m, monkeypatch):
     assert st.newton_iterations == len(rtols) - 2
 
 
+def test_a_non_finite_minres_step_is_retried_at_the_next_rung(box9m, monkeypatch):
+    """A MINRES solve that returns non-finite entries with a nonzero info is
+    not tried as a step: it is solved again at the next rung, and the solve
+    reaches the level it reaches unpatched."""
+    import heisadams.varsolve as vs
+    _, want = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
+    rtols = []
+
+    def nan_first_step(A, b, **kw):
+        rtols.append(kw["rtol"])
+        return (np.full_like(b, np.nan), 1) if len(rtols) == 1 else minres(A, b, **kw)
+
+    minres = vs.minres
+    monkeypatch.setattr(vs, "minres", nan_first_step)
+    _, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, ha.SolveOptions(tol=1e-6))
+    assert rtols[:2] == [0.1, pytest.approx(1e-4, rel=1e-12)]
+    assert st.converged and st.message == ""
+    assert st.newton_iterations == len(rtols) - 1 and st.inner_unconverged >= 1
+    assert st.levelEstimate == pytest.approx(want.levelEstimate, rel=1e-12)
+
+
+def test_zero_warm_start_is_a_geometry_failure(box9m):
+    """A warm start with no free-cell mass has no ray to search."""
+    zero = ha.GridField(box9m, np.zeros(box9m.shape))
+    u, st = ha.mountain_pass_solve(ha.cubic_model(), 1.0, box9m, warm_start=zero)
+    assert st.geometry_failure and not st.converged
+    assert st.message == "seed direction has zero norm"
+    assert np.all(u.values == 0.0)
+
+
 def test_mountain_pass_rejects_unclamped_warm_start(box9m):
     """The search moves only the free cells, so a warm start that is nonzero
     on the clamped ring would survive into a "converged" non-solution."""
@@ -686,6 +716,27 @@ def test_lambda_iteration_cap_is_not_converged(box9m, monkeypatch):
     assert res.iterations == 1
     assert np.isfinite(res.value)
     assert ha.lambda_estimate(box9m, 1.0).converged
+
+
+def test_lambda_falls_back_to_two_columns_on_a_dependent_ritz_basis(box9m, monkeypatch):
+    """A Ritz basis whose Gram matrix does not factor (here one forced
+    LinAlgError on span{x, M r, p}) drops p for that step; the iteration
+    still reaches the unpatched lambda."""
+    import heisadams.varsolve as vs
+    want = ha.lambda_estimate(box9m, 1.0).value
+    raised = []
+
+    def fail_once_on_three_columns(S, AS, w):
+        if S.shape[1] == 3 and not raised:
+            raised.append(S.shape)
+            raise np.linalg.LinAlgError("injected")
+        return ritz(S, AS, w)
+
+    ritz = vs._smallest_ritz_vector
+    monkeypatch.setattr(vs, "_smallest_ritz_vector", fail_once_on_three_columns)
+    res = ha.lambda_estimate(box9m, 1.0)
+    assert raised and res.converged
+    assert res.value == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("grid,ball,a", [(13, False, 0.0), (13, False, 1.0),
