@@ -13,7 +13,14 @@ discrete quadratic form exactly consistent with its gradient (see operators).
 
 A domain is frozen, its mask a read-only copy fixed at construction, because
 the domain caches what derives from it (free cells, weights, the assembled
-operator, capacity solves) in one dict, _cache.
+operator, capacity solves) in one dict, _cache.  The arrays it hands out
+from that cache (coords, gauge, free_mask, each singular weight) are
+read-only too, so no caller can change what later solves read.
+
+The gauge, the cell centres (_centers negates bit for bit) and the
+subsample offsets of a cell are all even in x, y and t, so the singular
+weight is built on the closed positive octant (cells with X, Y, T >= 0)
+alone and mirrored across the three coordinate planes: it is exactly even.
 
 The t-spacing may differ from the horizontal spacing; ht = 2*hx*hy makes the
 cell centers a subgroup of the group, which some exactness tests rely on.
@@ -45,16 +52,19 @@ def gauge_power_cell_averages(spacing, centers, exponent: float, q: int) -> np.n
     """Cell averages of gauge^exponent by q^3 midpoint subsampling.
 
     centers = (X, Y, T), arrays (or scalars) of one shape, which the result
-    takes; with q even no subsample lands on a center itself.
+    takes; with q even no subsample lands on a center itself.  All q^3
+    subsamples are evaluated in one broadcast along a trailing axis, and
+    each cell's mean sums them in the order of np.meshgrid(..., "ij").
     """
     offsets = [(-0.5 + (np.arange(q) + 0.5) / q) * h for h in spacing]
-    OX, OY, OT = np.meshgrid(*offsets, indexing="ij")
-    X, Y, T = (np.asarray(c) for c in centers)
-    sub = np.empty(X.shape + (q ** 3,))
-    # one subsample per column: broadcasting all at once holds several arrays this size
-    for k, (ox, oy, ot) in enumerate(zip(OX.ravel(), OY.ravel(), OT.ravel())):
-        sub[..., k] = gauge_arr(X + ox, Y + oy, T + ot) ** exponent
-    return np.mean(sub, axis=-1)
+    OX, OY, OT = (o.ravel() for o in np.meshgrid(*offsets, indexing="ij"))
+    X, Y, T = (np.asarray(c)[..., None] for c in centers)
+    return np.mean(gauge_arr(X + OX, Y + OY, T + OT) ** exponent, axis=-1)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -96,13 +106,14 @@ class GridDomain:
         """Meshgrids (X, Y, T) of cell centers, cached."""
         if "XYZ" not in self._cache:
             xs, ys, ts = self.axes()
-            self._cache["XYZ"] = np.meshgrid(xs, ys, ts, indexing="ij")
+            self._cache["XYZ"] = tuple(_read_only(c) for c in
+                                       np.meshgrid(xs, ys, ts, indexing="ij"))
         return self._cache["XYZ"]
 
     def gauge(self) -> np.ndarray:
         if "gauge" not in self._cache:
             X, Y, T = self.coords()
-            self._cache["gauge"] = gauge_arr(X, Y, T)
+            self._cache["gauge"] = _read_only(gauge_arr(X, Y, T))
         return self._cache["gauge"]
 
     def contains_origin(self) -> bool:
@@ -130,7 +141,7 @@ class GridDomain:
             er[0, :, :] = er[-1, :, :] = False
             er[:, 0, :] = er[:, -1, :] = False
             er[:, :, 0] = er[:, :, -1] = False
-            self._cache["free"] = er
+            self._cache["free"] = _read_only(er)
         return self._cache["free"]
 
     def domain_volume(self) -> float:
@@ -139,7 +150,8 @@ class GridDomain:
     # -- singular weight -------------------------------------------------------
 
     def singular_weight(self, a: float) -> np.ndarray:
-        """Per-cell weights for the measure rho^-a d xi, cached per a.
+        """Per-cell weights for the measure rho^-a d xi, cached per a and
+        read-only.
 
         Off the singular head the weight is gauge(center)^-a.  Cells whose
         center lies within _HEAD_CELLS * max(h) of the origin in gauge
@@ -147,6 +159,10 @@ class GridDomain:
         subsampling (an even count, so no subsample ever lands on the
         origin); this removes the O(h) quadrature excess a bare midpoint
         value would leave next to the singular sheet |z|^4 = t^2 scale.
+        Both are evaluated on the closed positive octant only, the cells
+        from index n // 2 on along each axis, and copied to the mirror
+        cells, w[i] = w[n - 1 - i] for i < n // 2 along each axis in turn:
+        the weights are exactly even in x, y and t.
         """
         if a < 0:
             raise ValueError("weight exponent a must be >= 0")
@@ -155,19 +171,19 @@ class GridDomain:
         key = ("weight", round(float(a), 12))
         if key in self._cache:
             return self._cache[key]
-        rho = self.gauge()
-        hmax = max(self.spacing)
-        w = np.zeros(self.shape)
-        far = rho > _HEAD_CELLS * hmax
-        w[far] = rho[far] ** (-a)
-
-        near = ~far
-        if near.any():
-            X, Y, T = self.coords()
-            w[near] = gauge_power_cell_averages(
-                self.spacing, (X[near], Y[near], T[near]), -a, _SUBSAMPLES)
+        octant = tuple(slice(n // 2, None) for n in self.shape)
+        rho = self.gauge()[octant]
+        head = rho <= _HEAD_CELLS * max(self.spacing)
+        w = np.empty(self.shape)
+        wo = w[octant]
+        wo[~head] = rho[~head] ** (-a)
+        wo[head] = gauge_power_cell_averages(
+            self.spacing, tuple(c[octant][head] for c in self.coords()), -a, _SUBSAMPLES)
+        for axis, n in enumerate(self.shape):
+            low = (slice(None),) * axis + (slice(None, n // 2),)
+            w[low] = np.flip(w, axis)[low]
         w[~self.mask] = 0.0
-        self._cache[key] = w
+        self._cache[key] = _read_only(w)
         return w
 
 

@@ -146,7 +146,8 @@ class Form:
     Coordinates of a gradient are orbit sums, so the Euclidean norm of the
     invariant free-cell vector g_full with E^T g_full = g is
     sqrt(g.(g / count)).  weight(a) is E^T w_a, the orbit sums of the
-    singular weight of rho^-a; expand(y) is the field equal to E y on the
+    singular weight of rho^-a, summed once per a (keyed as singular_weight
+    keys its cache) and read-only; expand(y) is the field equal to E y on the
     free cells and zero elsewhere, and restrict(u) its inverse, the unknowns
     of a field of this domain object that vanishes off the free cells and is
     exactly invariant on them (ValueError otherwise).  On those unknowns
@@ -236,13 +237,22 @@ def orbit_form(domain: GridDomain) -> Form:
                 raise ValueError("the field is not invariant under the symmetry group of L")
             return y
 
+        sums = {}
+
+        def weight(a):
+            key = round(float(a), 12)
+            if key not in sums:
+                w = np.bincount(orbit, domain.singular_weight(a)[free], minlength=count.size)
+                w.flags.writeable = False
+                sums[key] = w
+            return sums[key]
+
         cache["orbit_form"] = Form(
             A=LinearOperator(m, matvec=lambda y: CT @ (C @ y), dtype=float), C=C, G=G,
             M=LinearOperator(m, matvec=lambda r: factor().solve(
                 factor().solve(r.ravel(), trans="T") / count), dtype=float),
             volume=domain.cell_volume, count=count,
-            weight=lambda a: np.bincount(orbit, domain.singular_weight(a)[free],
-                                         minlength=count.size),
+            weight=weight,
             expand=expand, restrict=restrict)
     return cache["orbit_form"]
 

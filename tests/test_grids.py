@@ -248,16 +248,24 @@ def _old_cell_average(dom, i, j, k, exponent, q):
 @pytest.mark.parametrize("dom", [ha.box_grid(9), ha.group_lattice_grid(9)],
                          ids=["box9", "lattice9"])
 def test_cell_average_helper_is_bit_identical(dom):
-    from heisadams.grids import gauge_power_cell_averages
+    # singular_weight averages the head only on the positive octant and
+    # mirrors it: octant head cells keep the old per-cell average bit for bit,
+    # every other cell is its mirror image, and far cells are the bare power
+    from heisadams.grids import _HEAD_CELLS, _SUBSAMPLES, gauge_power_cell_averages
     rho = dom.gauge()
-    near = rho <= 6.0 * max(dom.spacing)
-    assert near.any()
+    X, Y, T = dom.coords()
+    head = rho <= _HEAD_CELLS * max(dom.spacing)
+    octant = (X >= 0) & (Y >= 0) & (T >= 0)
+    assert (head & octant).any() and (head & ~octant).any()
+    # each cell's mirror image in the octant (an octant cell is its own)
+    mirror = tuple(np.where(c < 0, n - 1 - i, i)
+                   for c, i, n in zip((X, Y, T), np.indices(dom.shape), dom.shape))
     for a in (1.0, 2.5, 3.5):
         w = dom.singular_weight(a)
-        want = np.where(near, 0.0, w)
-        for i, j, k in zip(*np.where(near)):
-            want[i, j, k] = _old_cell_average(dom, i, j, k, -a, 4)
-        assert np.array_equal(w, want)
+        for i, j, k in zip(*np.where(head & octant)):
+            assert w[i, j, k] == _old_cell_average(dom, i, j, k, -a, _SUBSAMPLES)
+        assert np.array_equal(w, w[mirror])
+        assert np.array_equal(w[~head], rho[~head] ** -a)
     f = ha.GridField(dom, np.random.default_rng(4).standard_normal(dom.shape))
     for alpha in (1.0, 2.0, 3.0):
         diag = _old_cell_average(dom, None, None, None, alpha - 4.0, 2)
@@ -273,6 +281,72 @@ def test_cell_average_helper_is_bit_identical(dom):
             ker[r == 0.0] = diag
             want[idx] = np.dot(ker, f.values.ravel()) * dom.cell_volume
         assert np.array_equal(ha.riesz_convolve(f, alpha).values, want)
+
+
+def _per_column_averages(spacing, centers, exponent, q):
+    """gauge_power_cell_averages as it was written before its one broadcast:
+    one subsample per column of a (..., q^3) array."""
+    offsets = [(-0.5 + (np.arange(q) + 0.5) / q) * h for h in spacing]
+    OX, OY, OT = np.meshgrid(*offsets, indexing="ij")
+    X, Y, T = (np.asarray(c) for c in centers)
+    sub = np.empty(X.shape + (q ** 3,))
+    for k, (ox, oy, ot) in enumerate(zip(OX.ravel(), OY.ravel(), OT.ravel())):
+        sub[..., k] = gauge_arr(X + ox, Y + oy, T + ot) ** exponent
+    return np.mean(sub, axis=-1)
+
+
+def test_cell_average_broadcast_equals_per_column_loop():
+    from heisadams.grids import gauge_power_cell_averages
+    rng = np.random.default_rng(38)
+    for shape in [(200,), (7, 5)]:
+        spacing = tuple(rng.uniform(0.05, 0.5, 3))
+        centers = tuple(rng.uniform(-1.0, 1.0, shape) for _ in range(3))
+        for q, exponent in [(4, -1.0), (4, -3.5), (2, -2.0), (3, 1.5)]:
+            got = gauge_power_cell_averages(spacing, centers, exponent, q)
+            assert got.shape == shape
+            assert np.array_equal(got, _per_column_averages(spacing, centers, exponent, q))
+
+
+@pytest.mark.parametrize("dom", [ha.box_grid(9), ha.box_grid(12),
+                                 ha.GridDomain((13, 13, 11), (1.0, 0.5, 0.7)),
+                                 ha.ball_grid(17), ha.group_lattice_grid(9)],
+                         ids=["box9", "box12", "box13x13x11", "ball17", "lattice9"])
+def test_singular_weight_is_exactly_even(dom):
+    from heisadams.grids import _HEAD_CELLS, _SUBSAMPLES
+    rho = dom.gauge()
+    head = rho <= _HEAD_CELLS * max(dom.spacing)
+    for a in (0.0, 1.0, 2.5, 3.5, 23 / 6):
+        w = dom.singular_weight(a)
+        for axis in range(3):
+            assert np.array_equal(w, np.flip(w, axis))
+        # the per-cell loop: each head cell averaged on its own, unmirrored
+        want = np.where(head, 1.0, rho) ** -a
+        for i, j, k in zip(*np.where(head)):
+            want[i, j, k] = _old_cell_average(dom, i, j, k, -a, _SUBSAMPLES)
+        want[~dom.mask] = 0.0
+        assert np.all(np.abs(w - want) <= 5e-16 * want)
+
+
+def test_cached_arrays_are_read_only():
+    # a write into a cached array would change what every later solve reads
+    from heisadams.operators import orbit_form
+    dom = ha.box_grid(9)
+    form = orbit_form(dom)
+    getters = {
+        "X": lambda: dom.coords()[0],
+        "Y": lambda: dom.coords()[1],
+        "T": lambda: dom.coords()[2],
+        "gauge": dom.gauge,
+        "free_mask": dom.free_mask,
+        "singular_weight": lambda: dom.singular_weight(2.0),
+        "form.weight": lambda: form.weight(2.0),
+    }
+    for name, get in getters.items():
+        arr = get()
+        assert get() is arr, name
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+    assert form.weight(2.0 + 1e-14) is form.weight(2.0)
 
 
 def _writers():
